@@ -2,13 +2,27 @@
 k-term chain (with witness avoider colorings), distance-graph chromatic
 bounds on prefixes, and the composite finite-range accessibility evidence.
 
-The avoider search colors positions left to right, keeps the per-position
-chain-length table incrementally (each value is final once its position is
-colored), prunes any branch that already contains a k-term chain, and breaks
-color symmetry canonically: position 1 is color 1 and a new color may only
-enter as (1 + largest color used so far). Subtrees below a fixed depth can
-be explored in parallel; verdict and witness are independent of the worker
-count because results merge in subtree order.
+The avoider search colors positions left to right and breaks color symmetry
+canonically: position 1 is color 1 and a new color may only enter as
+(1 + largest color used so far). Per color c it keeps two threat masks, Python
+ints with one bit per position. With G the OR of 1 << d over the gaps, T_c is
+the OR of G << y over the c-colored positions y ending a chain of length at
+least k-1, so bit x of T_c says that coloring x with c completes a k-term
+chain; U_c is the same mask at length k-2. A color is rejected by one bit
+test of T_c. After each placement the masks are closed under forced moves on
+the window (pos, best + 1], best being the deepest avoider found so far: a
+position threatened in every color but c must take c, so it joins U_c (k = 3)
+or, when U_c hits it (or k = 2), T_c, and the closure repeats until nothing
+new is forced. A window position threatened in every color is dead: no
+extension reaches it, so the subtree cannot go deeper than best and is cut.
+The masks are immutable per depth, so backtracking needs no undo.
+
+Rejections only remove colorings that contain a k-term chain and the bound
+only cuts subtrees that cannot beat the deepest avoider found so far, so the
+first-deepest avoider in depth-first order, and with it the verdict, value
+and witness, is the one a plain search finds. Subtrees below a fixed depth
+can be explored in parallel; the result does not depend on the worker count
+because results merge in subtree order.
 """
 
 from __future__ import annotations
@@ -16,7 +30,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -29,6 +43,35 @@ from .verify import longest_mono_diffseq
 
 DELTA = "delta"
 UNKNOWN = "unknown"
+
+
+@dataclass
+class SearchStats:
+    """Deterministic counts of one avoider search.
+
+    ``nodes`` counts the color trials left after pruning, the ones a threat
+    bit refuses included; ``rejected`` counts those refusals; ``pruned`` the
+    placements whose subtree the dead-position bound cut; ``forced`` the
+    forced-move expansions of the threat-mask closure. ``split_depth`` is
+    the prefix length at which the tree was split across workers and
+    ``frontier`` the number of subtrees (None and 0 on one worker).
+    """
+
+    nodes: int = 0
+    rejected: int = 0
+    pruned: int = 0
+    forced: int = 0
+    split_depth: Optional[int] = None
+    frontier: int = 0
+
+    def add(self, other: "SearchStats") -> None:
+        self.nodes += other.nodes
+        self.rejected += other.rejected
+        self.pruned += other.pruned
+        self.forced += other.forced
+
+    def to_json(self) -> dict:
+        return asdict(self)
 
 
 @dataclass
@@ -48,8 +91,12 @@ class DeltaResult:
     value: Optional[int]
     budget: int
     witness: Optional[Coloring]
-    nodes: int
+    stats: SearchStats
     elapsed: float
+
+    @property
+    def nodes(self) -> int:
+        return self.stats.nodes
 
     def to_json(self) -> dict:
         return {
@@ -61,8 +108,81 @@ class DeltaResult:
             "budget": self.budget,
             "witness": self.witness.to_json() if self.witness else None,
             "nodes": self.nodes,
+            "stats": self.stats.to_json(),
             "elapsed": round(self.elapsed, 6),
         }
+
+
+def _spread(gapmask: int, positions: int) -> int:
+    """OR of ``gapmask << x`` over the set bits x of ``positions``."""
+    out = 0
+    while positions:
+        low = positions & -positions
+        out |= gapmask << (low.bit_length() - 1)
+        positions ^= low
+    return out
+
+
+def _forced(T: list[int], window: int, r: int) -> Optional[list[int]]:
+    """Per color c, the window positions threatened in every color but c;
+    None when some window position is threatened in every color."""
+    if r == 2:
+        t1, t2 = T[1], T[2]
+        if t1 & t2 & window:
+            return None
+        return [0, t2 & ~t1 & window, t1 & ~t2 & window]
+    suffix = [window] * (r + 2)
+    for c in range(r, 0, -1):
+        suffix[c] = suffix[c + 1] & T[c]
+    if suffix[1]:
+        return None
+    forced = [0] * (r + 1)
+    prefix = window
+    for c in range(1, r + 1):
+        forced[c] = prefix & suffix[c + 1] & ~T[c]
+        prefix &= T[c]
+    return forced
+
+
+def _close(T, U, done, window, gapmask, k, r):
+    """Close the threat masks (updated in place) under forced moves on the
+    window of uncolored positions.
+
+    A window position threatened in every color but c is forced to c in any
+    avoider reaching it, so its chain length in c is known and its gap mask
+    joins U or T. ``done`` holds the positions already expanded at level
+    k-2 and at level k-1. Returns (done, expansions), with done None when
+    some window position is threatened in every color.
+    """
+    done_u, done_t = done
+    expansions = 0
+    grew = True
+    while grew:
+        forced = _forced(T, window, r)
+        if forced is None:
+            return None, expansions
+        grew = False
+        for c in range(1, r + 1):
+            f = forced[c]
+            if not f:
+                continue
+            if k == 3:  # a forced position ends a chain of length >= 1 = k-2
+                new = f & ~done_u
+                if new:
+                    done_u |= new
+                    U[c] |= _spread(gapmask, new)
+                    expansions += new.bit_count()
+            # a forced position hit by U ends a chain of length k-1 (any, for k = 2)
+            new = (f if k == 2 else f & U[c]) & ~done_t
+            if new:
+                done_t |= new
+                add = _spread(gapmask, new)
+                T[c] |= add
+                if k > 3:
+                    U[c] |= add
+                expansions += new.bit_count()
+                grew = True
+    return (done_u, done_t), expansions
 
 
 def _dfs_deepest(
@@ -72,75 +192,106 @@ def _dfs_deepest(
     budget: int,
     prefix: bytes = b"",
     stop_depth: Optional[int] = None,
-) -> tuple[int, bytes, int, list[bytes]]:
+) -> tuple[int, bytes, SearchStats, list[bytes]]:
     """Depth-first search for the deepest canonical avoider extending ``prefix``.
 
-    Returns (deepest depth, word at that depth, node count, frontier), where
-    the frontier lists every avoider of exact length ``stop_depth`` instead of
+    Returns (deepest depth, word at that depth, counts, frontier), where the
+    frontier lists every avoider of exact length ``stop_depth`` instead of
     descending past it (used to split work). Exits early on a full-budget hit.
     """
+    gapmask = 0
+    for d in gaps:
+        gapmask |= 1 << d
     color = bytearray(budget + 2)
-    chain = [0] * (budget + 2)
-    maxu = [0] * (budget + 2)
+    chain = [0] * (budget + 2)  # length of the chain ending at each colored position
+    allowed = [1] * (budget + 2)  # largest color a position may take (canonical order)
     nxt = [1] * (budget + 2)
+    # states[p]: threat masks T, U and expanded sets after positions 1..p are colored
+    states: list = [None] * (budget + 2)
+    T = [(1 << (budget + 1)) - 2 if k == 1 else 0] * (r + 1)
+    U = [0] * (r + 1)
     start = len(prefix) + 1
     for pos in range(1, start):
         c = prefix[pos - 1]
         color[pos] = c
-        best = 1
+        length = 1
         for d in gaps:
             if d >= pos:
                 break
             y = pos - d
-            if color[y] == c and chain[y] >= best:
-                best = chain[y] + 1
-        chain[pos] = best
-        maxu[pos + 1] = max(maxu[pos], c)
+            if color[y] == c and chain[y] >= length:
+                length = chain[y] + 1
+        chain[pos] = length
+        if length >= k - 2:
+            U[c] |= gapmask << pos
+        if length >= k - 1:
+            T[c] |= gapmask << pos
+        allowed[pos + 1] = c + 1 if c == allowed[pos] and c < r else allowed[pos]
+    states[start - 1] = (T, U, (0, 0))
 
     best_depth = len(prefix)
     best_word = bytes(prefix)
     frontier: list[bytes] = []
-    nodes = 0
+    nodes = rejected = pruned = forced = 0
     pos = start
     while pos >= start:
         if pos > budget:
-            return budget, bytes(color[1 : budget + 1]), nodes, frontier
+            stats = SearchStats(nodes, rejected, pruned, forced)
+            return budget, bytes(color[1 : budget + 1]), stats, frontier
         if stop_depth is not None and pos > stop_depth:
             frontier.append(bytes(color[1:pos]))
             pos -= 1
             continue
         c = nxt[pos]
-        if c > min(r, maxu[pos] + 1):
+        if c > allowed[pos]:
             nxt[pos] = 1
             pos -= 1
             continue
         nxt[pos] = c + 1
         nodes += 1
-        best = 1
-        for d in gaps:
-            if d >= pos:
-                break
-            y = pos - d
-            if color[y] == c and chain[y] >= best:
-                best = chain[y] + 1
-                if best >= k:
-                    break
-        if best >= k:
+        T, U, done = states[pos - 1]
+        if T[c] >> pos & 1:
+            rejected += 1
             continue
+        if k == 2 or U[c] >> pos & 1:
+            length = k - 1
+        else:
+            length = 1
+            if k > 3:
+                for d in gaps:
+                    if d >= pos:
+                        break
+                    y = pos - d
+                    if color[y] == c and chain[y] >= length:
+                        length = chain[y] + 1
         color[pos] = c
-        chain[pos] = best
+        chain[pos] = length
+        T = T[:]
+        if k > 2:
+            U = U[:]
+            if length >= k - 2:
+                U[c] |= gapmask << pos
+        if length == k - 1:
+            T[c] |= gapmask << pos
         if pos > best_depth:
             best_depth = pos
             best_word = bytes(color[1 : pos + 1])
-        maxu[pos + 1] = max(maxu[pos], c)
+        allowed[pos + 1] = c + 1 if c == allowed[pos] and c < r else allowed[pos]
+        if pos < budget:  # the bound only matters on (pos, best_depth + 1]
+            done, expanded = _close(T, U, done, (4 << best_depth) - (2 << pos), gapmask, k, r)
+            forced += expanded
+            if done is None:
+                pruned += 1
+                continue
+        states[pos] = (T, U, done)
         pos += 1
-    return best_depth, best_word, nodes, frontier
+    return best_depth, best_word, SearchStats(nodes, rejected, pruned, forced), frontier
 
 
-def _subtree_job(args) -> tuple[int, bytes, int]:
+def _subtree_job(args) -> tuple[int, bytes, SearchStats]:
     gaps, k, r, budget, prefix = args
-    depth, word, nodes, _ = _dfs_deepest(gaps, k, r, budget, prefix=prefix)
-    return depth, word, nodes
+    depth, word, stats, _ = _dfs_deepest(gaps, k, r, budget, prefix=prefix)
+    return depth, word, stats
 
 
 def default_threads() -> int:
@@ -158,7 +309,8 @@ def max_avoidable(
 
     When that n is below the budget, no avoider of [1..n+1] exists, so the
     least forcing length is exactly n+1 (verdict "delta"). Otherwise the
-    verdict is "unknown" at the budget.
+    verdict is "unknown" at the budget. The worker count is capped at the
+    number of CPUs.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -168,46 +320,55 @@ def max_avoidable(
         raise ValueError(f"gap set enumerated to {view.bound} < budget {budget}")
     if threads is None:
         threads = default_threads()
+    threads = min(threads, os.cpu_count() or 1)
     gaps = [d for d in view.elements if d < budget]
     started = time.perf_counter()
 
     if threads <= 1 or budget <= 4:
-        depth, word, nodes, _ = _dfs_deepest(gaps, k, r, budget)
+        depth, word, stats, _ = _dfs_deepest(gaps, k, r, budget)
     else:
-        depth, word, nodes = _parallel_search(gaps, k, r, budget, threads)
+        depth, word, stats = _parallel_search(gaps, k, r, budget, threads)
 
     elapsed = time.perf_counter() - started
     witness = Coloring(r, word, {"generator": "avoider", "k": k, "gaps": gaps}) if word else None
     if depth >= budget:
-        return DeltaResult(gaps, k, r, UNKNOWN, None, budget, witness, nodes, elapsed)
-    return DeltaResult(gaps, k, r, DELTA, depth + 1, budget, witness, nodes, elapsed)
+        return DeltaResult(gaps, k, r, UNKNOWN, None, budget, witness, stats, elapsed)
+    return DeltaResult(gaps, k, r, DELTA, depth + 1, budget, witness, stats, elapsed)
 
 
 def _parallel_search(
     gaps: list[int], k: int, r: int, budget: int, threads: int
-) -> tuple[int, bytes, int]:
+) -> tuple[int, bytes, SearchStats]:
     # split at the shallowest depth giving enough independent subtrees
-    split = None
-    for depth in range(2, min(budget, 14) + 1):
-        top, word, nodes, frontier = _dfs_deepest(gaps, k, r, budget, stop_depth=depth)
-        if top >= budget:
-            return top, word, nodes
-        if len(frontier) >= 4 * threads or depth == min(budget, 14):
-            split = (top, word, nodes, frontier)
+    last = min(budget, 14)
+    for depth in range(2, last + 1):
+        best_depth, best_word, stats, frontier = _dfs_deepest(
+            gaps, k, r, budget, stop_depth=depth
+        )
+        if best_depth >= budget:
+            return best_depth, best_word, stats
+        if len(frontier) >= 4 * threads or depth == last:
             break
-    top, word, nodes, frontier = split
     if not frontier:
-        return top, word, nodes
-    best_depth, best_word = top, word
-    jobs = [(gaps, k, r, budget, prefix) for prefix in frontier]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for depth, sub_word, sub_nodes in pool.map(_subtree_job, jobs):
-            nodes += sub_nodes
-            if depth > best_depth:
-                best_depth, best_word = depth, sub_word
+        return best_depth, best_word, stats
+    stats.split_depth, stats.frontier = depth, len(frontier)
+    # each subtree starts from the split depth; results merge in subtree order,
+    # so the first-deepest avoider is the one a single worker finds
+    pool = ProcessPoolExecutor(max_workers=threads)
+    try:
+        futures = [
+            pool.submit(_subtree_job, (gaps, k, r, budget, prefix)) for prefix in frontier
+        ]
+        for future in futures:
+            sub_depth, sub_word, sub_stats = future.result()
+            stats.add(sub_stats)
+            if sub_depth > best_depth:
+                best_depth, best_word = sub_depth, sub_word
             if best_depth >= budget:
                 break
-    return best_depth, best_word, nodes
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+    return best_depth, best_word, stats
 
 
 def delta(
@@ -221,7 +382,7 @@ def delta(
     if k == 1:
         return DeltaResult(
             [d for d in view.elements if d < budget], 1, r, DELTA, 1, budget,
-            None, 0, 0.0,
+            None, SearchStats(), 0.0,
         )
     return max_avoidable(view, k, r, budget, threads=threads)
 

@@ -5,6 +5,7 @@ import pathlib
 from fractions import Fraction as F
 
 import jsonschema
+import pytest
 from referencing import Registry, Resource
 
 from diffseq.colorings import preset_coloring
@@ -61,6 +62,17 @@ def test_scan_result_schema():
 def test_delta_result_schema():
     view = GapSetSpec.nonmultiples(3).enumerate(12)
     _validate("diffseq/delta-result", delta(view, 2, 2, 12).to_json())
+
+
+def test_delta_result_stats_block():
+    view = GapSetSpec.nonmultiples(3).enumerate(24)
+    for threads in (1, 2):
+        payload = delta(view, 4, 2, 24, threads=threads).to_json()
+        _validate("diffseq/delta-result", payload)
+        assert payload["stats"]["nodes"] == payload["nodes"]
+    bad = dict(payload, stats=dict(payload["stats"], per_worker=[1, 2]))
+    with pytest.raises(jsonschema.ValidationError):
+        _validate("diffseq/delta-result", bad)
 
 
 def test_alpha_certificate_schema():

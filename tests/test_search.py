@@ -6,12 +6,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from diffseq import search
 from diffseq.colorings import residue_coloring
 from diffseq.exactnum import Q5
 from diffseq.gapsets import GapSetSpec
 from diffseq.search import (
     DELTA,
     UNKNOWN,
+    _dfs_deepest,
     chromatic_number_prefix,
     delta,
     doa_evidence,
@@ -85,6 +87,98 @@ def _max_avoidable_bitmask_enum(gaps, k, budget):
     return best
 
 
+def _reference_deepest(gaps, k, r, budget, prefix=b""):
+    """The plain search: rejects a color only once a k-term chain is complete.
+
+    Returns (deepest depth, first word in depth-first order at that depth).
+    """
+    color = bytearray(budget + 2)
+    chain = [0] * (budget + 2)
+    maxu = [0] * (budget + 2)
+    nxt = [1] * (budget + 2)
+    start = len(prefix) + 1
+    for pos in range(1, start):
+        c = prefix[pos - 1]
+        color[pos] = c
+        best = 1
+        for d in gaps:
+            if d >= pos:
+                break
+            y = pos - d
+            if color[y] == c and chain[y] >= best:
+                best = chain[y] + 1
+        chain[pos] = best
+        maxu[pos + 1] = max(maxu[pos], c)
+
+    best_depth = len(prefix)
+    best_word = bytes(prefix)
+    pos = start
+    while pos >= start:
+        if pos > budget:
+            return budget, bytes(color[1 : budget + 1])
+        c = nxt[pos]
+        if c > min(r, maxu[pos] + 1):
+            nxt[pos] = 1
+            pos -= 1
+            continue
+        nxt[pos] = c + 1
+        best = 1
+        for d in gaps:
+            if d >= pos:
+                break
+            y = pos - d
+            if color[y] == c and chain[y] >= best:
+                best = chain[y] + 1
+                if best >= k:
+                    break
+        if best >= k:
+            continue
+        color[pos] = c
+        chain[pos] = best
+        if pos > best_depth:
+            best_depth = pos
+            best_word = bytes(color[1 : pos + 1])
+        maxu[pos + 1] = max(maxu[pos], c)
+        pos += 1
+    return best_depth, best_word
+
+
+class _LazyPool:
+    """Stands in for ProcessPoolExecutor: a job runs only when its result is
+    read, so a test sees which subtrees the merge asked for."""
+
+    instances: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.submitted = 0
+        self.ran = 0
+        self.shutdown_args = None
+        _LazyPool.instances.append(self)
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        pool = self
+
+        class _Future:
+            def result(self):
+                pool.ran += 1
+                return fn(*args)
+
+        return _Future()
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shutdown_args = (wait, cancel_futures)
+
+
+@pytest.fixture
+def lazy_pool(monkeypatch):
+    _LazyPool.instances = []
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _LazyPool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    return _LazyPool
+
+
 def test_known_small_values():
     v3 = GapSetSpec.nonmultiples(3).enumerate(10)
     result = delta(v3, 2, 2, 10)
@@ -145,6 +239,67 @@ def test_engine_matches_two_color_enumeration():
             assert oracle_best == budget
         else:
             assert engine.value == oracle_best + 1
+
+
+def test_engine_matches_two_color_enumeration_longer_chains():
+    rng = random.Random(131)
+    for _ in range(10):
+        budget = rng.randint(8, 14)
+        gaps = sorted(rng.sample(range(1, 6), rng.randint(1, 3)))
+        k = rng.choice([4, 5])
+        view = GapSetSpec.explicit(gaps).enumerate(budget)
+        engine = max_avoidable(view, k, 2, budget)
+        oracle_best = _max_avoidable_bitmask_enum([d for d in gaps if d < budget], k, budget)
+        if engine.verdict == UNKNOWN:
+            assert oracle_best == budget
+        else:
+            assert engine.value == oracle_best + 1
+
+
+def test_kernel_matches_reference_loop():
+    rng = random.Random(211)
+    for _ in range(150):
+        k = rng.randint(2, 5)
+        r = rng.randint(2, 3)
+        budget = rng.randint(5, 36)
+        gaps = [d for d in sorted(rng.sample(range(1, 16), rng.randint(1, 6))) if d < budget]
+        depth, word, stats, _ = _dfs_deepest(gaps, k, r, budget)
+        assert (depth, word) == _reference_deepest(gaps, k, r, budget), (gaps, k, r, budget)
+        assert stats.rejected <= stats.nodes
+
+
+def test_kernel_matches_reference_loop_below_a_prefix():
+    # subtree jobs replay their prefix into the masks before searching
+    rng = random.Random(223)
+    for _ in range(60):
+        k = rng.randint(3, 5)
+        r = rng.randint(2, 3)
+        budget = rng.randint(10, 30)
+        gaps = [d for d in sorted(rng.sample(range(1, 12), rng.randint(1, 5))) if d < budget]
+        _, _, _, frontier = _dfs_deepest(gaps, k, r, budget, stop_depth=4)
+        for prefix in frontier:
+            depth, word, _, _ = _dfs_deepest(gaps, k, r, budget, prefix=prefix)
+            ref_depth, ref_word = _reference_deepest(gaps, k, r, budget, prefix=prefix)
+            assert depth == ref_depth
+            if depth > len(prefix):
+                assert word == ref_word
+
+
+def test_one_term_chains_through_max_avoidable():
+    res = max_avoidable(GapSetSpec.explicit([1, 2]).enumerate(5), 1, 2, 5)
+    assert (res.verdict, res.value, res.witness) == (DELTA, 1, None)
+    assert _dfs_deepest([1, 2], 1, 2, 5)[:2] == (0, b"")
+
+
+def test_stats_block():
+    v3 = GapSetSpec.nonmultiples(3).enumerate(40)
+    res = delta(v3, 4, 2, 40)
+    stats = res.to_json()["stats"]
+    assert stats["nodes"] == res.nodes > 0
+    assert 0 < stats["rejected"] < stats["nodes"]
+    assert stats["pruned"] > 0
+    assert (stats["split_depth"], stats["frontier"]) == (None, 0)
+    assert delta(v3, 4, 2, 40).stats == res.stats  # counts are deterministic
 
 
 def test_canonical_color_order_keeps_existence_verdict():
@@ -226,6 +381,49 @@ def test_parallel_matches_sequential():
     par = max_avoidable(singles, 2, 2, 30, threads=3)
     assert (seq.verdict, par.verdict) == (UNKNOWN, UNKNOWN)
     assert seq.witness.colors == par.witness.colors
+
+
+def test_parallel_merge_matches_sequential_on_random_instances(lazy_pool):
+    rng = random.Random(227)
+    for _ in range(25):
+        k = rng.randint(2, 5)
+        r = rng.randint(2, 3)
+        budget = rng.randint(8, 30)
+        gaps = sorted(rng.sample(range(1, 12), rng.randint(1, 5)))
+        view = GapSetSpec.explicit(gaps).enumerate(budget)
+        seq = max_avoidable(view, k, r, budget, threads=1)
+        par = max_avoidable(view, k, r, budget, threads=2)
+        assert (seq.verdict, seq.value) == (par.verdict, par.value)
+        assert (seq.witness and seq.witness.colors) == (par.witness and par.witness.colors)
+    assert sum(pool.ran for pool in lazy_pool.instances) > 25
+
+
+def test_parallel_stops_reading_subtrees_after_a_full_budget_hit(lazy_pool):
+    even = GapSetSpec.even_fibonacci().enumerate(400)
+    seq = max_avoidable(even, 5, 2, 400, threads=1)
+    par = max_avoidable(even, 5, 2, 400, threads=2)
+    assert seq.verdict == par.verdict == UNKNOWN
+    assert seq.witness.colors == par.witness.colors
+    (pool,) = lazy_pool.instances
+    assert par.stats.frontier == pool.submitted > pool.ran == 1
+    assert pool.shutdown_args == (True, True)  # pending subtrees are cancelled
+
+
+def test_parallel_unknown_on_real_workers():
+    # the pool is shut down with the queued subtrees cancelled on a full-budget hit
+    even = GapSetSpec.even_fibonacci().enumerate(400)
+    seq = max_avoidable(even, 5, 2, 400, threads=1)
+    par = max_avoidable(even, 5, 2, 400, threads=2)
+    assert (seq.verdict, par.verdict) == (UNKNOWN, UNKNOWN)
+    assert seq.witness.colors == par.witness.colors
+
+
+def test_threads_clamped_to_cpu_count(lazy_pool):
+    v3 = GapSetSpec.nonmultiples(3).enumerate(24)
+    res = max_avoidable(v3, 4, 2, 24, threads=10**6)
+    assert [pool.max_workers for pool in lazy_pool.instances] == [2]
+    assert res.stats.split_depth is not None and res.stats.frontier > 0
+    assert res.value == max_avoidable(v3, 4, 2, 24, threads=1).value
 
 
 # -- chromatic bounds -----------------------------------------------------------
