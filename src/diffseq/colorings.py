@@ -63,6 +63,11 @@ class Coloring:
 
     @staticmethod
     def from_json(obj: dict) -> "Coloring":
+        if not isinstance(obj, dict):
+            raise ValueError("coloring JSON must be an object")
+        missing = [key for key in ("r", "n", "rle") if key not in obj]
+        if missing:
+            raise ValueError(f"coloring JSON is missing {', '.join(map(repr, missing))}")
         word = bytearray()
         for color, count in obj["rle"]:
             word.extend(bytes([color]) * count)

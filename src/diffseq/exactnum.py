@@ -34,7 +34,10 @@ def to_rational(value: RationalLike) -> Fraction:
         text = value.strip()
         if "." in text or "e" in text or "E" in text:
             raise ValueError(f"exact rational required (got {value!r}); write p/q")
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 

@@ -12,6 +12,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, cycle
 from typing import Optional, Sequence
 
 from .certs import Certificate
@@ -227,7 +228,9 @@ class GapSetSpec:
         if kind == "polynomial":
             return self._poly_elements(bound)
         if kind == "nonmultiples":
-            return [n for n in range(1, bound + 1) if n % self.m != 0]
+            # residues 1..m of one period: only m itself is a multiple
+            keep = cycle([1] * (self.m - 1) + [0])
+            return list(compress(range(1, bound + 1), keep))
         if kind == "primes":
             return _primes_upto(bound)
         if kind == "explicit":
@@ -252,18 +255,24 @@ class GapSetSpec:
         raise SpecValidationError(f"unknown gap set kind: {kind}")
 
     def _poly_elements(self, bound: int) -> list[int]:
+        # Horner's rule on integers: with scale = lcm of the denominators,
+        # scale*p(n) has integer coefficients, and p(n) is an integer exactly
+        # when scale divides it
         cs = self.coeffs
+        scale = math.lcm(*(c.denominator for c in cs))
+        ints = [c.numerator * (scale // c.denominator) for c in cs]
         lead, rest = cs[0], cs[1:-1]
         # beyond n0 the leading term dominates and values are > bound: safe stop
-        n0 = (sum(abs(c) for c in rest) + 1) / lead + 1
+        n0 = math.ceil((sum(abs(c) for c in rest) + 1) / lead + 1)
+        top = bound * scale
         out, n = set(), 1
         while True:
-            val = Fraction(0)
-            for c in cs:
+            val = 0
+            for c in ints:
                 val = val * n + c
-            if val >= 1 and val.denominator == 1 and val <= bound:
-                out.add(int(val))
-            if n >= n0 and val > bound:
+            if scale <= val <= top and val % scale == 0:
+                out.add(val // scale)
+            if n >= n0 and val > top:
                 break
             n += 1
         return sorted(out)
@@ -332,7 +341,7 @@ def _primes_upto(n: int) -> list[int]:
         if sieve[p]:
             start = p * p
             sieve[start :: p] = bytearray(len(range(start, n + 1, p)))
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(compress(range(n + 1), sieve))
 
 
 def growth_certificate(view: GapSetView, rho, start: int = 0) -> Certificate:

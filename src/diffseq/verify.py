@@ -1,7 +1,11 @@
 """Exhaustive verification over colored prefixes: longest monochromatic
-diffsequences and fixed-gap progressions by dynamic programming, the two-term
-(chromatic intersectivity) special case, Fibonacci modular facts with
+diffsequences (chains) by dynamic programming, fixed-gap progressions and the
+two-term (chromatic intersectivity) special case by bit-parallel operations
+on one Python-int mask per color, Fibonacci modular facts with
 periodicity-complete certificates, and exact fractional-part bound scans.
+
+Chains keep the DP: a chain level is an OR over every gap, so a mask sweep
+costs |D| shifts per level, and long chains make that slower than the DP.
 """
 
 from __future__ import annotations
@@ -86,46 +90,74 @@ def longest_mono_diffseq(coloring: Coloring, view: GapSetView) -> ScanResult:
     return ScanResult(DIFFSEQUENCE, best_len, witness, n, color)
 
 
+def _color_masks(word: bytes, r: int) -> list[int]:
+    """One Python int per color 1..r; bit x-1 is set iff position x has that color."""
+    if not word:
+        return [0] * r
+    masks = []
+    for c in range(1, r + 1):
+        table = bytearray(b"0" * 256)
+        table[c] = ord("1")
+        masks.append(int(word.translate(table)[::-1], 2))
+    return masks
+
+
+def _pair_starts(masks: list[int], d: int) -> int:
+    """Bit x-1 is set iff positions x and x+d have the same color."""
+    out = 0
+    for m in masks:
+        out |= m & (m >> d)
+    return out
+
+
 def longest_mono_ap(coloring: Coloring, view: GapSetView) -> ScanResult:
     """Exact maximum length over single-gap progressions a, a+d, a+2d, ...
 
-    Each gap d is scanned independently; a progression keeps one fixed gap.
+    Bit-parallel per gap: S_1 marks the starts x of same-colored pairs
+    (x, x+d), and S_{l+1} = S_l & (S_l >> d) marks the starts of l+1 such
+    steps. The gap's longest progression is one more than the number of
+    non-empty rounds, and the lowest bit of the last one is its smallest
+    start. The global maximum keeps the smallest gap, then the smallest end.
     """
     n = coloring.n
     gaps = _usable_gaps(view, n)
     word = coloring.colors
-    best_len, best_end, best_gap = 0, 0, 0
+    if n == 0:
+        return ScanResult(AP, 0, [], 0, None)
+    masks = _color_masks(word, coloring.r)
+    # with no usable gap a single position is still a 1-term progression
+    best_len, best_start, best_gap = 1, 1, 0
     for d in gaps:
-        run = [0] * (n + 1)
-        for x in range(1, n + 1):
-            y = x - d
-            if y >= 1 and word[y - 1] == word[x - 1]:
-                run[x] = run[y] + 1
-            else:
-                run[x] = 1
-            if run[x] > best_len:
-                best_len, best_end, best_gap = run[x], x, d
-    if best_len == 0 and n >= 1:
-        # no usable gap at all: a single position is still a 1-term progression
-        best_len, best_end, best_gap = 1, 1, 0
-    witness = [best_end - i * best_gap for i in range(best_len)][::-1]
-    color = word[best_end - 1] if best_end else None
-    return ScanResult(AP, best_len, witness, n, color)
+        s = _pair_starts(masks, d)
+        length, last = 1, 0
+        while s:
+            length, last = length + 1, s
+            s &= s >> d
+        if length > best_len:
+            best_len, best_gap = length, d
+            best_start = (last & -last).bit_length()
+    witness = [best_start + i * best_gap for i in range(best_len)]
+    return ScanResult(AP, best_len, witness, n, word[best_start - 1])
 
 
 def chromatically_intersective_check(coloring: Coloring, view: GapSetView) -> ScanResult:
-    """Two-term special case: is there a same-colored pair differing by a gap?"""
+    """Two-term special case: is there a same-colored pair differing by a gap?
+
+    The OR of the same-colored pair starts over all gaps gives the smallest
+    first term x; the smallest gap pairing x is then found directly.
+    """
     n = coloring.n
-    gaps = [d for d in view.elements if d < n]
+    gaps = _usable_gaps(view, n)
     word = coloring.colors
-    for x in range(1, n + 1):
+    masks = _color_masks(word, coloring.r)
+    starts = 0
+    for d in gaps:
+        starts |= _pair_starts(masks, d)
+    if starts:
+        x = (starts & -starts).bit_length()
         cx = word[x - 1]
-        for d in gaps:
-            y = x + d
-            if y > n:
-                break
-            if word[y - 1] == cx:
-                return ScanResult(DIFFSEQUENCE, 2, [x, y], n, cx)
+        d = next(d for d in gaps if x + d <= n and word[x + d - 1] == cx)
+        return ScanResult(DIFFSEQUENCE, 2, [x, x + d], n, cx)
     return ScanResult(DIFFSEQUENCE, 1, [1] if n else [], n, word[0] if n else None)
 
 

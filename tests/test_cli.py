@@ -49,6 +49,25 @@ def test_alpha_rejects_decimal_delta(capsys):
     assert "exact rational" in err
 
 
+def test_alpha_rejects_zero_denominator(capsys):
+    code, _, err = _run(
+        capsys, "alpha", "--set-json", '{"kind":"geometric","base":4}',
+        "--delta", "1/0", "--steps", "3",
+    )
+    assert code == 2
+    assert "zero denominator" in err and "Traceback" not in err
+
+
+def test_scan_rejects_coloring_without_rle(tmp_path, capsys):
+    broken = tmp_path / "coloring.json"
+    broken.write_text(json.dumps({"r": 2, "n": 4}))
+    code, _, err = _run(
+        capsys, "scan", "--coloring", str(broken), "--set-json", '{"kind":"fibonacci"}',
+    )
+    assert code == 2
+    assert "'rle'" in err
+
+
 def test_color_export_and_scan_round_trip(tmp_path, capsys):
     witness = tmp_path / "coloring.json"
     code, _, _ = _run(

@@ -1,6 +1,7 @@
 """Gap set enumeration, transforms, growth certificates, difference sets."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +32,40 @@ def test_enumerate_polynomials():
     assert list(halves.enumerate(6)) == [1, 2, 3, 4, 5, 6]  # n/2 hits every integer
     mixed = GapSetSpec.polynomial(["1", "-10", "0"])  # n^2 - 10n dips below zero first
     assert list(mixed.enumerate(30)) == [11, 24]
+
+
+def _fraction_poly_elements(coeffs, bound):
+    """Positive integer values <= bound of the polynomial, by Fraction Horner."""
+    cs = [Fraction(c) for c in coeffs]
+    n0 = (sum(abs(c) for c in cs[1:-1]) + 1) / cs[0] + 1
+    out, n = set(), 1
+    while True:
+        val = Fraction(0)
+        for c in cs:
+            val = val * n + c
+        if val >= 1 and val.denominator == 1 and val <= bound:
+            out.add(int(val))
+        if n >= n0 and val > bound:
+            break
+        n += 1
+    return sorted(out)
+
+
+def test_polynomial_elements_match_fraction_evaluation():
+    cases = (["1", "0", "0"], ["1/2", "1/2", "0"], ["2", "-3", "0"], ["1/3", "0", "0"])
+    for coeffs in cases:
+        for bound in (1, 2, 10, 9_999, 100_000):
+            view = GapSetSpec.polynomial(coeffs).enumerate(bound)
+            assert list(view) == _fraction_poly_elements(coeffs, bound)
+
+
+def test_sieved_families_match_definitions():
+    for bound in (1, 2, 97, 1000):
+        primes = [p for p in range(2, bound + 1) if all(p % q for q in range(2, p))]
+        assert list(GapSetSpec.primes().enumerate(bound)) == primes
+        for m in (1, 2, 3, 7):
+            expected = [x for x in range(1, bound + 1) if x % m]
+            assert list(GapSetSpec.nonmultiples(m).enumerate(bound)) == expected
 
 
 def test_polynomial_validation():

@@ -1,15 +1,19 @@
 """Scan correctness against brute-force oracles, plus the number-theory facts."""
 
+import importlib.util
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from diffseq.colorings import Coloring, block_coloring, frac_coloring, residue_coloring
 from diffseq.construct import certify_fracs, diffseq_bound_from_eps
 from diffseq.exactnum import Q5
-from diffseq.gapsets import GapSetSpec, fib_values
+from diffseq.gapsets import GapSetSpec, GapSetView, fib_values
 from diffseq.verify import (
+    AP,
+    DIFFSEQUENCE,
     DIST_NEAREST,
     FRAC_WINDOW,
     ScanResult,
@@ -75,6 +79,106 @@ def test_pair_check_examples():
 
     two_tone = Coloring(2, bytes([1, 2]))
     assert chromatically_intersective_check(two_tone, GapSetSpec.explicit([1]).enumerate(2)).length == 1
+
+
+def test_pair_check_requires_enumeration_to_length():
+    # D = {2} enumerated only to 1 looks empty, yet positions 1 and 3 share a color
+    truncated = GapSetSpec.explicit([2]).enumerate(1)
+    with pytest.raises(ValueError):
+        chromatically_intersective_check(residue_coloring(2, 20), truncated)
+
+
+def _reference_ap(coloring: Coloring, view: GapSetView) -> ScanResult:
+    """The per-position run DP the mask kernel replaced."""
+    n = coloring.n
+    gaps = [d for d in view.elements if d < n]
+    word = coloring.colors
+    best_len, best_end, best_gap = 0, 0, 0
+    for d in gaps:
+        run = [0] * (n + 1)
+        for x in range(1, n + 1):
+            y = x - d
+            if y >= 1 and word[y - 1] == word[x - 1]:
+                run[x] = run[y] + 1
+            else:
+                run[x] = 1
+            if run[x] > best_len:
+                best_len, best_end, best_gap = run[x], x, d
+    if best_len == 0 and n >= 1:
+        best_len, best_end, best_gap = 1, 1, 0
+    witness = [best_end - i * best_gap for i in range(best_len)][::-1]
+    color = word[best_end - 1] if best_end else None
+    return ScanResult(AP, best_len, witness, n, color)
+
+
+def _reference_pair(coloring: Coloring, view: GapSetView) -> ScanResult:
+    """The position-by-position pair search the mask kernel replaced."""
+    n = coloring.n
+    gaps = [d for d in view.elements if d < n]
+    word = coloring.colors
+    for x in range(1, n + 1):
+        cx = word[x - 1]
+        for d in gaps:
+            y = x + d
+            if y > n:
+                break
+            if word[y - 1] == cx:
+                return ScanResult(DIFFSEQUENCE, 2, [x, y], n, cx)
+    return ScanResult(DIFFSEQUENCE, 1, [1] if n else [], n, word[0] if n else None)
+
+
+def _view(gaps, n: int) -> GapSetView:
+    """A view of exactly ``gaps``, complete to at least n (gaps may reach past n)."""
+    return GapSetView(tuple(sorted(gaps)), max([n, *gaps]))
+
+
+def test_mask_kernels_match_reference_loops():
+    edge_cases = [
+        (1, b"", []),  # n = 0, no gap
+        (2, b"", [1, 3]),  # n = 0, gaps past the end
+        (1, b"\x01", [1]),  # n = 1: every gap reaches past the end
+        (1, b"\x01" * 9, []),  # no usable gap: witness [1]
+        (1, b"\x01" * 9, [3, 9, 12]),  # r = 1; gaps equal to and past n
+        (1, b"\x01" * 5, [3, 4]),  # gap tie: 3 wins over 4, end 4 over 5
+        (2, b"\x01\x02" * 4, [2]),  # color tie: color 1 starts first
+        (2, b"\x02\x01" * 4, [2]),  # color tie: color 2 starts first
+        (3, b"\x01\x02\x03" * 5, [1, 2, 4]),  # no same-colored pair at all
+        (2, b"\x02\x02\x01\x01\x01", [1, 2]),  # pair at x = 1 by gap 1 only
+        (4, b"\x01\x03\x03\x01", [1, 3]),  # colors 2 and 4 absent
+    ]
+    rng = random.Random(1729)
+    random_cases = []
+    for _ in range(600):
+        r = rng.randint(1, 4)
+        n = rng.randint(0, 60)
+        word = bytes(rng.randint(1, r) for _ in range(n))
+        random_cases.append((r, word, rng.sample(range(1, 70), rng.randint(0, 8))))
+    for r, word, gaps in edge_cases + random_cases:
+        coloring, view = Coloring(r, word), _view(gaps, len(word))
+        assert longest_mono_ap(coloring, view).to_json() == _reference_ap(coloring, view).to_json()
+        assert (
+            chromatically_intersective_check(coloring, view).to_json()
+            == _reference_pair(coloring, view).to_json()
+        )
+
+
+def _load_oracle():
+    """perfbench's oracle module: plain-integer checks that never import diffseq."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ap_scan_matches_oracle_on_fibonacci_view():
+    oracle = _load_oracle()
+    n = 100_000
+    coloring = frac_coloring(Q5(0, F(1, 8)), 2, n)
+    view = GapSetSpec.fibonacci().enumerate(n)
+    result = longest_mono_ap(coloring, view)
+    assert result.length == oracle.longest_progression(coloring.colors, view.elements)
+    _assert_valid_witness(result, coloring, set(view.elements), ap=True)
 
 
 def _brute_longest_chain(word, gaps, ap):
