@@ -6,10 +6,14 @@ periodicity-complete certificates, and exact fractional-part bound scans.
 
 Chains keep the DP: a chain level is an OR over every gap, so a mask sweep
 costs |D| shifts per level, and long chains make that slower than the DP.
+The pair check tests the first |D| positions one at a time against a gap
+mask, so an early pair costs one shift per position tested after an O(N + |D|)
+set-up, and sweeps the gaps only when no pair starts that early.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -47,12 +51,12 @@ class ScanResult:
         }
 
 
-def _usable_gaps(view: GapSetView, n: int) -> list[int]:
+def _usable_gaps(view: GapSetView, n: int) -> tuple[int, ...]:
     if view.bound < n:
         raise ValueError(
             f"gap set enumerated only to {view.bound} but the coloring has length {n}"
         )
-    return [d for d in view.elements if d < n]
+    return view.elements[: bisect_left(view.elements, n)]
 
 
 def longest_mono_diffseq(coloring: Coloring, view: GapSetView) -> ScanResult:
@@ -92,8 +96,6 @@ def longest_mono_diffseq(coloring: Coloring, view: GapSetView) -> ScanResult:
 
 def _color_masks(word: bytes, r: int) -> list[int]:
     """One Python int per color 1..r; bit x-1 is set iff position x has that color."""
-    if not word:
-        return [0] * r
     masks = []
     for c in range(1, r + 1):
         table = bytearray(b"0" * 256)
@@ -143,22 +145,42 @@ def longest_mono_ap(coloring: Coloring, view: GapSetView) -> ScanResult:
 def chromatically_intersective_check(coloring: Coloring, view: GapSetView) -> ScanResult:
     """Two-term special case: is there a same-colored pair differing by a gap?
 
-    The OR of the same-colored pair starts over all gaps gives the smallest
-    first term x; the smallest gap pairing x is then found directly.
+    The pair with the smallest first term x, then the smallest gap d, is
+    reported. Position x pairs with the set bits of (m >> x) & G, where m is
+    the mask of x's color and G has bit d-1 set for each gap d. The first
+    len(gaps) positions are tested that way in order, so an early pair stops
+    the scan. A tested position costs one shift and a swept gap costs one per
+    color, so past them the same-colored pair starts are ORed over the gaps
+    instead, and the lowest set bit is x.
     """
     n = coloring.n
     gaps = _usable_gaps(view, n)
     word = coloring.colors
+    if n == 0:
+        return ScanResult(DIFFSEQUENCE, 1, [], 0, None)
     masks = _color_masks(word, coloring.r)
-    starts = 0
+    gap_bits, one = bytearray(b"0" * n), ord("1")
     for d in gaps:
-        starts |= _pair_starts(masks, d)
-    if starts:
-        x = (starts & -starts).bit_length()
-        cx = word[x - 1]
-        d = next(d for d in gaps if x + d <= n and word[x + d - 1] == cx)
-        return ScanResult(DIFFSEQUENCE, 2, [x, x + d], n, cx)
-    return ScanResult(DIFFSEQUENCE, 1, [1] if n else [], n, word[0] if n else None)
+        gap_bits[d - 1] = one
+    gap_mask = int(gap_bits[::-1], 2)
+
+    def partners(x: int) -> int:
+        return (masks[word[x - 1] - 1] >> x) & gap_mask
+
+    head = len(gaps)
+    x = next((x for x in range(1, head + 1) if partners(x)), 0)
+    if not x:
+        tails = [m >> head for m in masks]
+        starts = 0
+        for d in gaps:
+            starts |= _pair_starts(tails, d)
+        if starts:
+            x = head + (starts & -starts).bit_length()
+    if x:
+        found = partners(x)
+        d = (found & -found).bit_length()
+        return ScanResult(DIFFSEQUENCE, 2, [x, x + d], n, word[x - 1])
+    return ScanResult(DIFFSEQUENCE, 1, [1], n, word[0])
 
 
 # -- Fibonacci facts ---------------------------------------------------------------

@@ -11,6 +11,7 @@ from diffseq.colorings import Coloring, block_coloring, frac_coloring, residue_c
 from diffseq.construct import certify_fracs, diffseq_bound_from_eps
 from diffseq.exactnum import Q5
 from diffseq.gapsets import GapSetSpec, GapSetView, fib_values
+from diffseq import verify as verify_module
 from diffseq.verify import (
     AP,
     DIFFSEQUENCE,
@@ -145,6 +146,9 @@ def test_mask_kernels_match_reference_loops():
         (3, b"\x01\x02\x03" * 5, [1, 2, 4]),  # no same-colored pair at all
         (2, b"\x02\x02\x01\x01\x01", [1, 2]),  # pair at x = 1 by gap 1 only
         (4, b"\x01\x03\x03\x01", [1, 3]),  # colors 2 and 4 absent
+        (4, b"\x01\x02\x03\x02", [1, 2]),  # first pair at the last position tested alone
+        (4, b"\x01\x02\x03\x02", [2]),  # first pair just past it, found by the gap sweep
+        (4, b"\x01\x02\x03\x04\x03", [1, 2]),  # gap sweep; x pairs by its second gap only
     ]
     rng = random.Random(1729)
     random_cases = []
@@ -160,6 +164,31 @@ def test_mask_kernels_match_reference_loops():
             chromatically_intersective_check(coloring, view).to_json()
             == _reference_pair(coloring, view).to_json()
         )
+
+
+def test_pair_check_stops_at_an_early_pair(monkeypatch):
+    # dense gap set, large prefix: an early pair must not cost a sweep over every gap
+    calls = []
+    real_pair_starts = verify_module._pair_starts
+    monkeypatch.setattr(
+        verify_module, "_pair_starts", lambda masks, d: calls.append(d) or real_pair_starts(masks, d)
+    )
+    n = 200_000
+    view = GapSetSpec.nonmultiples(3).enumerate(n)
+    rng = random.Random(3)
+    two_colored = Coloring(2, bytes(rng.randint(1, 2) for _ in range(n)))
+    lone_first = Coloring(2, b"\x02" + b"\x01" * (n - 1))  # position 1 pairs with nothing
+    for coloring in (two_colored, lone_first):
+        result = chromatically_intersective_check(coloring, view)
+        assert result.to_json() == _reference_pair(coloring, view).to_json()
+    assert calls == []
+
+    # no pair at all: the positions tested one by one are followed by one sweep
+    small = 2000
+    primes = GapSetSpec.primes().enumerate(small)
+    result = chromatically_intersective_check(residue_coloring(4, small), primes)
+    assert (result.length, result.witness) == (1, [1])
+    assert calls == list(primes.elements)
 
 
 def _load_oracle():
