@@ -32,7 +32,6 @@ from .exactnum import (
     Q5,
     RatInterval,
     dist_nearest_int,
-    floor_int,
     frac,
     rational_str,
     sign,

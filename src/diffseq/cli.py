@@ -184,6 +184,8 @@ def _cmd_pipeline(args) -> int:
     spec = _load_spec(args)
     delta = to_rational(args.delta)
     factor = construct.growth_factor(args.r, delta)
+    if args.steps < 2 or args.start < 0:
+        raise InputError("pipeline needs --steps >= 2 and --start >= 0 to check gap growth")
     view = spec.enumerate(args.n)
     need = args.start + args.steps
     bound = args.n

@@ -3,19 +3,22 @@ products, and circle-rotation words, plus subword complexity.
 
 Colorings are materialized words (one byte per position, positions 1..N) so
 the scanning layer gets random access. Generation is exact: class membership
-at a boundary is decided by integer arithmetic, never by floats.
+at a boundary is decided by the integer kernel of ``exactnum`` (``floor5``,
+``sign5``) on common-denominator integers, never by floats, and no ``Q5``
+object is built per position.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exactnum import Q5
+from .exactnum import Q5, floor5, integer_triples, sign5
 
 MAX_LENGTH = 10_000_000  # one byte per position: 10 MB of word at the cap
+
+_BYTE = [bytes((c,)) for c in range(256)]
 
 AlphaLike = Union[int, Fraction, str, Q5]
 
@@ -68,10 +71,30 @@ class Coloring:
         missing = [key for key in ("r", "n", "rle") if key not in obj]
         if missing:
             raise ValueError(f"coloring JSON is missing {', '.join(map(repr, missing))}")
-        word = bytearray()
-        for color, count in obj["rle"]:
-            word.extend(bytes([color]) * count)
-        if len(word) != obj["n"]:
+        n, rle = obj["n"], obj["rle"]
+        if type(obj["r"]) is not int or type(n) is not int:
+            raise ValueError("coloring 'r' and 'n' must be integers")
+        if not 0 <= n <= MAX_LENGTH:
+            raise ValueError(f"coloring 'n' must be in 0..{MAX_LENGTH}")
+        bad_rle = ValueError(
+            "coloring 'rle' must be a list of [color, count] runs with integers "
+            "1 <= color <= 255 and count >= 1, the counts summing to 'n'"
+        )
+        if type(rle) is not list:
+            raise bad_rle
+        word, left = bytearray(), n
+        try:
+            for color, count in rle:
+                # type() rather than isinstance(): JSON true/false parse to bools
+                if type(color) is not int or type(count) is not int or not (
+                    0 < color < 256 and 0 < count <= left
+                ):
+                    raise bad_rle
+                left -= count
+                word += _BYTE[color] * count
+        except (TypeError, ValueError):  # also a run that is no [color, count] pair
+            raise bad_rle from None
+        if left:
             raise ValueError("run-length data does not match the declared length")
         return Coloring(obj["r"], bytes(word), obj.get("provenance", {}))
 
@@ -89,36 +112,28 @@ def _check_length(n: int):
         raise ValueError(f"coloring length capped at {MAX_LENGTH} (1 byte/position)")
 
 
-def _floor_triple(P: int, U: int, L: int) -> int:
-    # floor((P + U*sqrt5)/L) for integers with L > 0
-    if U == 0:
-        return P // L
-    s = math.isqrt(5 * U * U)
-    return (P + s) // L if U > 0 else (P - s - 1) // L
-
-
 def frac_coloring(alpha: AlphaLike, r: int, n: int) -> Coloring:
     """Color x by which r-th of the unit interval {alpha*x} falls in.
 
     Class i is the half-open window [(i-1)/r, i/r); an exact hit on a cut
-    point i/r therefore lands in the higher class.
+    point i/r therefore lands in the higher class. For an irrational alpha
+    the class is floor(r*alpha*x) mod r + 1, one ``floor5`` call per position.
     """
     if r < 2:
         raise ValueError("need r >= 2")
     _check_length(n)
-    alpha_q5 = alpha if isinstance(alpha, Q5) else Q5.coerce(alpha)
+    alpha_q5 = Q5.coerce(alpha)
     P0, U0, L = alpha_q5.as_integer_triple()
-    word = bytearray(n)
     if U0 == 0:
+        word = bytearray(n)
         # rational rotation: {alpha*x} = (P0*x mod L)/L
         for x in range(1, n + 1):
             rem = (P0 * x) % L
             word[x - 1] = (r * rem) // L + 1
     else:
-        for x in range(1, n + 1):
-            P, U = P0 * x, U0 * x
-            fl = _floor_triple(P, U, L)
-            word[x - 1] = _floor_triple(r * (P - fl * L), r * U, L) + 1
+        # floor(r*{y}) = floor(r*y) - r*floor(y), which is floor(r*y) mod r
+        rP, rU = r * P0, r * U0
+        word = bytes(floor5(rP * x, rU * x, L) % r + 1 for x in range(1, n + 1))
     return Coloring(
         r,
         bytes(word),
@@ -181,28 +196,34 @@ def rotation_word(
     irrational alpha and the cut aligned to {alpha} this produces a Sturmian
     word. ``first_class`` replaces the single cut by a union of half-open
     intervals [lo, hi) for color 1.
+
+    The point is kept as integers (P, U) over a common denominator L of
+    alpha, x0 and the endpoints: each step adds alpha, subtracts the floor,
+    and tests each window with two ``sign5`` calls.
     """
     _check_length(n)
-    alpha_q5 = alpha if isinstance(alpha, Q5) else Q5.coerce(alpha)
-    x0_q5 = x0 if isinstance(x0, Q5) else Q5.coerce(x0)
+    alpha_q5 = Q5.coerce(alpha)
+    x0_q5 = Q5.coerce(x0)
     if first_class is None:
-        cut_q5 = cut if isinstance(cut, Q5) else Q5.coerce(cut)
+        cut_q5 = Q5.coerce(cut)
         if not (Q5(0) < cut_q5 < Q5(1)):
             raise ValueError("cut must satisfy 0 < cut < 1")
         windows = [(Q5(0), cut_q5)]
     else:
-        windows = [
-            (w_lo if isinstance(w_lo, Q5) else Q5.coerce(w_lo),
-             w_hi if isinstance(w_hi, Q5) else Q5.coerce(w_hi))
-            for w_lo, w_hi in first_class
-        ]
-    word = bytearray(n)
-    value = x0_q5
-    for pos in range(1, n + 1):
-        value = value + alpha_q5
-        f = value.frac()
-        hit = any((f - lo).sign() >= 0 and (f - hi).sign() < 0 for lo, hi in windows)
-        word[pos - 1] = 1 if hit else 2
+        windows = [(Q5.coerce(w_lo), Q5.coerce(w_hi)) for w_lo, w_hi in first_class]
+    L, ((AP, AU), (P, U), *ends) = integer_triples(
+        alpha_q5, x0_q5, *(end for window in windows for end in window)
+    )
+    bounds = list(zip(ends[::2], ends[1::2]))
+    word = bytearray(b"\x02") * n
+    for pos in range(n):
+        P += AP
+        U += AU
+        P -= floor5(P, U, L) * L  # the point is now {x0 + (pos+1)*alpha}
+        for (lp, lu), (hp, hu) in bounds:
+            if sign5(P - lp, U - lu) >= 0 and sign5(P - hp, U - hu) < 0:
+                word[pos] = 1
+                break
     prov = {
         "generator": "rotation",
         "alpha": alpha_q5.to_json(),

@@ -3,8 +3,10 @@
 plus the translation of such a window certificate into an upper bound on
 monochromatic diffsequence length.
 
-Everything here is exact rational arithmetic. A produced certificate never
-claims anything beyond the processed index range.
+Everything here is exact: rational arithmetic for the construction, and the
+integer Q(sqrt5) kernel of ``exactnum`` for the window certificate, which
+checks the closed window [eps, (r-1)/r]. A produced certificate never claims
+anything beyond the processed index range.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .certs import Certificate
-from .exactnum import Q5, RatInterval, frac, rational_str, sign, to_rational
+from .exactnum import Q5, RatInterval, _first_outside, frac, rational_str, to_rational
 from .gapsets import GapSetView
 
 AlphaLike = Union[int, Fraction, str, Q5]
@@ -218,7 +220,7 @@ def certify_fracs(alpha: AlphaLike, view: GapSetView, eps, r: int) -> Certificat
     window_hi = Fraction(r - 1, r)
     if not 0 < eps <= window_hi:
         raise ValueError("need 0 < eps <= (r-1)/r")
-    alpha_q5 = alpha if isinstance(alpha, Q5) else Q5.coerce(alpha)
+    alpha_q5 = Q5.coerce(alpha)
     params = {
         "alpha": alpha_q5.to_json(),
         "eps": rational_str(eps),
@@ -226,16 +228,15 @@ def certify_fracs(alpha: AlphaLike, view: GapSetView, eps, r: int) -> Certificat
         "window": [rational_str(eps), rational_str(window_hi)],
     }
     scope = f"all {len(view)} enumerated elements up to {view.bound}"
-    for d in view:
-        f = (alpha_q5 * d).frac()
-        if sign(f - eps) < 0 or sign(f - window_hi) > 0:
-            return Certificate(
-                claim="fractional-parts-in-window",
-                params=params,
-                verified_range=scope,
-                passed=False,
-                counterexample={"d": d, "frac": f.to_json()},
-            )
+    miss = _first_outside(alpha_q5, view, eps, window_hi, closed=True)
+    if miss is not None:
+        return Certificate(
+            claim="fractional-parts-in-window",
+            params=params,
+            verified_range=scope,
+            passed=False,
+            counterexample={"d": miss, "frac": (alpha_q5 * miss).frac().to_json()},
+        )
     return Certificate(
         claim="fractional-parts-in-window",
         params=params,

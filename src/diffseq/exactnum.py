@@ -1,8 +1,11 @@
 """Exact arithmetic over the rationals and the real quadratic field Q(sqrt5).
 
 Every comparison that feeds a certificate is decided by integer arithmetic.
-Numeric estimates may seed a search (floor bracketing), but the returned
-value is always confirmed by exact sign tests.
+One integer kernel decides them all: ``sign5(A, B)`` is the sign of
+A + B*sqrt5 and ``floor5(P, U, L)`` is floor((P + U*sqrt5)/L), both for
+integers. Loops over positions or elements put their values over one common
+denominator (``integer_triples``) and call the kernel on integers, building
+no ``Q5`` object per step.
 
 Rationals are stdlib ``fractions.Fraction`` values, which stay in reduced
 canonical form (positive denominator, gcd 1) after every operation.
@@ -12,9 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
-
-Rational = Fraction
+from typing import Iterable, Optional, Union
 
 RationalLike = Union[int, Fraction, str]
 NumberLike = Union[int, Fraction, str, "Q5"]
@@ -46,6 +47,35 @@ def rational_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+# -- the integer kernel ------------------------------------------------------------
+
+
+def sign5(A: int, B: int) -> int:
+    """Exact sign of A + B*sqrt5 for integers A, B, in {-1, 0, +1}.
+
+    When A and B agree in sign the answer is immediate. Otherwise A^2 is
+    compared with 5*B^2, which are never equal because sqrt5 is irrational.
+    """
+    if A >= 0 and B >= 0:
+        return 1 if A or B else 0
+    if A <= 0 and B <= 0:
+        return -1
+    return 1 if (A * A > 5 * B * B) == (A > 0) else -1
+
+
+def floor5(P: int, U: int, L: int) -> int:
+    """floor((P + U*sqrt5)/L) for integers P, U and L > 0.
+
+    With s = isqrt(5*U^2), |U|*sqrt5 lies strictly between s and s + 1 when
+    U != 0. So P + U*sqrt5 lies strictly between the consecutive integers
+    P + s and P + s + 1 (U > 0) or P - s - 1 and P - s (U < 0), and no
+    multiple of L lies strictly between two consecutive integers: the floor
+    of the quotient is the floor of the lower integer divided by L.
+    """
+    s = math.isqrt(5 * U * U)
+    return (P + s) // L if U >= 0 else (P - s - 1) // L
+
+
 class Q5:
     """An element a + b*sqrt(5) of Q(sqrt5) with rational a, b.
 
@@ -71,15 +101,10 @@ class Q5:
             return x
         return Q5(to_rational(x), 0)
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def as_integer_triple(self) -> tuple[int, int, int]:
         """Return integers (P, U, L) with L > 0 and value == (P + U*sqrt5)/L."""
-        ad, bd = self.a.denominator, self.b.denominator
-        L = ad * (bd // math.gcd(ad, bd))
-        return self.a.numerator * (L // ad), self.b.numerator * (L // bd), L
+        L, [(P, U)] = integer_triples(self)
+        return P, U, L
 
     # -- field arithmetic ----------------------------------------------------
 
@@ -137,25 +162,9 @@ class Q5:
     # -- exact predicates ----------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}.
-
-        When a and b agree in sign the answer is immediate; for mixed signs
-        compare a^2 against 5 b^2 and combine with the sign of a.
-        """
-        a, b = self.a, self.b
-        if b == 0:
-            return -1 if a < 0 else (0 if a == 0 else 1)
-        if a == 0:
-            return -1 if b < 0 else 1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # mixed signs: |a| vs |b|*sqrt5
-        d = a * a - 5 * b * b
-        if d == 0:
-            return 0  # unreachable for b != 0 (sqrt5 is irrational); kept for totality
-        return (1 if d > 0 else -1) * (1 if a > 0 else -1)
+        """Exact sign in {-1, 0, +1}."""
+        P, U, _ = self.as_integer_triple()
+        return sign5(P, U)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (Q5, int, Fraction)):
@@ -184,38 +193,8 @@ class Q5:
     # -- floor / fractional part ---------------------------------------------
 
     def floor(self) -> int:
-        """The unique integer n with n <= x < n+1, confirmed by two sign tests.
-
-        The candidate comes from an integer-sqrt estimate (never from binary
-        floats, whose range and precision give out on large inputs); if the
-        confirmation ever failed, a certified bracket search would take over.
-        """
-        if self.b == 0:
-            return self.a.numerator // self.a.denominator
-        P, U, L = self.as_integer_triple()
-        s = math.isqrt(5 * U * U)
-        n = (P + s) // L if U > 0 else (P - s - 1) // L
-        if (self - n).sign() >= 0 and (self - (n + 1)).sign() < 0:
-            return n
-        return self._floor_bracket()  # pragma: no cover - estimate is provably exact
-
-    def _floor_bracket(self) -> int:
-        # geometric widening to a bracket lo <= x < hi, then bisection
-        lo, hi, step = 0, 1, 1
-        while (self - lo).sign() < 0:
-            lo -= step
-            step *= 2
-        step = 1
-        while (self - hi).sign() >= 0:
-            hi += step
-            step *= 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if (self - mid).sign() >= 0:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        """The unique integer n with n <= x < n+1."""
+        return floor5(*self.as_integer_triple())
 
     def frac(self) -> "Q5":
         """Fractional part in [0, 1); x == x.floor() + x.frac() exactly."""
@@ -248,19 +227,44 @@ PHI = Q5(Fraction(1, 2), Fraction(1, 2))        # (1+sqrt5)/2
 PHI_CONJ = Q5(Fraction(1, 2), Fraction(-1, 2))  # (1-sqrt5)/2
 
 
+def integer_triples(*values: NumberLike) -> tuple[int, list[tuple[int, int]]]:
+    """Put values over one common denominator L > 0.
+
+    Returns L and one pair (P, U) per value, with value == (P + U*sqrt5)/L.
+    """
+    qs = [Q5.coerce(v) for v in values]
+    L = math.lcm(*(q.a.denominator for q in qs), *(q.b.denominator for q in qs))
+    return L, [
+        (q.a.numerator * (L // q.a.denominator), q.b.numerator * (L // q.b.denominator))
+        for q in qs
+    ]
+
+
+def _first_outside(
+    alpha: NumberLike, seq: Iterable[int], lo: NumberLike, hi: NumberLike, closed: bool
+) -> Optional[int]:
+    """The first s in seq whose {alpha*s} lies outside the window, or None.
+
+    The window is [lo, hi] when ``closed`` and (lo, hi) otherwise. Each
+    element costs one floor and two sign calls of the integer kernel.
+    """
+    L, ((P, U), (lp, lu), (hp, hu)) = integer_triples(alpha, lo, hi)
+    # inside iff sign({alpha*s} - lo) >= least and sign({alpha*s} - hi) <= most
+    least, most = (0, 0) if closed else (1, -1)
+    for s in seq:
+        A, B = P * s, U * s
+        A -= floor5(A, B, L) * L  # {alpha*s} = (A + B*sqrt5)/L
+        if sign5(A - lp, B - lu) < least or sign5(A - hp, B - hu) > most:
+            return s
+    return None
+
+
 def sign(x: NumberLike) -> int:
     """Exact sign of a rational or Q(sqrt5) value."""
     if isinstance(x, Q5):
         return x.sign()
     q = to_rational(x)
     return -1 if q < 0 else (0 if q == 0 else 1)
-
-
-def floor_int(x: NumberLike) -> int:
-    if isinstance(x, Q5):
-        return x.floor()
-    q = to_rational(x)
-    return q.numerator // q.denominator
 
 
 def frac(x: NumberLike):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, cycle
@@ -38,6 +39,21 @@ class SpecValidationError(ValueError):
     """A set definition violates its structural hypotheses."""
 
 
+def _int(value, what: str) -> int:
+    # no silent truncation (4.7 -> 4) or parsing ("4" -> 4); JSON booleans are not integers
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SpecValidationError(f"{what} must be an integer (got {value!r})")
+    return value
+
+
+def _array(obj: dict, key: str) -> list:
+    # a JSON string is iterable too: "12" must not read as the elements 1, 2
+    value = obj[key]
+    if not isinstance(value, list):
+        raise SpecValidationError(f"set definition field {key!r} must be an array (got {value!r})")
+    return value
+
+
 def fib_values(count: int) -> list[int]:
     """Fibonacci values f_0..f_count with f_1 = f_2 = 1 (Binet indexing)."""
     vals = [0, 1]
@@ -55,7 +71,7 @@ class GapSetView:
 
     def __post_init__(self):
         els = self.elements
-        if any(els[i] >= els[i + 1] for i in range(len(els) - 1)):
+        if not all(map(operator.lt, els, els[1:])):
             raise ValueError("view elements must be strictly increasing")
         if els and els[0] < 1:
             raise ValueError("gap set elements must be positive")
@@ -114,7 +130,7 @@ class GapSetSpec:
 
     @classmethod
     def geometric(cls, base: int) -> "GapSetSpec":
-        if base < 2:
+        if _int(base, "geometric base") < 2:
             raise SpecValidationError("geometric base must be >= 2")
         return cls("geometric", base=base)
 
@@ -126,7 +142,10 @@ class GapSetSpec:
         coefficient positive; values that are not positive integers are
         discarded during enumeration.
         """
-        cs = tuple(to_rational(c) for c in coeffs)
+        try:
+            cs = tuple(to_rational(c) for c in coeffs)
+        except TypeError as exc:
+            raise SpecValidationError(f"polynomial coefficients: {exc}") from None
         if len(cs) < 2:
             raise SpecValidationError("polynomial needs degree >= 1 plus a constant term")
         if cs[-1] != 0:
@@ -137,7 +156,7 @@ class GapSetSpec:
 
     @classmethod
     def nonmultiples(cls, m: int) -> "GapSetSpec":
-        if m < 1:
+        if _int(m, "nonmultiples modulus") < 1:
             raise SpecValidationError("nonmultiples modulus must be >= 1")
         return cls("nonmultiples", m=m)
 
@@ -147,7 +166,7 @@ class GapSetSpec:
 
     @classmethod
     def explicit(cls, elements: Sequence[int]) -> "GapSetSpec":
-        els = tuple(sorted(set(int(e) for e in elements)))
+        els = tuple(sorted({_int(e, "explicit element") for e in elements}))
         if els and els[0] < 1:
             raise SpecValidationError("explicit elements must be positive integers")
         return cls("explicit", elements=els)
@@ -158,19 +177,19 @@ class GapSetSpec:
 
     @classmethod
     def divided_by(cls, inner: "GapSetSpec", d: int) -> "GapSetSpec":
-        if d < 1:
+        if _int(d, "divisor") < 1:
             raise SpecValidationError("divisor must be >= 1")
         return cls("divided", inner=inner, d=d)
 
     @classmethod
     def filtered_multiples(cls, inner: "GapSetSpec", d: int) -> "GapSetSpec":
-        if d < 1:
+        if _int(d, "divisor") < 1:
             raise SpecValidationError("divisor must be >= 1")
         return cls("multiples_filtered", inner=inner, d=d)
 
     @classmethod
     def shifted_by(cls, inner: "GapSetSpec", c: int) -> "GapSetSpec":
-        return cls("shifted", inner=inner, shift=c)
+        return cls("shifted", inner=inner, shift=_int(c, "shift"))
 
     # -- transforms ------------------------------------------------------------
 
@@ -310,23 +329,23 @@ class GapSetSpec:
             if kind == "pell":
                 return GapSetSpec.pell()
             if kind == "geometric":
-                return GapSetSpec.geometric(int(obj["base"]))
+                return GapSetSpec.geometric(obj["base"])
             if kind == "polynomial":
-                return GapSetSpec.polynomial(obj["coeffs"])
+                return GapSetSpec.polynomial(_array(obj, "coeffs"))
             if kind == "nonmultiples":
-                return GapSetSpec.nonmultiples(int(obj["m"]))
+                return GapSetSpec.nonmultiples(obj["m"])
             if kind == "primes":
                 return GapSetSpec.primes()
             if kind == "explicit":
-                return GapSetSpec.explicit(obj["elements"])
+                return GapSetSpec.explicit(_array(obj, "elements"))
             if kind == "union":
-                return GapSetSpec.union([GapSetSpec.from_json(p) for p in obj["of"]])
+                return GapSetSpec.union([GapSetSpec.from_json(p) for p in _array(obj, "of")])
             if kind == "divided":
-                return GapSetSpec.divided_by(GapSetSpec.from_json(obj["of"]), int(obj["d"]))
+                return GapSetSpec.divided_by(GapSetSpec.from_json(obj["of"]), obj["d"])
             if kind == "multiples_filtered":
-                return GapSetSpec.filtered_multiples(GapSetSpec.from_json(obj["of"]), int(obj["d"]))
+                return GapSetSpec.filtered_multiples(GapSetSpec.from_json(obj["of"]), obj["d"])
             if kind == "shifted":
-                return GapSetSpec.shifted_by(GapSetSpec.from_json(obj["of"]), int(obj["c"]))
+                return GapSetSpec.shifted_by(GapSetSpec.from_json(obj["of"]), obj["c"])
         except KeyError as exc:
             raise SpecValidationError(f"set definition {kind!r} is missing field {exc}") from exc
         raise SpecValidationError(f"unknown gap set kind: {kind!r}")
@@ -348,15 +367,20 @@ def growth_certificate(view: GapSetView, rho, start: int = 0) -> Certificate:
     """Check d[i+1] >= rho * d[i] for every consecutive pair from index ``start``.
 
     ``start`` indexes the element list (0-based); the first checked pair is
-    (elements[start], elements[start+1]). Records the first violating pair on
+    (elements[start], elements[start+1]), so start must lie in
+    [0, len(elements) - 2]: a start with no pair after it raises instead of
+    passing with nothing checked. Records the first violating pair on
     failure.
     """
     rho = to_rational(rho)
-    if not view.elements:
-        raise ValueError("growth check needs a nonempty view")
     if rho <= 1:
         raise ValueError("growth ratio must exceed 1")
     els = view.elements
+    if not 0 <= start < len(els) - 1:
+        raise ValueError(
+            f"growth check needs the pair (d[start], d[start+1]) inside the view: "
+            f"start is {start} and the view has {len(els)} elements"
+        )
     params = {"rho": rational_str(rho), "start": start, "elements": len(els)}
     scope = f"pairs (d[i], d[i+1]) for i in [{start}, {len(els) - 2}]"
     for i in range(start, len(els) - 1):

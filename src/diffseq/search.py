@@ -589,7 +589,7 @@ def doa_evidence(
     coloring = frac_coloring(alpha, r, n)
     scan = longest_mono_diffseq(coloring, view.restrict(n) if view.bound > n else view)
     passed = window_cert.passed and scan.length < bound
-    alpha_q5 = alpha if isinstance(alpha, Q5) else Q5.coerce(alpha)
+    alpha_q5 = Q5.coerce(alpha)
     return Certificate(
         claim="accessibility-upper-evidence",
         params={

@@ -9,6 +9,8 @@ costs |D| shifts per level, and long chains make that slower than the DP.
 The pair check tests the first |D| positions one at a time against a gap
 mask, so an early pair costs one shift per position tested after an O(N + |D|)
 set-up, and sweeps the gaps only when no pair starts that early.
+Both fractional-part bound scans run on the window routine of ``exactnum``
+(integer kernel, no ``Q5`` object per element).
 """
 
 from __future__ import annotations
@@ -20,7 +22,16 @@ from typing import Optional, Sequence, Union
 
 from .certs import Certificate
 from .colorings import Coloring
-from .exactnum import PHI, PHI_CONJ, Q5, SQRT5, dist_nearest_int, rational_str, sign, to_rational
+from .exactnum import (
+    PHI,
+    PHI_CONJ,
+    Q5,
+    SQRT5,
+    _first_outside,
+    dist_nearest_int,
+    rational_str,
+    to_rational,
+)
 from .gapsets import GapSetView, fib_values
 
 DIFFSEQUENCE = "diffsequence"
@@ -343,26 +354,29 @@ def frac_bound_scan(
     """Exact per-element verification of a fractional-part bound.
 
     mode "dist_nearest": distance of alpha*s to the nearest integer exceeds
-    ``bound`` strictly. mode "frac_window": {alpha*s} lies strictly inside
+    ``bound`` strictly, that is {alpha*s} lies in the open window
+    (bound, 1 - bound). mode "frac_window": {alpha*s} lies strictly inside
     (window[0], window[1]). The first violation is reported.
     """
     if not seq:
         raise ValueError("empty sequence")
-    alpha_q5 = alpha if isinstance(alpha, Q5) else Q5.coerce(alpha)
+    alpha_q5 = Q5.coerce(alpha)
     scope = f"all {len(seq)} sequence elements"
     if mode == DIST_NEAREST:
         bound = to_rational(bound)
         params = {"alpha": alpha_q5.to_json(), "bound": rational_str(bound)}
-        for s in seq:
-            dist = dist_nearest_int(alpha_q5 * s)
-            if sign(dist - bound) <= 0:
-                return Certificate(
-                    "dist-to-nearest-exceeds",
-                    params,
-                    scope,
-                    False,
-                    counterexample={"element": s, "dist": dist.to_json()},
-                )
+        miss = _first_outside(alpha_q5, seq, bound, 1 - bound, closed=False)
+        if miss is not None:
+            return Certificate(
+                "dist-to-nearest-exceeds",
+                params,
+                scope,
+                False,
+                counterexample={
+                    "element": miss,
+                    "dist": dist_nearest_int(alpha_q5 * miss).to_json(),
+                },
+            )
         return Certificate("dist-to-nearest-exceeds", params, scope, True)
     if mode == FRAC_WINDOW:
         lo, hi = to_rational(window[0]), to_rational(window[1])
@@ -370,15 +384,17 @@ def frac_bound_scan(
             "alpha": alpha_q5.to_json(),
             "window": [rational_str(lo), rational_str(hi)],
         }
-        for s in seq:
-            f = (alpha_q5 * s).frac()
-            if sign(f - lo) <= 0 or sign(f - hi) >= 0:
-                return Certificate(
-                    "frac-in-open-window",
-                    params,
-                    scope,
-                    False,
-                    counterexample={"element": s, "frac": f.to_json()},
-                )
+        miss = _first_outside(alpha_q5, seq, lo, hi, closed=False)
+        if miss is not None:
+            return Certificate(
+                "frac-in-open-window",
+                params,
+                scope,
+                False,
+                counterexample={
+                    "element": miss,
+                    "frac": (alpha_q5 * miss).frac().to_json(),
+                },
+            )
         return Certificate("frac-in-open-window", params, scope, True)
     raise ValueError(f"unknown mode {mode!r}")

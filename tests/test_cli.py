@@ -68,6 +68,61 @@ def test_scan_rejects_coloring_without_rle(tmp_path, capsys):
     assert "'rle'" in err
 
 
+_BAD_RLE = (
+    "error: coloring 'rle' must be a list of [color, count] runs with integers "
+    "1 <= color <= 255 and count >= 1, the counts summing to 'n'\n"
+)
+
+
+def _scan_file(tmp_path, capsys, payload):
+    path = tmp_path / "coloring.json"
+    path.write_text(json.dumps(payload))
+    return _run(capsys, "scan", "--coloring", str(path), "--set-json", '{"kind":"fibonacci"}')
+
+
+def test_scan_rejects_rle_with_a_non_integer_color(tmp_path, capsys):
+    code, out, err = _scan_file(tmp_path, capsys, {"r": 2, "n": 1, "rle": [["a", 1]]})
+    assert code == 2 and out == ""
+    assert err == _BAD_RLE
+
+
+def test_scan_rejects_rle_that_is_not_a_list(tmp_path, capsys):
+    code, out, err = _scan_file(tmp_path, capsys, {"r": 2, "n": 1, "rle": 5})
+    assert code == 2 and out == ""
+    assert err == _BAD_RLE
+
+
+def test_set_rejects_fractional_geometric_base(capsys):
+    code, _, err = _run(capsys, "set", "--set-json", '{"kind":"geometric","base":4.7}', "-N", "50")
+    assert code == 2
+    assert err == "error: geometric base must be an integer (got 4.7)\n"
+
+
+def test_set_rejects_fractional_explicit_element(capsys):
+    code, _, err = _run(
+        capsys, "set", "--set-json", '{"kind":"explicit","elements":[1.9,3]}', "-N", "5"
+    )
+    assert code == 2
+    assert err == "error: explicit element must be an integer (got 1.9)\n"
+
+
+def test_set_rejects_explicit_elements_given_as_a_string(capsys):
+    code, _, err = _run(
+        capsys, "set", "--set-json", '{"kind":"explicit","elements":"12"}', "-N", "5"
+    )
+    assert code == 2
+    assert err == "error: set definition field 'elements' must be an array (got '12')\n"
+
+
+def test_pipeline_needs_a_growth_pair(capsys):
+    code, out, err = _run(
+        capsys, "pipeline", "--set-json", '{"kind":"geometric","base":4}',
+        "--delta", "1", "--steps", "1", "-N", "100",
+    )
+    assert code == 2 and out == ""
+    assert "--steps >= 2" in err
+
+
 def test_color_export_and_scan_round_trip(tmp_path, capsys):
     witness = tmp_path / "coloring.json"
     code, _, _ = _run(

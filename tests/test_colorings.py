@@ -1,5 +1,7 @@
 """Coloring generators and the subword complexity counter."""
 
+import decimal
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -144,3 +146,116 @@ def test_length_cap_and_validation():
         frac_coloring(F(1, 3), 2, 0)
     with pytest.raises(ValueError):
         Coloring(2, bytes([1, 3]))
+
+
+# -- the integer-kernel generators against an independent reference -----------------
+
+
+SQRT5_OVER_8 = Q5(0, F(1, 8))
+
+
+def _nonneg(t: F, b: F) -> bool:
+    # t + b*sqrt5 >= 0 for b != 0, by comparing squares
+    if b > 0:
+        return t >= 0 or t * t < 5 * b * b
+    return t > 0 and t * t > 5 * b * b
+
+
+def _ge0(value: Q5) -> bool:
+    return value.a >= 0 if value.b == 0 else _nonneg(value.a, value.b)
+
+
+def _ref_floor(value: Q5) -> int:
+    # a decimal estimate confirmed by Fraction comparisons (no diffseq floor)
+    a, b = value.a, value.b
+    if b == 0:
+        return a.numerator // a.denominator
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        est = decimal.Decimal(a.numerator) / a.denominator
+        est += decimal.Decimal(b.numerator) / b.denominator * decimal.Decimal(5).sqrt()
+        m = int(est.to_integral_value(decimal.ROUND_FLOOR))
+    assert _nonneg(a - m, b) and not _nonneg(a - m - 1, b)
+    return m
+
+
+def _ref_rotation(alpha, x0, windows, n):
+    alpha, x0 = Q5.coerce(alpha), Q5.coerce(x0)
+    word = []
+    for pos in range(1, n + 1):
+        x = x0 + alpha * pos
+        f = x - _ref_floor(x)
+        word.append(1 if any(_ge0(f - lo) and not _ge0(f - hi) for lo, hi in windows) else 2)
+    return word
+
+
+def test_rotation_word_exact_hits_on_the_cut():
+    # rational alpha lands on the cut 1/3 at n = 1, 4, ... and on 0 at n = 3, 6, ...
+    word = rotation_word(F(1, 3), 0, F(1, 3), 9)
+    assert word.word() == [2, 2, 1] * 3
+    assert word.word() == _ref_rotation(F(1, 3), 0, [(0, F(1, 3))], 9)
+    # the golden word hits its irrational cut exactly at n = 1: {alpha} = alpha
+    golden = rotation_word(GOLDEN_ANGLE, 0, GOLDEN_ANGLE, 500)
+    assert golden.at(1) == 2
+    assert golden.word() == _ref_rotation(GOLDEN_ANGLE, 0, [(0, GOLDEN_ANGLE)], 500)
+
+
+def test_rotation_multi_window_endpoint_hits():
+    # {n/4} runs 1/4, 1/2, 3/4, 0: the shared endpoint 1/2 belongs to the
+    # second window, 3/4 (an upper end) and 0 (outside) to neither
+    windows = [(F(1, 4), F(1, 2)), (F(1, 2), F(3, 4))]
+    word = rotation_word(F(1, 4), 0, None, 8, first_class=windows)
+    assert word.word() == [1, 1, 2, 2] * 2
+    # irrational windows with a start point on a window end
+    q5_windows = [(Q5(0), GOLDEN_ANGLE), (Q5(F(3, 4)), Q5(1))]
+    start = Q5(F(3, 4)) - SQRT5_OVER_8
+    word = rotation_word(SQRT5_OVER_8, start, None, 300, first_class=q5_windows)
+    assert word.at(1) == 1  # {start + alpha} = 3/4 exactly
+    assert word.word() == _ref_rotation(SQRT5_OVER_8, start, q5_windows, 300)
+
+
+def test_rotation_word_matches_reference_random():
+    rng = random.Random(41)
+    for _ in range(40):
+        alpha = Q5(
+            F(rng.randint(-30, 30), rng.randint(1, 12)), F(rng.randint(-9, 9), rng.randint(1, 12))
+        )
+        x0 = Q5(F(rng.randint(-9, 9), rng.randint(1, 8)), F(rng.randint(-3, 3), rng.randint(1, 8)))
+        cuts = sorted(F(rng.randint(0, 12), 12) for _ in range(4))
+        windows = [(cuts[0], cuts[1]), (cuts[2], cuts[3])]
+        word = rotation_word(alpha, x0, None, 120, first_class=windows)
+        assert word.word() == _ref_rotation(alpha, x0, windows, 120)
+
+
+def test_frac_coloring_matches_reference_near_cuts():
+    # (sqrt5 - 1)/2 * F_k is within 1/F_k of an integer, so r*alpha*x at
+    # Fibonacci x sits just beside a class cut
+    golden = GOLDEN_ANGLE
+    fib = [1, 2]
+    while fib[-1] < 3000:
+        fib.append(fib[-1] + fib[-2])
+    for alpha in (golden, -golden, SQRT5_OVER_8, Q5(F(3, 8), F(1, 8)), Q5(F(-7, 3), F(5, 6))):
+        for r in (2, 3, 5):
+            word = frac_coloring(alpha, r, 3000)
+            for x in list(range(1, 200)) + fib[:-1]:
+                y = alpha * x
+                assert word.at(x) == _ref_floor(y * r) - r * _ref_floor(y) + 1, (alpha, r, x)
+    # a rational alpha given as Q5 lands exactly on the cuts 1/4, 1/2, 3/4
+    assert frac_coloring(Q5(F(1, 4)), 4, 4).word() == [2, 3, 4, 1]
+
+
+def test_from_json_rejects_malformed_rle():
+    for bad in (
+        {"r": 2, "n": 1, "rle": [["a", 1]]},
+        {"r": 2, "n": 1, "rle": 5},
+        {"r": 2, "n": 1, "rle": [[1]]},
+        {"r": 2, "n": 1, "rle": [[1, 1.0]]},
+        {"r": 2, "n": 1, "rle": [[1, True]]},
+        {"r": 2, "n": 1, "rle": [[0, 1]]},
+        {"r": 2, "n": 2, "rle": [[1, -1], [1, 3]]},
+        {"r": 2, "n": 1, "rle": [[1, 10**12]]},
+        {"r": "2", "n": 1, "rle": [[1, 1]]},
+        {"r": 2, "n": -1, "rle": []},
+    ):
+        with pytest.raises(ValueError):
+            Coloring.from_json(bad)

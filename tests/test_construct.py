@@ -110,6 +110,27 @@ def test_certify_fracs_examples():
     assert cert.passed
 
 
+def test_failing_certify_fracs_keeps_its_json():
+    # counterexamples pinned from the Q5 loop this certificate replaced
+    golden = certify_fracs(Q5(F(-1, 2), F(1, 2)), GapSetSpec.fibonacci().enumerate(10**6), F(1, 8), 2)
+    assert golden.to_json() == {
+        "claim": "fractional-parts-in-window",
+        "params": {"alpha": {"a": "-1/2", "b": "1/2"}, "eps": "1/8", "r": 2, "window": ["1/8", "1/2"]},
+        "verified_range": "all 29 enumerated elements up to 1000000",
+        "passed": False,
+        "counterexample": {"d": 1, "frac": {"a": "-1/2", "b": "1/2"}},
+    }
+    # the window is closed: 1/8 and 1/2 (d = 1, 4) pass, 5/8 (d = 5) fails
+    ends = certify_fracs(F(1, 8), GapSetView((1, 4, 5), 5), F(1, 8), 2)
+    assert ends.to_json() == {
+        "claim": "fractional-parts-in-window",
+        "params": {"alpha": {"a": "1/8", "b": "0/1"}, "eps": "1/8", "r": 2, "window": ["1/8", "1/2"]},
+        "verified_range": "all 3 enumerated elements up to 5",
+        "passed": False,
+        "counterexample": {"d": 5, "frac": {"a": "5/8", "b": "0/1"}},
+    }
+
+
 def test_certify_fracs_validation():
     view = GapSetView((1,), 1)
     with pytest.raises(ValueError):

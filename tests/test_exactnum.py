@@ -1,5 +1,6 @@
 """Exact field arithmetic: identities, certified floor, and the sign oracle."""
 
+import decimal
 import math
 import random
 from fractions import Fraction as F
@@ -12,12 +13,17 @@ from diffseq.exactnum import (
     SQRT5,
     Q5,
     RatInterval,
+    _first_outside,
     dist_nearest_int,
+    floor5,
     frac,
+    integer_triples,
     rational_str,
     sign,
+    sign5,
     to_rational,
 )
+from diffseq.gapsets import fib_values
 
 
 def test_golden_ratio_identities():
@@ -163,3 +169,97 @@ def test_rat_interval():
     assert box.contains_interval(RatInterval(F(9, 32), F(3, 8)))
     with pytest.raises(ValueError):
         RatInterval(F(1, 2), F(1, 8))
+
+
+# -- the integer kernel against a Fraction reference ---------------------------------
+
+
+def _ref_sign(a: F, b: F) -> int:
+    # sign of a + b*sqrt5 by Fraction comparisons alone
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0 or (a > 0) == (b > 0):
+        return 1 if b > 0 else -1
+    return (1 if a > 0 else -1) * (1 if a * a > 5 * b * b else -1)
+
+
+def _ref_floor(P: int, U: int, L: int) -> int:
+    # a decimal estimate with enough digits, confirmed by two reference sign
+    # tests of x - m = (P - m*L)/L + (U/L)*sqrt5
+    with decimal.localcontext() as ctx:
+        ctx.prec = max(abs(P), abs(U), L).bit_length() // 3 + 40
+        m = int(((P + U * decimal.Decimal(5).sqrt()) / L).to_integral_value(decimal.ROUND_FLOOR))
+    assert _ref_sign(F(P - m * L, L), F(U, L)) >= 0 > _ref_sign(F(P - (m + 1) * L, L), F(U, L))
+    return m
+
+
+def _kernel_triples(rng):
+    fib = fib_values(2000)
+    for _ in range(200):
+        yield rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6), rng.randint(1, 10**4)
+    for _ in range(60):
+        yield rng.randint(-10**9, 10**9), 0, rng.randint(1, 10**6)
+    for _ in range(60):
+        yield 0, rng.randint(-10**9, 10**9), rng.randint(1, 10**6)
+    for _ in range(120):
+        # Fibonacci-sized multipliers: F_k * (p + u*sqrt5) sits within about
+        # 1/F_k of an integer when p/u approximates -sqrt5, the hard case
+        k = rng.randint(1450, 2000)
+        m = fib[k] * rng.choice([1, -1, 3, -7])
+        p, u = rng.choice(
+            [(-5, 2), (5, -2), (1, 1), (-3, 1), (3, -1), (rng.randint(-50, 50), rng.randint(-50, 50))]
+        )
+        yield m * p + rng.randint(-3, 3), m * u, rng.randint(1, 64)
+
+
+def test_kernel_matches_fraction_reference():
+    rng = random.Random(31)
+    big = 0
+    for P, U, L in _kernel_triples(rng):
+        n = floor5(P, U, L)
+        assert n == _ref_floor(P, U, L), (P, U, L)
+        assert sign5(P, U) == _ref_sign(F(P), F(U))
+        assert sign5(P - n * L, U) >= 0 > sign5(P - (n + 1) * L, U)
+        big += max(abs(P), abs(U)).bit_length() > 1000
+    assert big >= 100  # the Fibonacci-sized cases really are that large
+
+
+def test_kernel_edge_cases():
+    assert sign5(0, 0) == 0
+    assert (sign5(5, 0), sign5(-5, 0), sign5(0, 3), sign5(0, -3)) == (1, -1, 1, -1)
+    assert sign5(9, -4) == 1 and sign5(-9, 4) == -1  # 81 > 80
+    assert sign5(4, -2) == -1 and sign5(-4, 2) == 1  # 16 < 20
+    assert floor5(7, 0, 2) == 3 and floor5(-7, 0, 2) == -4
+    assert floor5(0, 1, 1) == 2 and floor5(0, -1, 1) == -3
+    assert floor5(-1, 1, 2) == 0  # (sqrt5 - 1)/2 = 0.618...
+    assert floor5(0, 8, 1) == 17 and floor5(0, -8, 1) == -18  # 8*sqrt5 = 17.88...
+
+
+def test_integer_triples_share_one_denominator():
+    L, pairs = integer_triples(Q5(F(1, 6), F(-3, 4)), F(2, 9), 5)
+    assert L == 36
+    assert pairs == [(6, -27), (8, 0), (180, 0)]
+    assert Q5(F(1, 6), F(-3, 4)).as_integer_triple() == (2, -9, 12)
+
+
+def test_first_outside_matches_q5_loop_and_endpoints():
+    rng = random.Random(37)
+    for _ in range(150):
+        alpha = _random_q5(rng) if rng.random() < 0.7 else Q5(F(rng.randint(-20, 20), rng.randint(1, 12)))
+        lo = F(rng.randint(0, 12), 12)
+        hi = lo + F(rng.randint(0, 12), 12)
+        seq = [rng.randint(1, 10**6) for _ in range(30)]
+        for closed in (True, False):
+            expected = None
+            for s in seq:
+                f = (alpha * s).frac()
+                below, above = _ref_sign(f.a - lo, f.b), _ref_sign(f.a - hi, f.b)
+                outside = below < 0 or above > 0 if closed else below <= 0 or above >= 0
+                if outside:
+                    expected = s
+                    break
+            assert _first_outside(alpha, seq, lo, hi, closed) == expected
+    # exact hits on both endpoints: 1/8 * (1, 4) is 1/8 and 1/2
+    assert _first_outside(F(1, 8), [1, 4, 3], F(1, 8), F(1, 2), closed=True) is None
+    assert _first_outside(F(1, 8), [3, 1], F(1, 8), F(1, 2), closed=False) == 1
+    assert _first_outside(F(1, 8), [3, 4], F(1, 8), F(1, 2), closed=False) == 4

@@ -145,6 +145,16 @@ def test_growth_certificate_examples():
         growth_certificate(GapSetView((), 5), 2)
 
 
+def test_growth_certificate_refuses_a_start_with_no_pair():
+    view = GapSetView((1, 4, 16), 16)
+    assert growth_certificate(view, 4, start=1).passed  # the last pair (4, 16)
+    for start in (2, 3, 10, -1):
+        with pytest.raises(ValueError, match="pair"):
+            growth_certificate(view, 4, start=start)
+    with pytest.raises(ValueError):
+        growth_certificate(GapSetView((7,), 7), 2)
+
+
 def test_difference_set_examples():
     view = GapSetView((1, 2, 3, 5, 8, 13), 15)
     assert list(difference_set(view)) == [1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12]
@@ -162,8 +172,13 @@ def test_difference_set_matches_double_loop():
 
 
 def test_view_validation_and_restrict():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly increasing"):
         GapSetView((3, 2), 5)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        GapSetView((1, 3, 3, 4), 5)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        GapSetView((1, 2, 4, 3), 5)
+    assert GapSetView((1, 2, 4), 5).elements == (1, 2, 4)
     with pytest.raises(ValueError):
         GapSetView((0, 2), 5)
     view = GapSetSpec.fibonacci().enumerate(100)
@@ -195,3 +210,25 @@ def test_json_round_trip_all_kinds():
         GapSetSpec.from_json({"kind": "mystery"})
     with pytest.raises(SpecValidationError):
         GapSetSpec.from_json({"no": "kind"})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"kind": "geometric", "base": 4.7},
+        {"kind": "geometric", "base": "4"},
+        {"kind": "explicit", "elements": [1.9, 3]},
+        {"kind": "explicit", "elements": "12"},
+        {"kind": "explicit", "elements": 12},
+        {"kind": "nonmultiples", "m": True},
+        {"kind": "polynomial", "coeffs": "10"},
+        {"kind": "polynomial", "coeffs": [1.5, 0]},
+        {"kind": "union", "of": {"kind": "primes"}},
+        {"kind": "divided", "of": {"kind": "primes"}, "d": 2.0},
+        {"kind": "shifted", "of": {"kind": "primes"}, "c": "1"},
+    ],
+)
+def test_from_json_refuses_values_outside_the_schema(obj):
+    # a value the schema rejects is refused, never truncated, parsed or iterated into a set
+    with pytest.raises(SpecValidationError):
+        GapSetSpec.from_json(obj)

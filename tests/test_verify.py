@@ -313,6 +313,40 @@ def test_frac_bound_scan_examples():
     assert not tight.passed
 
 
+def test_failing_frac_bound_scans_keep_their_json():
+    # counterexamples pinned from the Q5 loop these scans replaced
+    alpha = {"a": "0/1", "b": "1/8"}
+    dist = frac_bound_scan(Q5(0, F(1, 8)), fib_values(200)[1:], DIST_NEAREST, bound=F(16, 100))
+    assert dist.to_json() == {
+        "claim": "dist-to-nearest-exceeds",
+        "params": {"alpha": alpha, "bound": "4/25"},
+        "verified_range": "all 200 sequence elements",
+        "passed": False,
+        "counterexample": {"element": 21, "dist": {"a": "6/1", "b": "-21/8"}},
+    }
+    on_integer = frac_bound_scan(F(1, 2), [1, 2], DIST_NEAREST, bound=F(1, 10))
+    assert on_integer.to_json()["counterexample"] == {"element": 2, "dist": {"a": "0/1", "b": "0/1"}}
+    f = fib_values(90)
+    tight = frac_bound_scan(
+        Q5(F(3, 8), F(1, 8)), [f[3 * n] for n in range(1, 31)], FRAC_WINDOW,
+        window=(F(21, 100), F(3, 10)),
+    )
+    assert tight.to_json() == {
+        "claim": "frac-in-open-window",
+        "params": {"alpha": {"a": "3/8", "b": "1/8"}, "window": ["21/100", "3/10"]},
+        "verified_range": "all 30 sequence elements",
+        "passed": False,
+        "counterexample": {"element": 2, "frac": {"a": "-1/4", "b": "1/4"}},
+    }
+    # the open window excludes its lower end: {1/8 * 1} = 1/8
+    on_lo = frac_bound_scan(F(1, 8), [3, 1], FRAC_WINDOW, window=(F(1, 8), F(1, 2)))
+    assert on_lo.to_json()["counterexample"] == {"element": 1, "frac": {"a": "1/8", "b": "0/1"}}
+    # and its upper end: {1/8 * 4} = 1/2; a bound of 1/2 or more admits nothing
+    assert frac_bound_scan(F(1, 8), [3, 4], FRAC_WINDOW, window=(F(1, 8), F(1, 2))).counterexample["element"] == 4
+    assert frac_bound_scan(Q5(0, F(1, 8)), [1], DIST_NEAREST, bound=F(1, 2)).counterexample["element"] == 1
+    assert frac_bound_scan(Q5(0, F(1, 8)), [1, 2, 3], DIST_NEAREST, bound=F(-1, 3)).passed
+
+
 def test_fibonacci_prefix_is_single_chain():
     view = GapSetSpec.fibonacci().enumerate(10**9)
     els = view.elements
