@@ -1,7 +1,7 @@
 """Exact Ramsey-type computations over gap sets of positive integers:
 certified fractional-part colorings from a nested-interval construction,
-exhaustive avoidance scans, least-forcing-length search with witnesses, and
-distance-graph chromatic bounds.
+exhaustive avoidance scans, least-forcing-length search with witnesses
+(``delta``, the one search entry point), and distance-graph chromatic bounds.
 """
 
 from .certs import Certificate
@@ -11,14 +11,12 @@ from .colorings import (
     complexity,
     frac_coloring,
     preset_coloring,
-    product_coloring,
     residue_coloring,
     rotation_word,
 )
 from .construct import (
     AlphaCertificate,
     GrowthConditionError,
-    NestedState,
     build_alpha,
     certify_fracs,
     diffseq_bound_from_eps,
@@ -34,17 +32,15 @@ from .exactnum import (
     dist_nearest_int,
     frac,
     rational_str,
-    sign,
     to_rational,
 )
-from .gapsets import GapSetSpec, GapSetView, difference_set, fib_values, growth_certificate
+from .gapsets import GapSetSpec, GapSetView, fib_values, growth_certificate
 from .search import (
     ChromaticResult,
     DeltaResult,
     chromatic_number_prefix,
     delta,
     doa_evidence,
-    max_avoidable,
 )
 from .verify import (
     ScanResult,

@@ -24,6 +24,10 @@ class InputError(ValueError):
     pass
 
 
+# the largest enumeration bound tried when a command needs more elements
+_MAX_BOUND = 10**40
+
+
 def _emit(args, payload: dict) -> None:
     text = json.dumps(payload, indent=2)
     if getattr(args, "out", None):
@@ -59,6 +63,25 @@ def _parse_number(rational: Optional[str], root5: Optional[str]):
     return a
 
 
+def _widened_view(
+    spec: gapsets.GapSetSpec, start: int, steps: int, bound: int
+) -> gapsets.GapSetView:
+    """The view of spec at the first of bound, 16*bound, 256*bound, ... that
+    holds the elements with 0-based indices start .. start + steps - 1."""
+    if start < 0:
+        raise InputError(f"--start must be >= 0 (got {start})")
+    need = start + steps
+    view = spec.enumerate(bound)
+    while len(view) < need:
+        bound *= 16
+        if bound > _MAX_BOUND:
+            raise InputError(
+                f"set has only {len(view)} elements up to {view.bound:.3g}; need {need}"
+            )
+        view = spec.enumerate(bound)
+    return view
+
+
 def _load_coloring(args) -> colorings.Coloring:
     source = args.coloring
     if source.startswith("preset:"):
@@ -83,20 +106,7 @@ def _cmd_set(args) -> int:
 def _cmd_alpha(args) -> int:
     spec = _load_spec(args)
     delta = to_rational(args.delta)
-    view = spec.enumerate(args.q_bound) if args.q_bound else None
-    if view is None:
-        # enumerate far enough to reach start + steps elements
-        bound = 1
-        while True:
-            bound *= 16
-            view = spec.enumerate(bound)
-            if len(view) >= args.start + args.steps or bound > 10**30:
-                break
-    elements = view.elements
-    if len(elements) < args.start + args.steps:
-        raise InputError(
-            f"set has {len(elements)} enumerated elements; need {args.start + args.steps}"
-        )
+    elements = _widened_view(spec, args.start, args.steps, 16).elements
     q = elements[args.start : args.start + args.steps]
     cert = construct.build_alpha(
         q, args.r, delta, steps=args.steps, first_gap=elements[0]
@@ -184,16 +194,10 @@ def _cmd_pipeline(args) -> int:
     spec = _load_spec(args)
     delta = to_rational(args.delta)
     factor = construct.growth_factor(args.r, delta)
-    if args.steps < 2 or args.start < 0:
-        raise InputError("pipeline needs --steps >= 2 and --start >= 0 to check gap growth")
-    view = spec.enumerate(args.n)
+    if args.steps < 2:
+        raise InputError("pipeline needs --steps >= 2 to check gap growth")
+    view = _widened_view(spec, args.start, args.steps, args.n)
     need = args.start + args.steps
-    bound = args.n
-    while len(view) < need:
-        bound *= 16
-        if bound > 10**40:
-            raise InputError(f"set has too few elements for {need} construction steps")
-        view = spec.enumerate(bound)
     elements = view.elements
     growth = gapsets.growth_certificate(
         gapsets.GapSetView(elements[: need], elements[need - 1]), factor, start=args.start
@@ -206,13 +210,7 @@ def _cmd_pipeline(args) -> int:
         )
     q = elements[args.start : need]
     alpha_cert = construct.build_alpha(q, args.r, delta, first_gap=elements[0])
-    evidence = search.doa_evidence(
-        view if view.bound >= args.n else spec.enumerate(args.n),
-        alpha_cert.alpha,
-        alpha_cert.eps1,
-        args.r,
-        args.n,
-    )
+    evidence = search.doa_evidence(view, alpha_cert.alpha, alpha_cert.eps1, args.r, args.n)
     payload = {
         "growth": growth.to_json(),
         "alpha": alpha_cert.to_json(),
@@ -251,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", required=True, help="growth slack, exact rational")
     p.add_argument("--steps", type=int, required=True, help="construction steps")
     p.add_argument("--start", type=int, default=0, help="0-based index of the first gap used")
-    p.add_argument("--q-bound", type=int, help="enumerate the set up to this bound")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_alpha)
 
@@ -288,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True, help="chain length to force")
     p.add_argument("-r", type=int, required=True, help="number of colors")
     p.add_argument("--budget", type=int, required=True, help="largest prefix to search")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1, help="worker processes, capped at the CPU count")
     p.add_argument("--emit-witness", metavar="FILE", help="write the avoider coloring here")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_delta)

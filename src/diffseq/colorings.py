@@ -1,5 +1,5 @@
 """Coloring generators: fractional-part classes, block and residue patterns,
-products, and circle-rotation words, plus subword complexity.
+and circle-rotation words, plus subword complexity.
 
 Colorings are materialized words (one byte per position, positions 1..N) so
 the scanning layer gets random access. Generation is exact: class membership
@@ -96,7 +96,10 @@ class Coloring:
             raise bad_rle from None
         if left:
             raise ValueError("run-length data does not match the declared length")
-        return Coloring(obj["r"], bytes(word), obj.get("provenance", {}))
+        provenance = obj.get("provenance", {})
+        if type(provenance) is not dict:
+            raise ValueError("coloring 'provenance' must be an object")
+        return Coloring(obj["r"], bytes(word), provenance)
 
     def to_text(self) -> str:
         """One character per position; only for r <= 9."""
@@ -159,25 +162,6 @@ def residue_coloring(m: int, n: int) -> Coloring:
     _check_length(n)
     word = bytes((x % m) + 1 for x in range(1, n + 1))
     return Coloring(m, word, {"generator": "residue", "m": m, "n": n})
-
-
-def product_coloring(first: Coloring, second: Coloring) -> Coloring:
-    """Pair two colorings position-wise; color index (c1-1)*r2 + c2."""
-    if first.n != second.n:
-        raise ValueError(f"length mismatch: {first.n} vs {second.n}")
-    r2 = second.r
-    word = bytes(
-        (c1 - 1) * r2 + c2 for c1, c2 in zip(first.colors, second.colors)
-    )
-    return Coloring(
-        first.r * r2,
-        word,
-        {
-            "generator": "product",
-            "first": first.provenance,
-            "second": second.provenance,
-        },
-    )
 
 
 CutLike = Union[int, Fraction, str, Q5]

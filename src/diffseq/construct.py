@@ -53,50 +53,6 @@ def epsilon_of(r: int, delta) -> Fraction:
 
 
 @dataclass
-class NestedState:
-    """State of the interval recursion after ``step`` steps.
-
-    The current interval is always [(z+eps)/q, (r*z + r-1)/(r*q)] for the
-    latest z and q, each new interval sits inside its predecessor, and the
-    width is exactly ((r-1) - r*eps) / (r*q).
-    """
-
-    r: int
-    delta: Fraction
-    eps: Fraction
-    q: list[int]
-    z: list[int]
-    interval: RatInterval
-    step: int
-
-    def advance(self) -> "NestedState":
-        """One recursion step: the smallest integer z_next placing
-        z_next/q_next inside the left subinterval of width 1/q_next."""
-        q_cur, q_next = self.q[self.step - 1], self.q[self.step]
-        left_lo = (self.z[-1] + self.eps) / q_cur
-        z_next = math.ceil(q_next * left_lo)
-        nxt = RatInterval(
-            (z_next + self.eps) / q_next,
-            Fraction(self.r * z_next + (self.r - 1), self.r * q_next),
-        )
-        if not self.interval.contains_interval(nxt):
-            raise RuntimeError(
-                f"interval nesting failed at step {self.step + 1}; unreachable "
-                "when the growth hypothesis holds"
-            )
-        return NestedState(
-            self.r, self.delta, self.eps, self.q, self.z + [z_next], nxt, self.step + 1
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "step": self.step,
-            "z": self.z[-1],
-            "interval": self.interval.to_json(),
-        }
-
-
-@dataclass
 class AlphaCertificate:
     """Result of the construction: alpha, its enclosure, and per-index verdicts."""
 
@@ -167,15 +123,19 @@ def build_alpha(
             raise GrowthConditionError(n, (q[n], q[n + 1]), factor)
 
     eps = epsilon_of(r, delta)
-    state = NestedState(
-        r, delta, eps, list(q[:steps]), [0],
-        RatInterval(eps / q[0], Fraction(r - 1, r * q[0])), 1,
-    )
-    intervals = [state.interval]
-    while state.step < steps:
-        state = state.advance()
-        intervals.append(state.interval)
-    z = state.z
+    z = [0]
+    intervals = [RatInterval(eps / q[0], Fraction(r - 1, r * q[0]))]
+    for n in range(1, steps):
+        # the smallest z placing z/q[n] inside the left subinterval of width 1/q[n]
+        z_next = math.ceil(q[n] * (z[-1] + eps) / q[n - 1])
+        nxt = RatInterval((z_next + eps) / q[n], Fraction(r * z_next + (r - 1), r * q[n]))
+        if not intervals[-1].contains_interval(nxt):
+            raise RuntimeError(
+                f"interval nesting failed at step {n + 1}; unreachable "
+                "when the growth hypothesis holds"
+            )
+        z.append(z_next)
+        intervals.append(nxt)
 
     enclosure = intervals[-1]
     alpha = enclosure.midpoint()

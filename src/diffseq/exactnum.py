@@ -29,7 +29,7 @@ def to_rational(value: RationalLike) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):  # JSON true is no number
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
@@ -106,7 +106,7 @@ class Q5:
         L, [(P, U)] = integer_triples(self)
         return P, U, L
 
-    # -- field arithmetic ----------------------------------------------------
+    # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: NumberLike) -> "Q5":
         o = Q5.coerce(other)
@@ -130,35 +130,6 @@ class Q5:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "Q5":
-        """Multiplicative inverse via the conjugate: 1/(a+b*sqrt5) = (a-b*sqrt5)/(a^2-5b^2)."""
-        norm = self.a * self.a - 5 * self.b * self.b
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt5)")
-        return Q5(self.a / norm, -self.b / norm)
-
-    def __truediv__(self, other: NumberLike) -> "Q5":
-        return self * Q5.coerce(other).inverse()
-
-    def __rtruediv__(self, other: NumberLike) -> "Q5":
-        return Q5.coerce(other) * self.inverse()
-
-    def __pow__(self, n: int) -> "Q5":
-        if not isinstance(n, int):
-            raise TypeError("Q5 exponents must be integers")
-        if n < 0:
-            return self.inverse() ** (-n)
-        result, base = Q5(1), self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def conjugate(self) -> "Q5":
-        return Q5(self.a, -self.b)
-
     # -- exact predicates ----------------------------------------------------
 
     def sign(self) -> int:
@@ -167,7 +138,7 @@ class Q5:
         return sign5(P, U)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (Q5, int, Fraction)):
+        if isinstance(other, (Q5, int, Fraction)) and not isinstance(other, bool):
             o = Q5.coerce(other)
             return self.a == o.a and self.b == o.b
         return NotImplemented
@@ -202,24 +173,11 @@ class Q5:
 
     # -- conversion / display ------------------------------------------------
 
-    def to_float(self) -> float:
-        """Approximate value; display only, never used in decisions."""
-        return float(self.a) + float(self.b) * math.sqrt(5.0)
-
     def __repr__(self) -> str:
         return f"Q5({self.a!r}, {self.b!r})"
 
-    def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        return f"{self.a} + {self.b}*sqrt5"
-
     def to_json(self) -> dict:
         return {"a": rational_str(self.a), "b": rational_str(self.b)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Q5":
-        return Q5(to_rational(obj["a"]), to_rational(obj["b"]))
 
 
 SQRT5 = Q5(0, 1)
@@ -259,14 +217,6 @@ def _first_outside(
     return None
 
 
-def sign(x: NumberLike) -> int:
-    """Exact sign of a rational or Q(sqrt5) value."""
-    if isinstance(x, Q5):
-        return x.sign()
-    q = to_rational(x)
-    return -1 if q < 0 else (0 if q == 0 else 1)
-
-
 def frac(x: NumberLike):
     """Fractional part {x} = x - floor(x), preserving the input's number type."""
     if isinstance(x, Q5):
@@ -304,10 +254,6 @@ class RatInterval:
 
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-    def contains(self, x: RationalLike) -> bool:
-        q = to_rational(x)
-        return self.lo <= q <= self.hi
 
     def contains_interval(self, other: "RatInterval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi

@@ -19,20 +19,10 @@ from typing import Optional, Sequence
 from .certs import Certificate
 from .exactnum import rational_str, to_rational
 
-KINDS = (
-    "fibonacci",
-    "even_fibonacci",
-    "pell",
-    "geometric",
-    "polynomial",
-    "nonmultiples",
-    "primes",
-    "explicit",
-    "union",
-    "divided",
-    "multiples_filtered",
-    "shifted",
-)
+# the primes and nonmultiples kinds hold one byte or list entry per integer up
+# to the bound; 10x the coloring length cap, so divided(..., d <= 10) still
+# reaches a scan at that cap
+MAX_SIEVE = 10**8
 
 
 class SpecValidationError(ValueError):
@@ -247,8 +237,10 @@ class GapSetSpec:
         if kind == "polynomial":
             return self._poly_elements(bound)
         if kind == "nonmultiples":
-            # residues 1..m of one period: only m itself is a multiple
-            keep = cycle([1] * (self.m - 1) + [0])
+            _check_sieve(bound)
+            # residues 1..m of one period: only m itself is a multiple; a
+            # period longer than the bound is cut at bound + 1 (no multiple below)
+            keep = cycle([1] * (min(self.m, bound + 1) - 1) + [0])
             return list(compress(range(1, bound + 1), keep))
         if kind == "primes":
             return _primes_upto(bound)
@@ -351,7 +343,13 @@ class GapSetSpec:
         raise SpecValidationError(f"unknown gap set kind: {kind!r}")
 
 
+def _check_sieve(bound: int) -> None:
+    if bound > MAX_SIEVE:
+        raise ValueError(f"enumeration bound {bound} exceeds the sieve cap {MAX_SIEVE}")
+
+
 def _primes_upto(n: int) -> list[int]:
+    _check_sieve(n)
     if n < 2:
         return []
     sieve = bytearray([1]) * (n + 1)
@@ -396,10 +394,3 @@ def growth_certificate(view: GapSetView, rho, start: int = 0) -> Certificate:
         claim="gap-growth-ratio", params=params, verified_range=scope, passed=True
     )
 
-
-def difference_set(view: GapSetView) -> GapSetView:
-    """All positive pairwise differences of the view's elements."""
-    els = view.elements
-    diffs = sorted({b - a for i, a in enumerate(els) for b in els[i + 1 :]})
-    bound = els[-1] - els[0] if len(els) > 1 else 0
-    return GapSetView(tuple(diffs), bound)

@@ -20,9 +20,10 @@ The masks are immutable per depth, so backtracking needs no undo.
 Rejections only remove colorings that contain a k-term chain and the bound
 only cuts subtrees that cannot beat the deepest avoider found so far, so the
 first-deepest avoider in depth-first order, and with it the verdict, value
-and witness, is the one a plain search finds. Subtrees below a fixed depth
-can be explored in parallel; the result does not depend on the worker count
-because results merge in subtree order.
+and witness, is the one a plain search finds. ``delta`` is the one entry
+point. With ``threads`` above 1 (default 1, capped at the CPU count) the
+subtrees below a fixed depth are explored in parallel; the result does not
+depend on the worker count because results merge in subtree order.
 """
 
 from __future__ import annotations
@@ -294,23 +295,16 @@ def _subtree_job(args) -> tuple[int, bytes, SearchStats]:
     return depth, word, stats
 
 
-def default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("DIFFSEQ_THREADS", "1")))
-    except ValueError:
-        return 1
+def delta(view: GapSetView, k: int, r: int, budget: int, threads: int = 1) -> DeltaResult:
+    """Least n such that every r-coloring of [1..n] has a monochromatic
+    k-term chain with gaps in the view, searched up to ``budget``, with the
+    longest avoider as witness.
 
-
-def max_avoidable(
-    view: GapSetView, k: int, r: int, budget: int, threads: Optional[int] = None
-) -> DeltaResult:
-    """Largest n <= budget admitting an r-coloring of [1..n] with no
-    monochromatic k-term chain, with the avoider as witness.
-
-    When that n is below the budget, no avoider of [1..n+1] exists, so the
-    least forcing length is exactly n+1 (verdict "delta"). Otherwise the
-    verdict is "unknown" at the budget. The worker count is capped at the
-    number of CPUs.
+    The search finds the largest n admitting an avoider of [1..n]. When that
+    n is below the budget, no avoider of [1..n+1] exists, so the least
+    forcing length is exactly n+1 (verdict "delta"). Otherwise the verdict
+    is "unknown" at the budget. A single position is a 1-term chain, so
+    k = 1 gives 1. The worker count is capped at the number of CPUs.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -318,8 +312,6 @@ def max_avoidable(
         raise ValueError("need k >= 1 and r >= 2")
     if view.bound < budget:
         raise ValueError(f"gap set enumerated to {view.bound} < budget {budget}")
-    if threads is None:
-        threads = default_threads()
     threads = min(threads, os.cpu_count() or 1)
     gaps = [d for d in view.elements if d < budget]
     started = time.perf_counter()
@@ -369,22 +361,6 @@ def _parallel_search(
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
     return best_depth, best_word, stats
-
-
-def delta(
-    view: GapSetView, k: int, r: int, budget: int, threads: Optional[int] = None
-) -> DeltaResult:
-    """Least n such that every r-coloring of [1..n] has a monochromatic k-term
-    chain with gaps in the view, searched up to ``budget``.
-
-    A single position is a 1-term chain, so k = 1 gives 1 outright.
-    """
-    if k == 1:
-        return DeltaResult(
-            [d for d in view.elements if d < budget], 1, r, DELTA, 1, budget,
-            None, SearchStats(), 0.0,
-        )
-    return max_avoidable(view, k, r, budget, threads=threads)
 
 
 # -- distance-graph chromatic bounds ------------------------------------------------

@@ -19,7 +19,7 @@ from diffseq.colorings import (
 from diffseq.construct import build_alpha, certify_fracs, diffseq_bound_from_eps
 from diffseq.exactnum import PHI, Q5
 from diffseq.gapsets import GapSetSpec, fib_values
-from diffseq.search import DELTA, UNKNOWN, chromatic_number_prefix, delta, max_avoidable
+from diffseq.search import DELTA, UNKNOWN, chromatic_number_prefix, delta
 from diffseq.verify import (
     DIST_NEAREST,
     FRAC_WINDOW,
@@ -203,7 +203,7 @@ def test_c09_engine_matches_full_enumeration():
     mismatches = 0
     for gaps, k, budget in instances:
         view = GapSetSpec.explicit(gaps).enumerate(budget)
-        engine = max_avoidable(view, k, 2, budget)
+        engine = delta(view, k, 2, budget)
         oracle = _max_avoidable_bitmask_enum([d for d in gaps if d < budget], k, budget)
         if engine.verdict == UNKNOWN:
             agree = oracle == budget

@@ -1,8 +1,11 @@
 """Command-line surface: round-trips, exit codes, and the reproduction suite."""
 
+import hashlib
 import json
 
-from diffseq import cli, reproduce
+import pytest
+
+from diffseq import cli, gapsets, reproduce
 from diffseq.colorings import Coloring
 
 
@@ -38,6 +41,84 @@ def test_alpha_command_trace(capsys):
     assert [t["z"] for t in payload["trace"]] == [0, 1, 5, 21]
     assert payload["trace"][3]["interval"] == {"lo": "169/512", "hi": "43/128"}
     assert all(v["in_window"] for v in payload["verdicts"])
+
+
+# SHA-256 of the stdout of the README examples, pinned when `alpha` and
+# `pipeline` got their shared set-widening helper: the output must not move
+README_EXAMPLES = [
+    (
+        ["alpha", "--set-json", '{"kind":"geometric","base":4}', "--delta", "1", "--steps", "20"],
+        "46e111e8d936f56a34c42cff14ebb59381c17990b8468d803a30a6d04d7eb9f3",
+    ),
+    (
+        ["pipeline", "--set-json", '{"kind":"geometric","base":4}', "--delta", "1",
+         "--steps", "20", "-N", "20000"],
+        "090414baffa862734bef601f315bd3a6dd943f69a8059942b6cde9c3586e8599",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", README_EXAMPLES, ids=["alpha", "pipeline"])
+def test_readme_examples_stdout_is_pinned(capsys, argv, digest):
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_alpha_rejects_a_negative_start(capsys):
+    # a negative start once sliced the enumeration from its end
+    code, out, err = _run(
+        capsys, "alpha", "--set-json", '{"kind":"geometric","base":4}',
+        "--delta", "1", "--steps", "2", "--start", "-3",
+    )
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "--start" in err
+
+
+def test_alpha_on_a_set_too_small_names_the_count(capsys):
+    code, _, err = _run(
+        capsys, "alpha", "--set-json", '{"kind":"explicit","elements":[1,4,20]}',
+        "--delta", "1", "--steps", "5",
+    )
+    assert code == 2
+    assert err.count("\n") == 1 and "only 3 elements" in err and "need 5" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["alpha", "--delta", "1", "--steps", "2"],
+        ["pipeline", "--delta", "1", "--steps", "2", "-N", "100"],
+    ],
+    ids=["alpha", "pipeline"],
+)
+def test_sieve_cap_stops_widening(monkeypatch, capsys, argv):
+    # the even primes are {2}: widening the bound by 16 never finds a second
+    # element, so the sieve cap (lowered here) has to end the search
+    monkeypatch.setattr(gapsets, "MAX_SIEVE", 10**5)
+    built = []
+    real = gapsets._primes_upto
+
+    def recording(n):
+        primes = real(n)
+        built.append(n)
+        return primes
+
+    monkeypatch.setattr(gapsets, "_primes_upto", recording)
+    spec = '{"kind":"multiples_filtered","of":{"kind":"primes"},"d":2}'
+    code, out, err = _run(capsys, *argv, "--set-json", spec)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "sieve cap" in err
+    assert built and max(built) <= 10**5
+
+
+def test_delta_one_term_chains_are_validated(capsys):
+    code, _, err = _run(
+        capsys, "delta", "--set-json", '{"kind":"fibonacci"}',
+        "-k", "1", "-r", "1", "--budget", "5",
+    )
+    assert code == 2
+    assert "r >= 2" in err
 
 
 def test_alpha_rejects_decimal_delta(capsys):

@@ -12,7 +12,6 @@ from diffseq.colorings import (
     complexity,
     frac_coloring,
     preset_coloring,
-    product_coloring,
     residue_coloring,
     rotation_word,
 )
@@ -49,17 +48,6 @@ def test_residue_coloring_examples():
     assert residue_coloring(3, 6).word() == [2, 3, 1, 2, 3, 1]
     assert residue_coloring(2, 4).word() == [2, 1, 2, 1]
     assert residue_coloring(5, 5).word() == [2, 3, 4, 5, 1]
-
-
-def test_product_coloring():
-    a = Coloring(2, bytes([1, 2, 1, 2]))
-    b = Coloring(2, bytes([1, 1, 2, 2]))
-    assert product_coloring(a, b).word() == [1, 3, 2, 4]
-    ones = Coloring(1, bytes([1, 1, 1, 1]))
-    assert product_coloring(a, ones).word() == a.word()  # r2 = 1 keeps indices
-    assert product_coloring(ones, a).word() == a.word()
-    with pytest.raises(ValueError):
-        product_coloring(a, Coloring(2, bytes([1, 1])))
 
 
 def test_rotation_word_examples():
@@ -256,6 +244,7 @@ def test_from_json_rejects_malformed_rle():
         {"r": 2, "n": 1, "rle": [[1, 10**12]]},
         {"r": "2", "n": 1, "rle": [[1, 1]]},
         {"r": 2, "n": -1, "rle": []},
+        {"r": 2, "n": 1, "rle": [[1, 1]], "provenance": 5},
     ):
         with pytest.raises(ValueError):
             Coloring.from_json(bad)

@@ -89,7 +89,7 @@ def test_interval_width_and_nesting_invariants():
             assert interval.width() == ((r - 1) - r * eps) / (r * q[k])
             if k:
                 assert cert.intervals[k - 1].contains_interval(interval)
-        assert cert.enclosure.contains(cert.alpha)
+        assert cert.enclosure.lo <= cert.alpha <= cert.enclosure.hi
         # a constructed alpha certifies its own q prefix
         view = GapSetView(tuple(q), q[-1])
         assert certify_fracs(cert.alpha, view, eps, r).passed

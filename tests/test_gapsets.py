@@ -1,15 +1,15 @@
-"""Gap set enumeration, transforms, growth certificates, difference sets."""
+"""Gap set enumeration, transforms, growth certificates, the sieve cap."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from diffseq import gapsets
 from diffseq.gapsets import (
     GapSetSpec,
     GapSetView,
     SpecValidationError,
-    difference_set,
     fib_values,
     growth_certificate,
 )
@@ -63,7 +63,8 @@ def test_sieved_families_match_definitions():
     for bound in (1, 2, 97, 1000):
         primes = [p for p in range(2, bound + 1) if all(p % q for q in range(2, p))]
         assert list(GapSetSpec.primes().enumerate(bound)) == primes
-        for m in (1, 2, 3, 7):
+        # a modulus past the bound must not build a period of m entries
+        for m in (1, 2, 3, 7, bound, bound + 1, 10**18):
             expected = [x for x in range(1, bound + 1) if x % m]
             assert list(GapSetSpec.nonmultiples(m).enumerate(bound)) == expected
 
@@ -155,20 +156,18 @@ def test_growth_certificate_refuses_a_start_with_no_pair():
         growth_certificate(GapSetView((7,), 7), 2)
 
 
-def test_difference_set_examples():
-    view = GapSetView((1, 2, 3, 5, 8, 13), 15)
-    assert list(difference_set(view)) == [1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12]
-    assert list(difference_set(GapSetView((2,), 5))) == []
-    assert list(difference_set(GapSetView((3, 6), 6))) == [3]
-
-
-def test_difference_set_matches_double_loop():
-    rng = random.Random(29)
-    for _ in range(20):
-        els = tuple(sorted(rng.sample(range(1, 2000), rng.randint(1, 60))))
-        view = GapSetView(els, 2000)
-        brute = sorted({b - a for a in els for b in els if b > a})
-        assert list(difference_set(view)) == brute
+def test_sieve_kinds_refuse_a_bound_above_the_cap(monkeypatch):
+    monkeypatch.setattr(gapsets, "MAX_SIEVE", 1000)
+    assert len(GapSetSpec.primes().enumerate(1000)) == 168
+    assert len(GapSetSpec.nonmultiples(3).enumerate(1000)) == 667
+    for spec, bound in [
+        (GapSetSpec.primes(), 1001),
+        (GapSetSpec.nonmultiples(3), 1001),
+        (GapSetSpec.primes().divide(2), 501),  # the inner sieve runs to 1002
+    ]:
+        with pytest.raises(ValueError, match="sieve cap"):
+            spec.enumerate(bound)
+    assert GapSetSpec.fibonacci().enumerate(10**30).elements[-1] > 10**29  # not a sieve
 
 
 def test_view_validation_and_restrict():
@@ -223,6 +222,7 @@ def test_json_round_trip_all_kinds():
         {"kind": "nonmultiples", "m": True},
         {"kind": "polynomial", "coeffs": "10"},
         {"kind": "polynomial", "coeffs": [1.5, 0]},
+        {"kind": "polynomial", "coeffs": [True, 0]},
         {"kind": "union", "of": {"kind": "primes"}},
         {"kind": "divided", "of": {"kind": "primes"}, "d": 2.0},
         {"kind": "shifted", "of": {"kind": "primes"}, "c": "1"},

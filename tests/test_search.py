@@ -17,7 +17,6 @@ from diffseq.search import (
     chromatic_number_prefix,
     delta,
     doa_evidence,
-    max_avoidable,
 )
 from diffseq.verify import longest_mono_diffseq
 
@@ -215,14 +214,19 @@ def test_delta_v3_three_term():
 def test_one_term_convention():
     res = delta(GapSetSpec.explicit([1, 2]).enumerate(5), 1, 2, 5)
     assert (res.verdict, res.value) == (DELTA, 1)
+    # the kernel refuses color 1 at position 1 by its threat bit
+    assert (res.stats.nodes, res.stats.rejected) == (1, 1)
 
 
 def test_budget_validation():
     view = GapSetSpec.explicit([1]).enumerate(5)
-    with pytest.raises(ValueError):
-        max_avoidable(view, 2, 2, 0)
-    with pytest.raises(ValueError):
-        max_avoidable(view, 2, 2, 9)  # enumerated only to 5
+    for k in (1, 2):  # k = 1 takes the same checks as any other k
+        with pytest.raises(ValueError):
+            delta(view, k, 2, 0)
+        with pytest.raises(ValueError):
+            delta(view, k, 2, 9)  # enumerated only to 5
+        with pytest.raises(ValueError):
+            delta(view, k, 1, 5)
 
 
 def test_engine_matches_two_color_enumeration():
@@ -232,7 +236,7 @@ def test_engine_matches_two_color_enumeration():
         gaps = sorted(rng.sample(range(1, 7), rng.randint(1, 4)))
         k = rng.choice([2, 3])
         view = GapSetSpec.explicit(gaps).enumerate(budget)
-        engine = max_avoidable(view, k, 2, budget)
+        engine = delta(view, k, 2, budget)
         usable = [d for d in gaps if d < budget]
         oracle_best = _max_avoidable_bitmask_enum(usable, k, budget)
         if engine.verdict == UNKNOWN:
@@ -248,7 +252,7 @@ def test_engine_matches_two_color_enumeration_longer_chains():
         gaps = sorted(rng.sample(range(1, 6), rng.randint(1, 3)))
         k = rng.choice([4, 5])
         view = GapSetSpec.explicit(gaps).enumerate(budget)
-        engine = max_avoidable(view, k, 2, budget)
+        engine = delta(view, k, 2, budget)
         oracle_best = _max_avoidable_bitmask_enum([d for d in gaps if d < budget], k, budget)
         if engine.verdict == UNKNOWN:
             assert oracle_best == budget
@@ -286,7 +290,7 @@ def test_kernel_matches_reference_loop_below_a_prefix():
 
 
 def test_one_term_chains_through_max_avoidable():
-    res = max_avoidable(GapSetSpec.explicit([1, 2]).enumerate(5), 1, 2, 5)
+    res = delta(GapSetSpec.explicit([1, 2]).enumerate(5), 1, 2, 5)
     assert (res.verdict, res.value, res.witness) == (DELTA, 1, None)
     assert _dfs_deepest([1, 2], 1, 2, 5)[:2] == (0, b"")
 
@@ -315,7 +319,7 @@ def test_canonical_color_order_keeps_existence_verdict():
             for word in itertools.product(range(1, r + 1), repeat=n)
         )
         view = GapSetSpec.explicit(gaps).enumerate(n)
-        engine = max_avoidable(view, k, r, n)
+        engine = delta(view, k, r, n)
         assert exists == (engine.verdict == UNKNOWN)
 
 
@@ -325,7 +329,7 @@ def test_engine_matches_three_color_enumeration():
         budget = rng.randint(4, 8)
         gaps = sorted(rng.sample(range(1, 5), rng.randint(1, 3)))
         view = GapSetSpec.explicit(gaps).enumerate(budget)
-        engine = max_avoidable(view, 2, 3, budget)
+        engine = delta(view, 2, 3, budget)
         oracle_best = _max_avoidable_product_enum(gaps, 2, 3, budget)
         if engine.verdict == UNKNOWN:
             assert oracle_best == budget
@@ -352,33 +356,22 @@ def test_witness_always_avoids():
         k = rng.choice([2, 3, 4])
         r = rng.choice([2, 3])
         view = GapSetSpec.explicit(gaps).enumerate(budget)
-        res = max_avoidable(view, k, r, budget)
+        res = delta(view, k, r, budget)
         if res.witness is not None and res.witness.n:
             scan = longest_mono_diffseq(res.witness, view.restrict(res.witness.n))
             assert scan.length < k
 
 
-def test_default_threads_env(monkeypatch):
-    from diffseq.search import default_threads
-
-    monkeypatch.delenv("DIFFSEQ_THREADS", raising=False)
-    assert default_threads() == 1
-    monkeypatch.setenv("DIFFSEQ_THREADS", "3")
-    assert default_threads() == 3
-    monkeypatch.setenv("DIFFSEQ_THREADS", "junk")
-    assert default_threads() == 1
-
-
 def test_parallel_matches_sequential():
     v3 = GapSetSpec.nonmultiples(3).enumerate(24)
-    seq = max_avoidable(v3, 4, 2, 24, threads=1)
-    par = max_avoidable(v3, 4, 2, 24, threads=2)
+    seq = delta(v3, 4, 2, 24, threads=1)
+    par = delta(v3, 4, 2, 24, threads=2)
     assert (seq.verdict, seq.value) == (par.verdict, par.value)
     assert seq.witness.colors == par.witness.colors
 
     singles = GapSetSpec.explicit([1]).enumerate(30)
-    seq = max_avoidable(singles, 2, 2, 30, threads=1)
-    par = max_avoidable(singles, 2, 2, 30, threads=3)
+    seq = delta(singles, 2, 2, 30, threads=1)
+    par = delta(singles, 2, 2, 30, threads=3)
     assert (seq.verdict, par.verdict) == (UNKNOWN, UNKNOWN)
     assert seq.witness.colors == par.witness.colors
 
@@ -391,8 +384,8 @@ def test_parallel_merge_matches_sequential_on_random_instances(lazy_pool):
         budget = rng.randint(8, 30)
         gaps = sorted(rng.sample(range(1, 12), rng.randint(1, 5)))
         view = GapSetSpec.explicit(gaps).enumerate(budget)
-        seq = max_avoidable(view, k, r, budget, threads=1)
-        par = max_avoidable(view, k, r, budget, threads=2)
+        seq = delta(view, k, r, budget, threads=1)
+        par = delta(view, k, r, budget, threads=2)
         assert (seq.verdict, seq.value) == (par.verdict, par.value)
         assert (seq.witness and seq.witness.colors) == (par.witness and par.witness.colors)
     assert sum(pool.ran for pool in lazy_pool.instances) > 25
@@ -400,8 +393,8 @@ def test_parallel_merge_matches_sequential_on_random_instances(lazy_pool):
 
 def test_parallel_stops_reading_subtrees_after_a_full_budget_hit(lazy_pool):
     even = GapSetSpec.even_fibonacci().enumerate(400)
-    seq = max_avoidable(even, 5, 2, 400, threads=1)
-    par = max_avoidable(even, 5, 2, 400, threads=2)
+    seq = delta(even, 5, 2, 400, threads=1)
+    par = delta(even, 5, 2, 400, threads=2)
     assert seq.verdict == par.verdict == UNKNOWN
     assert seq.witness.colors == par.witness.colors
     (pool,) = lazy_pool.instances
@@ -412,18 +405,18 @@ def test_parallel_stops_reading_subtrees_after_a_full_budget_hit(lazy_pool):
 def test_parallel_unknown_on_real_workers():
     # the pool is shut down with the queued subtrees cancelled on a full-budget hit
     even = GapSetSpec.even_fibonacci().enumerate(400)
-    seq = max_avoidable(even, 5, 2, 400, threads=1)
-    par = max_avoidable(even, 5, 2, 400, threads=2)
+    seq = delta(even, 5, 2, 400, threads=1)
+    par = delta(even, 5, 2, 400, threads=2)
     assert (seq.verdict, par.verdict) == (UNKNOWN, UNKNOWN)
     assert seq.witness.colors == par.witness.colors
 
 
 def test_threads_clamped_to_cpu_count(lazy_pool):
     v3 = GapSetSpec.nonmultiples(3).enumerate(24)
-    res = max_avoidable(v3, 4, 2, 24, threads=10**6)
+    res = delta(v3, 4, 2, 24, threads=10**6)
     assert [pool.max_workers for pool in lazy_pool.instances] == [2]
     assert res.stats.split_depth is not None and res.stats.frontier > 0
-    assert res.value == max_avoidable(v3, 4, 2, 24, threads=1).value
+    assert res.value == delta(v3, 4, 2, 24, threads=1).value
 
 
 # -- chromatic bounds -----------------------------------------------------------
