@@ -175,7 +175,7 @@ def _cmd_delta(args) -> int:
 def _cmd_chromatic(args) -> int:
     spec = _load_spec(args)
     view = spec.enumerate(args.n)
-    result = search.chromatic_number_prefix(view, args.n, exact_limit=args.exact_limit)
+    result = search.chromatic_number_prefix(view, args.n)
     _emit(args, {"set": spec.to_json(), **result.to_json()})
     return 0
 
@@ -293,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chromatic", help="chromatic bounds of the prefix distance graph")
     _add_set_flags(p)
     p.add_argument("-N", dest="n", type=int, required=True)
-    p.add_argument("--exact-limit", type=int, default=40)
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_chromatic)
 

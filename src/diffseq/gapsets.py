@@ -24,6 +24,9 @@ from .exactnum import rational_str, to_rational
 # reaches a scan at that cap
 MAX_SIEVE = 10**8
 
+# the polynomial kind evaluates p(n) once per n until p passes the bound
+MAX_POLY_STEPS = 10**7
+
 
 class SpecValidationError(ValueError):
     """A set definition violates its structural hypotheses."""
@@ -272,20 +275,37 @@ class GapSetSpec:
         cs = self.coeffs
         scale = math.lcm(*(c.denominator for c in cs))
         ints = [c.numerator * (scale // c.denominator) for c in cs]
-        lead, rest = cs[0], cs[1:-1]
-        # beyond n0 the leading term dominates and values are > bound: safe stop
-        n0 = math.ceil((sum(abs(c) for c in rest) + 1) / lead + 1)
         top = bound * scale
-        out, n = set(), 1
-        while True:
+
+        def scaled(n: int) -> int:
             val = 0
             for c in ints:
                 val = val * n + c
+            return val
+
+        # with rest the sum of |lower coefficients|, p increases and
+        # p(n) >= lead*n - rest > 1 from n0 = ceil((rest + 1)/lead + 1) on, so
+        # the walk ends at the least n >= n0 with p(n) > bound; that n lies in
+        # [n0, hi] and is found by bisection before any value is walked
+        lead, rest = cs[0], sum(abs(c) for c in cs[1:-1])
+        lo = math.ceil((rest + 1) / lead + 1)
+        hi = max(lo, math.floor((bound + rest) / lead) + 1)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if scaled(mid) > top:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo > MAX_POLY_STEPS:
+            raise ValueError(
+                f"polynomial needs {lo} values of n to pass bound {bound}, "
+                f"above the cap {MAX_POLY_STEPS}"
+            )
+        out = set()
+        for n in range(1, lo):
+            val = scaled(n)
             if scale <= val <= top and val % scale == 0:
                 out.add(val // scale)
-            if n >= n0 and val > top:
-                break
-            n += 1
         return sorted(out)
 
     # -- serialization -----------------------------------------------------------

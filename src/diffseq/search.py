@@ -24,6 +24,13 @@ and witness, is the one a plain search finds. ``delta`` is the one entry
 point. With ``threads`` above 1 (default 1, capped at the CPU count) the
 subtrees below a fixed depth are explored in parallel; the result does not
 depend on the worker count because results merge in subtree order.
+
+Chromatic numbers of the prefix distance graphs are the k = 2 case: a proper
+r-coloring of [1..n] is an r-coloring with no monochromatic 2-term chain.
+``chromatic_number_prefix`` takes greedy and clique/odd-cycle bounds, then
+runs the same search at k = 2 for r from the lower bound up, under one node
+budget for the whole loop. When the budget runs out the bounds stand and the
+result is not exact.
 """
 
 from __future__ import annotations
@@ -44,6 +51,9 @@ from .verify import longest_mono_diffseq
 
 DELTA = "delta"
 UNKNOWN = "unknown"
+
+# search nodes one chromatic_number_prefix call may spend over all color counts
+_CHROMATIC_NODES = 5_000_000
 
 
 @dataclass
@@ -193,12 +203,16 @@ def _dfs_deepest(
     budget: int,
     prefix: bytes = b"",
     stop_depth: Optional[int] = None,
+    max_nodes: Optional[int] = None,
 ) -> tuple[int, bytes, SearchStats, list[bytes]]:
     """Depth-first search for the deepest canonical avoider extending ``prefix``.
 
     Returns (deepest depth, word at that depth, counts, frontier), where the
     frontier lists every avoider of exact length ``stop_depth`` instead of
     descending past it (used to split work). Exits early on a full-budget hit.
+    With ``max_nodes`` it also stops at the first backtrack after the node
+    count exceeds it, so a returned count above ``max_nodes`` without a
+    full-budget hit leaves the tree undecided.
     """
     gapmask = 0
     for d in gaps:
@@ -245,6 +259,8 @@ def _dfs_deepest(
             continue
         c = nxt[pos]
         if c > allowed[pos]:
+            if max_nodes is not None and nodes > max_nodes:
+                break
             nxt[pos] = 1
             pos -= 1
             continue
@@ -371,8 +387,9 @@ class ChromaticResult:
     """Bounds on the chromatic number of the prefix distance graph.
 
     The proper-coloring witness certifies the upper bound; the clique or odd
-    cycle certifies the lower. The prefix value is itself a lower bound for
-    the infinite graph.
+    cycle certifies the lower, or, on an exact result, the exhausted search
+    for every smaller color count does. The prefix value is itself a lower
+    bound for the infinite graph.
     """
 
     n: int
@@ -398,8 +415,7 @@ class ChromaticResult:
         }
 
 
-def _prefix_adjacency(view: GapSetView, n: int) -> list[int]:
-    gaps = [d for d in view.elements if d < n]
+def _prefix_adjacency(gaps: list[int], n: int) -> list[int]:
     adj = [0] * (n + 1)
     for v in range(1, n + 1):
         for d in gaps:
@@ -481,47 +497,19 @@ def _odd_cycle(adj: list[int], n: int) -> Optional[list[int]]:
     return None
 
 
-def _exact_chromatic(adj: list[int], n: int, lower: int, upper: int) -> tuple[int, list[int]]:
-    def colorable(kcolors: int) -> Optional[list[int]]:
-        colors = [0] * (n + 1)
-
-        def place(v: int, used_max: int) -> bool:
-            if v > n:
-                return True
-            nb = adj[v]
-            banned = 0
-            while nb:
-                low = nb & -nb
-                u = low.bit_length() - 1
-                nb ^= low
-                if u < v:
-                    banned |= 1 << colors[u]
-            for c in range(1, min(kcolors, used_max + 1) + 1):
-                if banned >> c & 1:
-                    continue
-                colors[v] = c
-                if place(v + 1, max(used_max, c)):
-                    return True
-            colors[v] = 0
-            return False
-
-        return colors[1:] if place(1, 0) else None
-
-    for k in range(lower, upper):
-        sol = colorable(k)
-        if sol is not None:
-            return k, sol
-    return upper, None  # the greedy coloring already witnesses the upper bound
-
-
-def chromatic_number_prefix(
-    view: GapSetView, n: int, exact_limit: int = 40
-) -> ChromaticResult:
+def chromatic_number_prefix(view: GapSetView, n: int) -> ChromaticResult:
     """Bracket (or exactly solve) the chromatic number of the graph on [1..n]
-    whose edges join positions differing by a gap."""
+    whose edges join positions differing by a gap.
+
+    The first r from the lower bound up with a 2-chain avoider of [1..n] is
+    the value and its first canonical avoider the coloring; the result is
+    exact when the bounds meet or every smaller r was refuted within
+    ``_CHROMATIC_NODES`` search nodes.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    adj = _prefix_adjacency(view, n)
+    gaps = [d for d in view.elements if d < n]
+    adj = _prefix_adjacency(gaps, n)
     greedy = _greedy_coloring(adj, n)
     upper = max(greedy[1:], default=1)
     clique = _greedy_clique(adj, n)
@@ -533,14 +521,20 @@ def chromatic_number_prefix(
             lower = 3
             lower_witness = {"kind": "odd_cycle", "vertices": cycle}
     coloring = greedy[1:]
-    exact = False
-    if n <= exact_limit:
-        value, sol = _exact_chromatic(adj, n, lower, upper)
-        if sol is not None:
-            coloring = sol
+    nodes_left = _CHROMATIC_NODES
+    value: Optional[int] = upper  # the greedy coloring witnesses the upper bound
+    for r in range(lower, upper):
+        depth, word, stats, _ = _dfs_deepest(gaps, 2, r, n, max_nodes=nodes_left)
+        nodes_left -= stats.nodes
+        if depth == n:
+            value, coloring = r, list(word)
+            break
+        if nodes_left < 0:  # the search stopped early: r is not refuted
+            value = None
+            break
+    if value is not None:
         lower = upper = value
-        exact = True
-    return ChromaticResult(n, lower, upper, exact, coloring, lower_witness)
+    return ChromaticResult(n, lower, upper, value is not None, coloring, lower_witness)
 
 
 # -- composite accessibility evidence -------------------------------------------------

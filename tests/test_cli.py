@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -44,7 +45,8 @@ def test_alpha_command_trace(capsys):
 
 
 # SHA-256 of the stdout of the README examples, pinned when `alpha` and
-# `pipeline` got their shared set-widening helper: the output must not move
+# `pipeline` got their shared set-widening helper and when `chromatic` moved
+# onto the avoider search: the output must not move
 README_EXAMPLES = [
     (
         ["alpha", "--set-json", '{"kind":"geometric","base":4}', "--delta", "1", "--steps", "20"],
@@ -55,10 +57,14 @@ README_EXAMPLES = [
          "--steps", "20", "-N", "20000"],
         "090414baffa862734bef601f315bd3a6dd943f69a8059942b6cde9c3586e8599",
     ),
+    (
+        ["chromatic", "--set-json", '{"kind":"nonmultiples","m":3}', "-N", "12"],
+        "b6af872c1f3011ac5336d127235ff5c4e4e41bce00563c7cc98f96fdbad12a8e",
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", README_EXAMPLES, ids=["alpha", "pipeline"])
+@pytest.mark.parametrize("argv,digest", README_EXAMPLES, ids=["alpha", "pipeline", "chromatic"])
 def test_readme_examples_stdout_is_pinned(capsys, argv, digest):
     code, out, _ = _run(capsys, *argv)
     assert code == 0
@@ -195,6 +201,18 @@ def test_set_rejects_explicit_elements_given_as_a_string(capsys):
     assert err == "error: set definition field 'elements' must be an array (got '12')\n"
 
 
+def test_set_refuses_a_polynomial_walk_above_the_cap(capsys):
+    started = time.perf_counter()
+    code, _, err = _run(
+        capsys, "set", "--set-json", '{"kind":"polynomial","coeffs":["1/20000000","0"]}', "-N", "16"
+    )
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert err == (
+        "error: polynomial needs 320000001 values of n to pass bound 16, above the cap 10000000\n"
+    )
+
+
 def test_pipeline_needs_a_growth_pair(capsys):
     code, out, err = _run(
         capsys, "pipeline", "--set-json", '{"kind":"geometric","base":4}',
@@ -278,6 +296,21 @@ def test_chromatic_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["exact"] and payload["value"] == 3
+
+
+def test_chromatic_on_a_long_prefix_is_exact(capsys):
+    # more positions than the interpreter's recursion limit
+    code, out, _ = _run(capsys, "chromatic", "--set-json", '{"kind":"primes"}', "-N", "1200")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["exact"] and payload["value"] == 4
+
+
+def test_chromatic_has_no_exact_limit(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["chromatic", "--set-json", '{"kind":"primes"}', "-N", "12", "--exact-limit", "5"])
+    assert exc.value.code == 2
+    assert "--exact-limit" in capsys.readouterr().err
 
 
 def test_complexity_command(capsys):

@@ -57,6 +57,22 @@ def test_polynomial_elements_match_fraction_evaluation():
         for bound in (1, 2, 10, 9_999, 100_000):
             view = GapSetSpec.polynomial(coeffs).enumerate(bound)
             assert list(view) == _fraction_poly_elements(coeffs, bound)
+    squares = GapSetSpec.polynomial(["1", "0", "0"]).enumerate(250_000_000)
+    assert list(squares) == _fraction_poly_elements(["1", "0", "0"], 250_000_000)
+
+
+def test_polynomial_walk_is_capped_exactly(monkeypatch):
+    # n^2 - 10n first passes 30 at n = 13: 13 values of n are walked
+    mixed = GapSetSpec.polynomial(["1", "-10", "0"])
+    monkeypatch.setattr(gapsets, "MAX_POLY_STEPS", 13)
+    assert list(mixed.enumerate(30)) == [11, 24]
+    monkeypatch.setattr(gapsets, "MAX_POLY_STEPS", 12)
+    with pytest.raises(ValueError, match="needs 13 values of n"):
+        mixed.enumerate(30)
+    monkeypatch.undo()
+    # a tiny leading coefficient is refused before the walk, not after 3.2e8 steps
+    with pytest.raises(ValueError, match="above the cap"):
+        GapSetSpec.polynomial(["1/20000000", "0"]).enumerate(16)
 
 
 def test_sieved_families_match_definitions():

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from diffseq import search
-from diffseq.colorings import residue_coloring
+from diffseq.colorings import Coloring, residue_coloring
 from diffseq.exactnum import Q5
 from diffseq.gapsets import GapSetSpec
 from diffseq.search import (
@@ -18,7 +18,7 @@ from diffseq.search import (
     delta,
     doa_evidence,
 )
-from diffseq.verify import longest_mono_diffseq
+from diffseq.verify import chromatically_intersective_check, longest_mono_diffseq
 
 
 def _naturals(bound):
@@ -362,6 +362,39 @@ def test_witness_always_avoids():
             assert scan.length < k
 
 
+def _level_coloring(word, gaps, k):
+    """x -> (color, length of the longest monochromatic chain ending at x) as
+    the class (color - 1) * (k - 1) + length, by a plain chain-length loop."""
+    levels = [0] * (len(word) + 1)
+    out = bytearray()
+    for x in range(1, len(word) + 1):
+        c = word[x - 1]
+        levels[x] = 1 + max((levels[x - d] for d in gaps if d < x and word[x - d - 1] == c),
+                            default=0)
+        assert levels[x] < k
+        out.append((c - 1) * (k - 1) + levels[x])
+    return bytes(out)
+
+
+def test_avoiders_map_to_proper_colorings():
+    # chains to pairs: an r-coloring with no monochromatic k-chain gives a
+    # proper r(k-1)-coloring of the distance graph, so Delta(D,k;r) is at most
+    # Delta(D,2;r(k-1)); checked without the search's threat masks
+    families = [GapSetSpec.primes(), GapSetSpec.polynomial([1, 0, 0]), GapSetSpec.nonmultiples(4)]
+    rng = random.Random(127)
+    for i in range(60):
+        k, r = rng.randint(2, 5), rng.randint(2, 3)
+        budget = rng.randint(5, 30)
+        if i % 2:
+            spec = rng.choice(families)
+        else:
+            spec = GapSetSpec.explicit(rng.sample(range(1, 9), rng.randint(1, 4)))
+        view = spec.enumerate(budget)
+        word = delta(view, k, r, budget).witness.colors
+        levels = Coloring(r * (k - 1), _level_coloring(word, view.elements, k))
+        assert chromatically_intersective_check(levels, view).length < 2
+
+
 def test_parallel_matches_sequential():
     v3 = GapSetSpec.nonmultiples(3).enumerate(24)
     seq = delta(v3, 4, 2, 24, threads=1)
@@ -486,11 +519,99 @@ def test_chromatic_path_and_witness_properness():
         assert res.exact and res.value == _chromatic_by_enumeration(view, n)
 
 
-def test_chromatic_respects_exact_limit():
-    v3 = GapSetSpec.nonmultiples(3).enumerate(30)
-    res = chromatic_number_prefix(v3, 30, exact_limit=5)
-    assert not res.exact
-    assert res.lower <= 3 <= res.upper
+def _reference_chromatic(view, n):
+    """The search's greedy and clique/odd-cycle bounds, then a plain recursive
+    proper-coloring backtrack in canonical color order for every r from the
+    lower bound up; returns ``to_json()`` of the result."""
+    adj = search._prefix_adjacency([d for d in view.elements if d < n], n)
+    greedy = search._greedy_coloring(adj, n)
+    upper = max(greedy[1:], default=1)
+    clique = search._greedy_clique(adj, n)
+    lower = max(len(clique), 1)
+    lower_witness = {"kind": "clique", "vertices": clique}
+    if lower < 3:
+        cycle = search._odd_cycle(adj, n)
+        if cycle is not None and len(cycle) % 2 == 1:
+            lower = 3
+            lower_witness = {"kind": "odd_cycle", "vertices": cycle}
+
+    def colorable(kcolors):
+        colors = [0] * (n + 1)
+
+        def place(v, used_max):
+            if v > n:
+                return True
+            banned = {colors[u] for u in range(1, v) if adj[v] >> u & 1}
+            for c in range(1, min(kcolors, used_max + 1) + 1):
+                if c not in banned:
+                    colors[v] = c
+                    if place(v + 1, max(used_max, c)):
+                        return True
+            colors[v] = 0
+            return False
+
+        return colors[1:] if place(1, 0) else None
+
+    value, coloring = upper, greedy[1:]
+    for k in range(lower, upper):
+        sol = colorable(k)
+        if sol is not None:
+            value, coloring = k, sol
+            break
+    return search.ChromaticResult(n, value, value, True, coloring, lower_witness).to_json()
+
+
+def test_chromatic_matches_reference_colorer():
+    families = [
+        GapSetSpec.primes(),
+        GapSetSpec.nonmultiples(3),
+        GapSetSpec.nonmultiples(4),
+        GapSetSpec.fibonacci(),
+        GapSetSpec.geometric(2),
+        GapSetSpec.polynomial([1, 0, 0]),
+    ]
+    rng = random.Random(113)
+    for i in range(240):
+        n = rng.randint(1, 40)
+        if i % 3:
+            spec = rng.choice(families)
+        else:
+            spec = GapSetSpec.explicit(rng.sample(range(1, 13), rng.randint(1, 5)))
+        view = spec.enumerate(n)
+        assert chromatic_number_prefix(view, n).to_json() == _reference_chromatic(view, n)
+
+
+def test_chromatic_budget_exhausted_keeps_the_bounds(monkeypatch):
+    # the primes minus one on [1..40] have chromatic number 8, found exactly
+    # with the full budget after refuting 7 colors in about 4.3M nodes
+    monkeypatch.setattr(search, "_CHROMATIC_NODES", 10_000)
+    spent = []
+    kernel = search._dfs_deepest
+
+    def counting_kernel(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        spent.append(out[2].nodes)
+        return out
+
+    monkeypatch.setattr(search, "_dfs_deepest", counting_kernel)
+    view = GapSetSpec.primes().shifted(-1).enumerate(40)
+    res = chromatic_number_prefix(view, 40)
+    assert not res.exact and res.value is None
+    # the kernel stops at its first backtrack past the budget: at most one
+    # descent of n positions with r trials each beyond it
+    assert 10_000 < sum(spent) <= 10_000 + 40 * 8
+    assert res.lower <= 8 <= res.upper
+    gaps = [d for d in view.elements if d < 40]
+    assert len(res.coloring) == 40 and max(res.coloring) <= res.upper
+    assert all(res.coloring[x - 1] != res.coloring[x + d - 1]
+               for d in gaps for x in range(1, 41 - d))
+
+
+def test_chromatic_pinned_values():
+    squares = GapSetSpec.polynomial([1, 0, 0])
+    for spec, n, value in ((squares, 57, 4), (squares, 58, 5), (GapSetSpec.primes(), 2000, 4)):
+        res = chromatic_number_prefix(spec.enumerate(n), n)
+        assert res.exact and res.value == value == res.lower == res.upper
 
 
 # -- composite evidence -----------------------------------------------------------
