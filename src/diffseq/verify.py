@@ -1,23 +1,37 @@
 """Exhaustive verification over colored prefixes: longest monochromatic
-diffsequences (chains) by dynamic programming, fixed-gap progressions and the
-two-term (chromatic intersectivity) special case by bit-parallel operations
-on one Python-int mask per color, Fibonacci modular facts with
+diffsequences (chains), fixed-gap progressions and the two-term (chromatic
+intersectivity) special case, Fibonacci modular facts with
 periodicity-complete certificates, and exact fractional-part bound scans.
 
-Chains keep the DP: a chain level is an OR over every gap, so a mask sweep
-costs |D| shifts per level, and long chains make that slower than the DP.
-The pair check tests the first |D| positions one at a time against a gap
-mask, so an early pair costs one shift per position tested after an O(N + |D|)
-set-up, and sweeps the gaps only when no pair starts that early.
+A chain scan gives the chain DP's result by one of three exact methods,
+chosen from facts of its input; nothing else selects them:
+
+* the residue rule, when the usable gaps D on [1, N-1] have a period m
+  (found from the gap tuple itself). Per (color, residue mod m) it keeps the
+  best length and the latest position with it, at O(N |R|) for the
+  residues R of one period;
+* mask levels, when the chain is at most 32 / r long (a greedy chain from
+  position 1 that is already longer skips them). Level l+1 of a color is
+  its mask AND the OR over the gaps of level l shifted, one Python-int
+  shift per gap, color and level;
+* the O(N |D|) DP otherwise.
+
+Progressions and the pair check run on one Python-int mask per color. The
+pair check tests the first |D| positions one at a time against a gap mask
+(built from one period's bytes when the gaps are periodic), so an early
+pair costs one shift per position tested after an O(N + |D|) set-up, and
+sweeps the gaps only when no pair starts that early.
 Both fractional-part bound scans run on the window routine of ``exactnum``
 (integer kernel, no ``Q5`` object per element).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count, islice, repeat
+from operator import add, eq, itemgetter
 from typing import Optional, Sequence, Union
 
 from .certs import Certificate
@@ -36,6 +50,23 @@ from .gapsets import GapSetView, fib_values
 
 DIFFSEQUENCE = "diffsequence"
 AP = "ap"
+
+# levels x colors the mask-level chain method may compute before it leaves
+# the prefix to the DP. A level costs about 1/2000 of the DP per color, so an
+# abandoned attempt costs a few percent of the DP it precedes.
+_LEVEL_BUDGET = 32
+
+# a period counts when it repeats at least this often: the residue rule then
+# costs at most 1/8 of the DP, and the pair check's mask is mostly repeats
+_PERIOD_REPEATS = 8
+
+# candidate periods that _period examines, and that may reach its O(n + |D|)
+# full test; a set that is symmetric on [1, n-1] passes its first filter at
+# every j
+_PERIOD_CANDIDATES = 4096
+_PERIOD_TESTS = 4
+
+_ONE = ord("1")
 
 
 @dataclass
@@ -73,12 +104,177 @@ def _usable_gaps(view: GapSetView, n: int) -> tuple[int, ...]:
 def longest_mono_diffseq(coloring: Coloring, view: GapSetView) -> ScanResult:
     """Exact maximum length of a monochromatic chain with gaps in the view.
 
-    DP over positions: L(x) = 1 + max L(x-d) over same-colored predecessors;
-    the witness is rebuilt from backpointers.
+    The witness is the DP's: it ends at the first position with the longest
+    chain, and each step back takes the smallest gap to a predecessor one
+    shorter. The method comes from the input: the residue rule when the
+    usable gaps are periodic, else mask levels while the chain stays within
+    the level budget, else the DP.
     """
     n = coloring.n
     gaps = _usable_gaps(view, n)
     word = coloring.colors
+    if n == 0:
+        return ScanResult(DIFFSEQUENCE, 0, [], 0, None)
+    period = _period(gaps, n)
+    if period:
+        m, j, _ = period
+        witness = _chain_by_residues(word, n, m, gaps[:j])
+    else:
+        witness = _chain_by_levels(word, coloring.r, gaps, n) or _chain_by_dp(word, gaps, n)
+    return ScanResult(DIFFSEQUENCE, len(witness), witness, n, word[witness[-1] - 1])
+
+
+def _period(gaps: tuple[int, ...], n: int) -> Optional[tuple[int, int, bytes]]:
+    """The smallest period m of D on [1, n-1] that repeats at least
+    _PERIOD_REPEATS times, given the elements sorted: m, the number
+    j <= len(gaps) / _PERIOD_REPEATS of elements in [1, m], and the
+    membership of 0..n-1 as ASCII "0"/"1" bytes. None when there is no such
+    period, or when the search below gives up.
+
+    D has period m exactly when the gaps <= n-1-m, each plus m, are the gaps
+    > m, and then m = gaps[j] - gaps[0]. Cheap filters come first:
+    gaps[-1] - gaps[-1-j] = m (tested for every j in one C-level scan),
+    gaps[j-1] <= m, the first gap without a partner lies above n-1-m, and
+    the residues gaps[:j] have len(gaps) members in [1, n-1] (counted in
+    O(log j)). The full test alone decides: it repeats the first period's
+    membership up to n, which must hold exactly len(gaps) members in
+    [1, n-1], every gap among them. It costs O(n + |D|). At most
+    _PERIOD_CANDIDATES candidates are examined and _PERIOD_TESTS reach the
+    full test, so a set that is periodic but for one moved element costs
+    O(n + |D|), not O(n |D|).
+    """
+    size = len(gaps)
+    if size < 2:
+        return None
+    first = gaps[0]
+    heads = islice(gaps, 1, size // _PERIOD_REPEATS + 1)
+    ends = map(add, heads, islice(reversed(gaps), 1, None))
+    candidates = compress(count(1), map(eq, ends, repeat(first + gaps[-1])))
+    tests = 0
+    for j in islice(candidates, _PERIOD_CANDIDATES):
+        m = gaps[j] - first
+        if gaps[j - 1] > m or gaps[size - j] + m < n:
+            continue
+        q, rem = divmod(n - 1, m)
+        if j * q + bisect_right(gaps, rem, 0, j) != size:
+            continue
+        pattern = bytearray(b"0" * m)
+        for d in gaps[:j]:
+            pattern[d % m] = _ONE
+        members = bytes(pattern * (n // m + 1))[:n]
+        if members.count(_ONE, 1) == size and b"0" not in bytes(itemgetter(*gaps)(members)):
+            return m, j, members
+        tests += 1
+        if tests == _PERIOD_TESTS:
+            return None
+    return None
+
+
+def _chain_by_residues(word: bytes, n: int, m: int, residues: tuple[int, ...]) -> list[int]:
+    """Chain DP over (color, position mod m) classes when D has period m on
+    [1, n-1] and ``residues`` are the residues of its elements.
+
+    Position y precedes x exactly when they share a color and (x - y) mod m
+    is in ``residues``, so each class keeps only its best length and the
+    latest position with it, packed as length * (n + 1) + position: the
+    largest key among x's classes is the DP's parent (longest, then smallest
+    gap).
+    """
+    stride = n + 1
+    keys = [0] * ((max(word) + 1) * m)
+    parent = [0] * stride
+    best_len, best_end = 0, 0
+    for x in range(1, stride):
+        base = word[x - 1] * m
+        top = 0
+        for s in residues:
+            key = keys[base + (x - s) % m]
+            if key > top:
+                top = key
+        length, parent[x] = divmod(top, stride)
+        length += 1
+        slot = base + x % m
+        key = length * stride + x
+        if key > keys[slot]:
+            keys[slot] = key
+        if length > best_len:
+            best_len, best_end = length, x
+    return _walk_back(parent, best_end)
+
+
+def _chain_by_levels(word: bytes, r: int, gaps: tuple[int, ...], n: int) -> Optional[list[int]]:
+    """Chain by mask levels, or None when the chain is longer than
+    _LEVEL_BUDGET // r.
+
+    Level l of color c marks the positions of color c that end a chain of
+    length >= l: S_1 = m_c and S_{l+1} = m_c & OR_d (S_l << d). The longest
+    chain ends at the lowest set bit of the top level, and the walk back
+    takes the smallest gap d whose predecessor lies in the level below, as
+    the DP's parent does. A greedy chain from position 1 is a lower bound,
+    so when it is already too long no level is computed.
+    """
+    most = _LEVEL_BUDGET // r
+    if _greedy_length(word, gaps, n, most + 1) > most:
+        return None
+    masks = _color_masks(word, r)
+    levels = [masks]
+    while True:
+        top = levels[-1]
+        if len(levels) > most:
+            return None
+        nxt = []
+        for mask, s in zip(masks, top):
+            grown = 0
+            if s:
+                for d in gaps:
+                    grown |= s << d
+            nxt.append(mask & grown)
+        if not any(nxt):
+            break
+        levels.append(nxt)
+    end, color = min(((s & -s).bit_length(), c) for c, s in enumerate(top) if s)
+    witness = [end]
+    for below in reversed(levels[:-1]):
+        bits = below[color].to_bytes((n + 7) // 8, "little")
+        x = witness[-1]
+        for d in gaps:
+            y = x - d - 1
+            if bits[y >> 3] >> (y & 7) & 1:
+                break
+        witness.append(x - d)
+    witness.reverse()
+    return witness
+
+
+def _greedy_length(word: bytes, gaps: tuple[int, ...], n: int, limit: int) -> int:
+    """Length of the chain from position 1 that always takes the smallest gap
+    to the same color, counted up to ``limit``."""
+    x, color, length = 1, word[0], 1
+    while length < limit:
+        for d in gaps:
+            if x + d > n:
+                return length
+            if word[x + d - 1] == color:
+                x += d
+                length += 1
+                break
+        else:
+            return length
+    return length
+
+
+def _walk_back(parent: list[int], end: int) -> list[int]:
+    witness = []
+    while end:
+        witness.append(end)
+        end = parent[end]
+    witness.reverse()
+    return witness
+
+
+def _chain_by_dp(word: bytes, gaps: tuple[int, ...], n: int) -> list[int]:
+    """The O(N x |D|) DP: L(x) = 1 + max L(x-d) over same-colored
+    predecessors, the parent being the smallest such gap."""
     length = [0] * (n + 1)
     parent = [0] * (n + 1)
     best_len, best_end = 0, 0
@@ -95,14 +291,7 @@ def longest_mono_diffseq(coloring: Coloring, view: GapSetView) -> ScanResult:
         parent[x] = back
         if best > best_len:
             best_len, best_end = best, x
-    witness = []
-    pos = best_end
-    while pos:
-        witness.append(pos)
-        pos = parent[pos]
-    witness.reverse()
-    color = word[best_end - 1] if best_end else None
-    return ScanResult(DIFFSEQUENCE, best_len, witness, n, color)
+    return _walk_back(parent, best_end)
 
 
 def _color_masks(word: bytes, r: int) -> list[int]:
@@ -158,7 +347,8 @@ def chromatically_intersective_check(coloring: Coloring, view: GapSetView) -> Sc
 
     The pair with the smallest first term x, then the smallest gap d, is
     reported. Position x pairs with the set bits of (m >> x) & G, where m is
-    the mask of x's color and G has bit d-1 set for each gap d. The first
+    the mask of x's color and G has bit d-1 set for each gap d (built from
+    one period's bytes, repeated, when the gaps are periodic). The first
     len(gaps) positions are tested that way in order, so an early pair stops
     the scan. A tested position costs one shift and a swept gap costs one per
     color, so past them the same-colored pair starts are ORed over the gaps
@@ -170,10 +360,14 @@ def chromatically_intersective_check(coloring: Coloring, view: GapSetView) -> Sc
     if n == 0:
         return ScanResult(DIFFSEQUENCE, 1, [], 0, None)
     masks = _color_masks(word, coloring.r)
-    gap_bits, one = bytearray(b"0" * n), ord("1")
-    for d in gaps:
-        gap_bits[d - 1] = one
-    gap_mask = int(gap_bits[::-1], 2)
+    period = _period(gaps, n)
+    if period:
+        gap_mask = int(period[2][:0:-1], 2)
+    else:
+        gap_bits = bytearray(b"0" * n)
+        for d in gaps:
+            gap_bits[d - 1] = _ONE
+        gap_mask = int(gap_bits[::-1], 2)
 
     def partners(x: int) -> int:
         return (masks[word[x - 1] - 1] >> x) & gap_mask

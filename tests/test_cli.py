@@ -1,13 +1,18 @@
 """Command-line surface: round-trips, exit codes, and the reproduction suite."""
 
+import contextlib
 import hashlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffseq import cli, gapsets, reproduce
 from diffseq.colorings import Coloring
+from test_json_properties import specs
 
 
 def _run(capsys, *argv):
@@ -381,3 +386,94 @@ def test_invalid_set_json(capsys):
     code, _, err = _run(capsys, "set", "--set-json", '{"kind":"mystery"}', "-N", "5")
     assert code == 2
     assert "unknown" in err
+
+
+# stdout SHA-256 of chain scans, pinned from the DP before the chain kernel
+# chose among the residue rule, mask levels and the DP: the first is the
+# README example (mask levels), the second a periodic set (residue rule)
+CHAIN_SCANS = [
+    (
+        ["scan", "--coloring", "preset:oneplusphiover4", "-N", "50000", "--set-json",
+         '{"kind":"even_fibonacci"}', "--structure", "diffseq", "--max-k", "3"],
+        "b3f4c45ffc5f4a9e2f352f008f0c0089243cd850f46c9a71ddf8f8fa4b2396b5",
+    ),
+    (
+        ["scan", "--coloring", "preset:goldenrotation", "-N", "3000", "--set-json",
+         '{"kind":"nonmultiples","m":3}', "--structure", "diffseq"],
+        "0539686b4683101521c8ba63224d323319ae096892cfea7542e6750d6aadd324",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CHAIN_SCANS, ids=["even_fibonacci", "nonmultiples3"])
+def test_chain_scan_stdout_is_pinned(capsys, argv, digest):
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _mostly(valid, junk):
+    """``valid`` nine times in ten, otherwise ``junk``."""
+    return st.integers(0, 9).flatmap(lambda i: junk if i == 0 else valid)
+
+
+_spec = _mostly(
+    st.sampled_from([
+        {"kind": "fibonacci"},
+        {"kind": "even_fibonacci"},
+        {"kind": "pell"},
+        {"kind": "primes"},
+        {"kind": "nonmultiples", "m": 3},
+        {"kind": "geometric", "base": 2},
+        {"kind": "polynomial", "coeffs": [1, 0, 0]},
+        {"kind": "explicit", "elements": [1, 4, 9]},
+        {"kind": "shifted", "of": {"kind": "nonmultiples", "m": 4}, "c": -1},
+        {"kind": "divided", "of": {"kind": "nonmultiples", "m": 5}, "d": 2},
+        {"kind": "union", "of": [{"kind": "primes"}, {"kind": "geometric", "base": 3}]},
+    ]),
+    specs,
+)
+_spec_text = _mostly(_spec.map(json.dumps), st.text(max_size=8))
+_number_text = _mostly(
+    st.integers(-3, 2000).map(str), st.sampled_from(["", "x", "1/2", "1e3", "0x10", "-0"])
+)
+
+
+@st.composite
+def _scan_or_set_argv(draw):
+    command = draw(st.sampled_from(["scan", "set"]))
+    argv = [command]
+    if draw(st.integers(0, 9)):
+        argv += ["--set-json", draw(_spec_text)]
+    if draw(st.integers(0, 9)):
+        argv += ["-N", draw(_number_text)]
+    if command == "scan":
+        argv += ["--coloring", draw(_mostly(
+            st.sampled_from(["preset:sqrt5over8", "preset:oneplusphiover4", "preset:goldenrotation"]),
+            st.sampled_from(["preset:nope", "preset:", "no-such-coloring.json"]),
+        ))]
+        if draw(st.booleans()):
+            argv += ["--structure", draw(_mostly(
+                st.sampled_from(["diffseq", "ap", "pair"]), st.just("chain")
+            ))]
+        if draw(st.booleans()):
+            argv += ["--max-k", draw(_mostly(st.integers(-2, 6).map(str), st.just("x")))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scan_or_set_argv())
+def test_scan_and_set_argv_fuzz(argv):
+    # any argv ends in exit 0, 1 or 2 without a traceback, and exit 1 only
+    # when a scan's length exceeds --max-k
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses malformed flags with exit 2
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in stderr.getvalue()
+    if code == 1:
+        max_k = int(argv[argv.index("--max-k") + 1])
+        assert json.loads(stdout.getvalue())["length"] > max_k

@@ -2,12 +2,21 @@
 
 import importlib.util
 import random
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diffseq.colorings import Coloring, block_coloring, frac_coloring, residue_coloring
+from diffseq.colorings import (
+    Coloring,
+    block_coloring,
+    frac_coloring,
+    preset_coloring,
+    residue_coloring,
+)
 from diffseq.construct import certify_fracs, diffseq_bound_from_eps
 from diffseq.exactnum import Q5
 from diffseq.gapsets import GapSetSpec, GapSetView, fib_values
@@ -128,6 +137,20 @@ def _reference_pair(coloring: Coloring, view: GapSetView) -> ScanResult:
     return ScanResult(DIFFSEQUENCE, 1, [1] if n else [], n, word[0] if n else None)
 
 
+def _periodic_gaps(rng: random.Random, n: int) -> list[int]:
+    """A random residue pattern mod m, listed to past n, sometimes with one
+    element added or dropped."""
+    m = rng.randint(1, 12)
+    residues = set(rng.sample(range(1, m + 1), rng.randint(1, m)))
+    gaps = {d for d in range(1, n + m) if (d - 1) % m + 1 in residues}
+    change = rng.randint(1, n + m)
+    if rng.random() < 0.2:
+        gaps.add(change)
+    elif rng.random() < 0.2:
+        gaps.discard(change)
+    return sorted(gaps)
+
+
 def _view(gaps, n: int) -> GapSetView:
     """A view of exactly ``gaps``, complete to at least n (gaps may reach past n)."""
     return GapSetView(tuple(sorted(gaps)), max([n, *gaps]))
@@ -157,6 +180,11 @@ def test_mask_kernels_match_reference_loops():
         n = rng.randint(0, 60)
         word = bytes(rng.randint(1, r) for _ in range(n))
         random_cases.append((r, word, rng.sample(range(1, 70), rng.randint(0, 8))))
+    for _ in range(200):  # periodic gaps, so the pair check builds G from one period
+        r = rng.randint(1, 4)
+        n = rng.randint(0, 60)
+        word = bytes(rng.randint(1, r) for _ in range(n))
+        random_cases.append((r, word, _periodic_gaps(rng, n)))
     for r, word, gaps in edge_cases + random_cases:
         coloring, view = Coloring(r, word), _view(gaps, len(word))
         assert longest_mono_ap(coloring, view).to_json() == _reference_ap(coloring, view).to_json()
@@ -189,6 +217,202 @@ def test_pair_check_stops_at_an_early_pair(monkeypatch):
     result = chromatically_intersective_check(residue_coloring(4, small), primes)
     assert (result.length, result.witness) == (1, [1])
     assert calls == list(primes.elements)
+
+
+def _word(digits: str) -> bytes:
+    return bytes(int(c) for c in digits)
+
+
+def _reference_chain(coloring: Coloring, view: GapSetView) -> ScanResult:
+    """The chain DP that the residue rule and mask levels now stand in for."""
+    n = coloring.n
+    gaps = [d for d in view.elements if d < n]
+    word = coloring.colors
+    length = [0] * (n + 1)
+    parent = [0] * (n + 1)
+    best_len, best_end = 0, 0
+    for x in range(1, n + 1):
+        cx = word[x - 1]
+        best, back = 1, 0
+        for d in gaps:
+            if d >= x:
+                break
+            y = x - d
+            if word[y - 1] == cx and length[y] >= best:
+                best, back = length[y] + 1, y
+        length[x] = best
+        parent[x] = back
+        if best > best_len:
+            best_len, best_end = best, x
+    witness = []
+    pos = best_end
+    while pos:
+        witness.append(pos)
+        pos = parent[pos]
+    witness.reverse()
+    color = word[best_end - 1] if best_end else None
+    return ScanResult(DIFFSEQUENCE, best_len, witness, n, color)
+
+
+@pytest.fixture
+def chain_methods(monkeypatch):
+    """Which method each chain scan took: "residues", "levels", "dp" after
+    the levels ran out of budget, or "dp" directly."""
+    calls = []
+    for name in ("_chain_by_residues", "_color_masks", "_chain_by_dp"):
+        real = getattr(verify_module, name)
+
+        def spy(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(verify_module, name, spy)
+
+    def scan(coloring, view):
+        del calls[:]
+        result = longest_mono_diffseq(coloring, view)
+        if "_chain_by_residues" in calls:
+            method = "residues"
+        elif "_color_masks" in calls:
+            method = "levels, then dp" if "_chain_by_dp" in calls else "levels"
+        else:
+            method = "dp" if "_chain_by_dp" in calls else "none"
+        return result, method
+
+    return scan
+
+
+def test_chain_kernel_matches_reference_dp(chain_methods):
+    edge_cases = [
+        (1, b"", [], "none"),  # n = 0
+        (2, b"", [1, 3], "none"),  # n = 0, gaps past the end
+        (1, b"\x01", [1], "levels"),  # n = 1: every gap reaches past the end
+        (2, b"\x01\x02" * 4, [], "levels"),  # no usable gap: witness [1]
+        (1, b"\x01" * 9, [3, 9, 12], "levels"),  # r = 1; gaps equal to and past n
+        (2, b"\x01\x02\x01\x02\x01", [2, 3], "levels"),  # only period is n - 2, with no gap above it
+        (2, b"\x01\x02" * 4, [2], "levels"),  # color tie: color 1 ends first
+        (2, b"\x02\x01" * 4, [2], "levels"),  # color tie: color 2 ends first
+        (2, b"\x01\x02" * 30, list(range(2, 60, 2)), "residues"),  # color tie, even gaps
+        # residue tie: on the witness, 24's predecessors 22 (residue 2 mod 5)
+        # and 21 (residue 3) end chains of the same length; 22 wins
+        (2, _word("1122211222221221111211211111211121222211222221112221"),
+         [d for d in range(1, 52) if d % 5 in (2, 3)], "residues"),
+        (1, b"\x01" * 40, list(range(1, 40, 2)), "residues"),  # r = 1, odd gaps
+        # the longest chain, 16 = 32 / r, is the last the level budget allows;
+        # position 1's color is alone, so the greedy chain does not skip the levels
+        (2, b"\x02" + b"\x01" * 16, [1, 40], "levels"),
+        (2, b"\x02" + b"\x01" * 17, [1, 40], "levels, then dp"),  # one level past it
+        (3, b"\x03" + b"\x01" * 10, [1, 40], "levels"),  # 10 = 32 // 3
+        (3, b"\x03" + b"\x01" * 11, [1, 40], "levels, then dp"),
+        (2, b"\x01" * 16, [1, 40], "levels"),  # the greedy chain from 1 fits the budget
+        (2, b"\x01" * 17, [1, 40], "dp"),  # the greedy chain from 1 is already too long
+    ]
+    rng = random.Random(2718)
+    random_cases = []
+    for _ in range(800):
+        r = rng.randint(1, 4)
+        n = rng.randint(0, 200)
+        kind = rng.random()
+        if kind < 0.4:
+            gaps = _periodic_gaps(rng, n)
+        else:
+            gaps = rng.sample(range(1, 210), rng.randint(0, 6 if kind < 0.7 else 60))
+        if rng.random() < 0.4:
+            word = [rng.randint(1, r) for _ in range(n)]
+        else:  # blocks of one color make long chains
+            width = rng.randint(1, 8)
+            word = [x // width % r + 1 for x in range(n)]
+        if n and r > 1 and rng.random() < 0.3:  # position 1's color appears nowhere else
+            word = [r] + [min(c, r - 1) for c in word[1:]]
+        random_cases.append((r, bytes(word), gaps, None))
+    taken = Counter()
+    for r, word, gaps, expected in edge_cases + random_cases:
+        coloring, view = Coloring(r, word), _view(gaps, len(word))
+        result, method = chain_methods(coloring, view)
+        assert result.to_json() == _reference_chain(coloring, view).to_json(), (r, word, gaps)
+        assert expected in (None, method), (r, word, gaps, method)
+        taken[method] += 1
+    assert all(taken[m] >= 40 for m in ("residues", "levels", "levels, then dp", "dp")), taken
+
+
+def test_periodic_and_short_chain_scans_skip_the_dp(monkeypatch):
+    def no_dp(*args):
+        raise AssertionError("the chain DP ran")
+
+    monkeypatch.setattr(verify_module, "_chain_by_dp", no_dp)
+    n = 5000
+    blocks = longest_mono_diffseq(block_coloring(7, n), GapSetSpec.nonmultiples(3).enumerate(n))
+    assert blocks.length == 2501
+    n = 200_000
+    even_fib = longest_mono_diffseq(
+        preset_coloring("oneplusphiover4", n), GapSetSpec.even_fibonacci().enumerate(n)
+    )
+    assert even_fib.length == 3
+
+
+def test_period_of_gap_tuples(monkeypatch):
+    n = 20_000
+
+    def period(spec):
+        found = verify_module._period(_usable(spec, n), n)
+        return found and found[:2]
+
+    def _usable(spec, bound):
+        return tuple(d for d in spec.enumerate(bound).elements if d < bound)
+
+    nonmult3 = GapSetSpec.nonmultiples(3)
+    assert period(nonmult3) == (3, 2)
+    assert period(GapSetSpec.nonmultiples(5).divide(2)) == (5, 4)
+    assert period(GapSetSpec.nonmultiples(4).shifted(-1)) == (4, 3)
+    assert period(GapSetSpec.union([nonmult3, GapSetSpec.nonmultiples(5)])) == (15, 14)
+    # multiples of 7 on [1, 63]; on [1, 70] the missing 70 breaks the period
+    sevens = tuple(range(7, 64, 7))
+    assert verify_module._period(sevens, 64)[:2] == (7, 1)
+    assert verify_module._period(sevens, 71) is None
+    # a period must repeat 8 times: 9 multiples of 7 do, 7 do not
+    assert verify_module._period(sevens[:7], 50) is None
+    for aperiodic in (
+        GapSetSpec.primes(),
+        GapSetSpec.fibonacci(),
+        GapSetSpec.union([nonmult3, GapSetSpec.explicit([15_000])]),  # one late exception
+    ):
+        assert period(aperiodic) is None
+    # with m | n the set is symmetric on [1, n-1], so every j up to the
+    # period passes the first filter; the member count turns them away
+    for m, bound in ((7, 700), (11, 1100), (1000, 200_000)):
+        gaps = tuple(d for d in range(1, bound) if d % m)
+        assert verify_module._period(gaps, bound)[:2] == (m, m - 1)
+    # [1, n-1] less one element: every j passes the filters but the count,
+    # or (less 3 or n - 3) the only candidate holds almost every element
+    for missing in (150_001, 100_000, 3, 199_997):
+        gaps = tuple(d for d in range(1, 200_000) if d != missing)
+        assert verify_module._period(gaps, 200_000) is None
+    # one element moved keeps the count, so every candidate would reach the
+    # O(n + |D|) membership gather; only _PERIOD_TESTS of them do
+    gathers = []
+    real_itemgetter = verify_module.itemgetter
+    monkeypatch.setattr(
+        verify_module, "itemgetter", lambda *keys: gathers.append(1) or real_itemgetter(*keys)
+    )
+    moved = tuple(sorted({d for d in range(1, 200_000) if d % 3} - {100_000} | {99_999}))
+    assert verify_module._period(moved, 200_000) is None
+    assert len(gathers) == verify_module._PERIOD_TESTS
+    members = verify_module._period(_usable(nonmult3, 25), 25)[2]
+    assert members == b"011" * 8 + b"0"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_chain_scan_on_residue_patterns_matches_reference(data):
+    m = data.draw(st.integers(1, 12))
+    residues = data.draw(st.sets(st.integers(1, m), min_size=1))
+    n = data.draw(st.integers(0, 80))
+    r = data.draw(st.integers(1, 3))
+    word = bytes(data.draw(st.lists(st.integers(1, r), min_size=n, max_size=n)))
+    gaps = [d for d in range(1, n + m) if (d - 1) % m + 1 in residues]
+    coloring = Coloring(r, word)
+    view = GapSetSpec.explicit(gaps).enumerate(max(n, 1))
+    assert longest_mono_diffseq(coloring, view).to_json() == _reference_chain(coloring, view).to_json()
 
 
 def _load_oracle():
