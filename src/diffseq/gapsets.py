@@ -8,20 +8,19 @@ complete: no member of the denoted set below the bound is missing.
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, cycle
-from typing import Optional, Sequence
+from itertools import chain, compress, cycle, groupby
+from typing import Iterable, Optional, Sequence
 
 from .certs import Certificate
 from .exactnum import rational_str, to_rational
 
-# the primes and nonmultiples kinds hold one byte or list entry per integer up
-# to the bound; 10x the coloring length cap, so divided(..., d <= 10) still
-# reaches a scan at that cap
+# the primes kind sieves one byte per integer up to the bound and the
+# nonmultiples kind walks every integer up to it; 10x the coloring length
+# cap, so divided(..., d <= 10) still reaches a scan at that cap
 MAX_SIEVE = 10**8
 
 # the polynomial kind evaluates p(n) once per n until p passes the bound
@@ -211,7 +210,11 @@ class GapSetSpec:
             raise ValueError("enumeration bound must be >= 1")
         return GapSetView(tuple(self._elements(bound)), bound)
 
-    def _elements(self, bound: int) -> list[int]:
+    def _elements(self, bound: int) -> Iterable[int]:
+        """The elements <= bound in increasing order. Sieved and transformed
+        kinds give iterators, so the inner set of a divided, filtered or
+        shifted kind is never held as a list; a union holds one sorted list
+        of its parts' elements."""
         kind = self.kind
         if kind == "fibonacci":
             out, a, b = [], 1, 2
@@ -244,28 +247,25 @@ class GapSetSpec:
             # residues 1..m of one period: only m itself is a multiple; a
             # period longer than the bound is cut at bound + 1 (no multiple below)
             keep = cycle([1] * (min(self.m, bound + 1) - 1) + [0])
-            return list(compress(range(1, bound + 1), keep))
+            return compress(range(1, bound + 1), keep)
         if kind == "primes":
             return _primes_upto(bound)
         if kind == "explicit":
             return [e for e in self.elements if e <= bound]
         if kind == "union":
-            merged = heapq.merge(*(p._elements(bound) for p in self.parts))
-            out, prev = [], 0
-            for v in merged:
-                if v != prev:
-                    out.append(v)
-                    prev = v
-            return out
+            # sorted() merges the parts' increasing runs in C; groupby drops repeats
+            merged = sorted(chain.from_iterable(p._elements(bound) for p in self.parts))
+            return map(operator.itemgetter(0), groupby(merged))
         if kind == "divided":
-            inner = self.inner._elements(bound * self.d)
-            return [a // self.d for a in inner if a % self.d == 0]
+            d = self.d
+            return (a // d for a in self.inner._elements(bound * d) if a % d == 0)
         if kind == "multiples_filtered":
-            return [a for a in self.inner._elements(bound) if a % self.d == 0]
+            d = self.d
+            return (a for a in self.inner._elements(bound) if a % d == 0)
         if kind == "shifted":
             c = self.shift
             inner = self.inner._elements(max(bound - c, 1)) if c >= 0 else self.inner._elements(bound - c)
-            return [a + c for a in inner if 1 <= a + c <= bound]
+            return (a + c for a in inner if 1 <= a + c <= bound)
         raise SpecValidationError(f"unknown gap set kind: {kind}")
 
     def _poly_elements(self, bound: int) -> list[int]:
@@ -368,7 +368,7 @@ def _check_sieve(bound: int) -> None:
         raise ValueError(f"enumeration bound {bound} exceeds the sieve cap {MAX_SIEVE}")
 
 
-def _primes_upto(n: int) -> list[int]:
+def _primes_upto(n: int) -> Iterable[int]:
     _check_sieve(n)
     if n < 2:
         return []
@@ -378,7 +378,7 @@ def _primes_upto(n: int) -> list[int]:
         if sieve[p]:
             start = p * p
             sieve[start :: p] = bytearray(len(range(start, n + 1, p)))
-    return list(compress(range(n + 1), sieve))
+    return compress(range(n + 1), sieve)
 
 
 def growth_certificate(view: GapSetView, rho, start: int = 0) -> Certificate:

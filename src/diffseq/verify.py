@@ -17,10 +17,9 @@ chosen from facts of its input; nothing else selects them:
 * the O(N |D|) DP otherwise.
 
 Progressions and the pair check run on one Python-int mask per color. The
-pair check tests the first |D| positions one at a time against a gap mask
-(built from one period's bytes when the gaps are periodic), so an early
-pair costs one shift per position tested after an O(N + |D|) set-up, and
-sweeps the gaps only when no pair starts that early.
+pair check tests the first |D| positions one at a time against a gap mask,
+so an early pair costs one shift per position tested after an O(N + |D|)
+set-up, and sweeps the gaps only when no pair starts that early.
 Both fractional-part bound scans run on the window routine of ``exactnum``
 (integer kernel, no ``Q5`` object per element).
 """
@@ -57,7 +56,7 @@ AP = "ap"
 _LEVEL_BUDGET = 32
 
 # a period counts when it repeats at least this often: the residue rule then
-# costs at most 1/8 of the DP, and the pair check's mask is mostly repeats
+# costs at most 1/8 of the DP
 _PERIOD_REPEATS = 8
 
 # candidate periods that _period examines, and that may reach its O(n + |D|)
@@ -117,19 +116,18 @@ def longest_mono_diffseq(coloring: Coloring, view: GapSetView) -> ScanResult:
         return ScanResult(DIFFSEQUENCE, 0, [], 0, None)
     period = _period(gaps, n)
     if period:
-        m, j, _ = period
+        m, j = period
         witness = _chain_by_residues(word, n, m, gaps[:j])
     else:
         witness = _chain_by_levels(word, coloring.r, gaps, n) or _chain_by_dp(word, gaps, n)
     return ScanResult(DIFFSEQUENCE, len(witness), witness, n, word[witness[-1] - 1])
 
 
-def _period(gaps: tuple[int, ...], n: int) -> Optional[tuple[int, int, bytes]]:
+def _period(gaps: tuple[int, ...], n: int) -> Optional[tuple[int, int]]:
     """The smallest period m of D on [1, n-1] that repeats at least
-    _PERIOD_REPEATS times, given the elements sorted: m, the number
-    j <= len(gaps) / _PERIOD_REPEATS of elements in [1, m], and the
-    membership of 0..n-1 as ASCII "0"/"1" bytes. None when there is no such
-    period, or when the search below gives up.
+    _PERIOD_REPEATS times, given the elements sorted: m and the number
+    j <= len(gaps) / _PERIOD_REPEATS of elements in [1, m]. None when there
+    is no such period, or when the search below gives up.
 
     D has period m exactly when the gaps <= n-1-m, each plus m, are the gaps
     > m, and then m = gaps[j] - gaps[0]. Cheap filters come first:
@@ -163,7 +161,7 @@ def _period(gaps: tuple[int, ...], n: int) -> Optional[tuple[int, int, bytes]]:
             pattern[d % m] = _ONE
         members = bytes(pattern * (n // m + 1))[:n]
         if members.count(_ONE, 1) == size and b"0" not in bytes(itemgetter(*gaps)(members)):
-            return m, j, members
+            return m, j
         tests += 1
         if tests == _PERIOD_TESTS:
             return None
@@ -347,8 +345,7 @@ def chromatically_intersective_check(coloring: Coloring, view: GapSetView) -> Sc
 
     The pair with the smallest first term x, then the smallest gap d, is
     reported. Position x pairs with the set bits of (m >> x) & G, where m is
-    the mask of x's color and G has bit d-1 set for each gap d (built from
-    one period's bytes, repeated, when the gaps are periodic). The first
+    the mask of x's color and G has bit d-1 set for each gap d. The first
     len(gaps) positions are tested that way in order, so an early pair stops
     the scan. A tested position costs one shift and a swept gap costs one per
     color, so past them the same-colored pair starts are ORed over the gaps
@@ -360,14 +357,10 @@ def chromatically_intersective_check(coloring: Coloring, view: GapSetView) -> Sc
     if n == 0:
         return ScanResult(DIFFSEQUENCE, 1, [], 0, None)
     masks = _color_masks(word, coloring.r)
-    period = _period(gaps, n)
-    if period:
-        gap_mask = int(period[2][:0:-1], 2)
-    else:
-        gap_bits = bytearray(b"0" * n)
-        for d in gaps:
-            gap_bits[d - 1] = _ONE
-        gap_mask = int(gap_bits[::-1], 2)
+    gap_bits = bytearray(b"0" * n)
+    for d in gaps:
+        gap_bits[d - 1] = _ONE
+    gap_mask = int(gap_bits[::-1], 2)
 
     def partners(x: int) -> int:
         return (masks[word[x - 1] - 1] >> x) & gap_mask

@@ -1,6 +1,8 @@
 """Gap set enumeration, transforms, growth certificates, the sieve cap."""
 
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -108,6 +110,53 @@ def test_divide_examples():
     assert list(GapSetSpec.even_fibonacci().divide(2).enumerate(17)) == [1, 4, 17]
     fib = GapSetSpec.fibonacci()
     assert fib.divide(1) is fib
+
+
+def test_composed_sets_match_membership():
+    # nested transforms over the sieved kinds, with overlapping union parts
+    # so repeats must be dropped; each set against a membership test
+    def is_prime(x):
+        return x > 1 and all(x % p for p in range(2, math.isqrt(x) + 1))
+
+    fib = {1, 2}
+    while max(fib) < 2000:
+        a, b = sorted(fib)[-2:]
+        fib.add(a + b)
+    nonmult3 = GapSetSpec.nonmultiples(3)
+    cases = [
+        (
+            GapSetSpec.union([
+                GapSetSpec.primes().shifted(-1),
+                GapSetSpec.geometric(3),
+                GapSetSpec.nonmultiples(5).divide(2),
+                GapSetSpec.fibonacci().shifted(2),
+            ]),
+            lambda x: x % 5 != 0 or is_prime(x + 1) or x in (1, 3, 9, 27, 81, 243, 729)
+            or x - 2 in fib,
+        ),
+        (GapSetSpec.union([nonmult3, GapSetSpec.nonmultiples(4)]), lambda x: x % 12 != 0),
+        (GapSetSpec.union([GapSetSpec.primes(), GapSetSpec.primes()]), is_prime),
+        (GapSetSpec.primes().filter_multiples(2), lambda x: x == 2),
+        (GapSetSpec.nonmultiples(6).shifted(-3), lambda x: (x + 3) % 6 != 0),
+        (nonmult3.divide(2).shifted(1), lambda x: x >= 2 and (x - 1) % 3 != 0),
+    ]
+    for spec, member in cases:
+        for bound in (1, 2, 50, 997):
+            expected = tuple(x for x in range(1, bound + 1) if member(x))
+            assert spec.enumerate(bound).elements == expected
+
+
+def test_composed_enumeration_holds_no_intermediate_list():
+    # the inner nonmultiples(5) runs to 2 * bound; only the result is built
+    spec = GapSetSpec.union([GapSetSpec.nonmultiples(5).divide(2), GapSetSpec.primes()])
+    tracemalloc.start()
+    try:
+        view = spec.enumerate(100_000)
+        final, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(view) == 80_000 + 1  # the prime 5 is the one multiple of 5 added
+    assert peak < 2 * final
 
 
 def test_filter_multiples_examples():
