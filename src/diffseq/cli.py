@@ -121,6 +121,8 @@ def _cmd_color(args) -> int:
     elif args.kind == "frac":
         alpha = _parse_number(args.alpha, args.alpha_root5)
         coloring = colorings.frac_coloring(alpha, args.r, args.n)
+    elif args.kind in ("block", "residue") and args.m is None:
+        raise InputError(f"--kind {args.kind} needs -m")
     elif args.kind == "block":
         coloring = colorings.block_coloring(args.m, args.n)
     elif args.kind == "residue":
@@ -184,7 +186,9 @@ def _cmd_complexity(args) -> int:
     coloring = _load_coloring(args)
     if args.max_n is None and args.factor_len is None:
         raise InputError("give a factor length (-n) or a range (--max-n)")
-    lengths = range(1, args.max_n + 1) if args.max_n else [args.factor_len]
+    if args.max_n is not None and args.max_n < 1:
+        raise InputError(f"--max-n must be >= 1 (got {args.max_n})")
+    lengths = range(1, args.max_n + 1) if args.max_n is not None else [args.factor_len]
     counts = {str(n): colorings.complexity(coloring, n) for n in lengths}
     _emit(args, {"n": coloring.n, "complexity": counts})
     return 0

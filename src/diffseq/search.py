@@ -5,7 +5,8 @@ bounds on prefixes, and the composite finite-range accessibility evidence.
 The avoider search colors positions left to right and breaks color symmetry
 canonically: position 1 is color 1 and a new color may only enter as
 (1 + largest color used so far). Per color c it keeps two threat masks, Python
-ints with one bit per position. With G the OR of 1 << d over the gaps, T_c is
+ints with one bit per position up to budget + 1 (higher bits are never read,
+so they are cut off). With G the OR of 1 << d over the gaps, T_c is
 the OR of G << y over the c-colored positions y ending a chain of length at
 least k-1, so bit x of T_c says that coloring x with c completes a k-term
 chain; U_c is the same mask at length k-2. A color is rejected by one bit
@@ -124,14 +125,15 @@ class DeltaResult:
         }
 
 
-def _spread(gapmask: int, positions: int) -> int:
-    """OR of ``gapmask << x`` over the set bits x of ``positions``."""
+def _spread(gapmask: int, positions: int, width: int) -> int:
+    """OR of ``gapmask << x`` over the set bits x of ``positions``, cut to
+    the bits of ``width``."""
     out = 0
     while positions:
         low = positions & -positions
         out |= gapmask << (low.bit_length() - 1)
         positions ^= low
-    return out
+    return out & width
 
 
 def _forced(T: list[int], window: int, r: int) -> Optional[list[int]]:
@@ -155,7 +157,7 @@ def _forced(T: list[int], window: int, r: int) -> Optional[list[int]]:
     return forced
 
 
-def _close(T, U, done, window, gapmask, k, r):
+def _close(T, U, done, window, gapmask, width, k, r):
     """Close the threat masks (updated in place) under forced moves on the
     window of uncolored positions.
 
@@ -181,13 +183,13 @@ def _close(T, U, done, window, gapmask, k, r):
                 new = f & ~done_u
                 if new:
                     done_u |= new
-                    U[c] |= _spread(gapmask, new)
+                    U[c] |= _spread(gapmask, new, width)
                     expansions += new.bit_count()
             # a forced position hit by U ends a chain of length k-1 (any, for k = 2)
             new = (f if k == 2 else f & U[c]) & ~done_t
             if new:
                 done_t |= new
-                add = _spread(gapmask, new)
+                add = _spread(gapmask, new, width)
                 T[c] |= add
                 if k > 3:
                     U[c] |= add
@@ -217,6 +219,8 @@ def _dfs_deepest(
     gapmask = 0
     for d in gaps:
         gapmask |= 1 << d
+    # no bit above budget + 1 (the top of the widest window) is ever read
+    width = (1 << (budget + 2)) - 1
     color = bytearray(budget + 2)
     chain = [0] * (budget + 2)  # length of the chain ending at each colored position
     allowed = [1] * (budget + 2)  # largest color a position may take (canonical order)
@@ -237,10 +241,11 @@ def _dfs_deepest(
             if color[y] == c and chain[y] >= length:
                 length = chain[y] + 1
         chain[pos] = length
+        threats = (gapmask << pos) & width
         if length >= k - 2:
-            U[c] |= gapmask << pos
+            U[c] |= threats
         if length >= k - 1:
-            T[c] |= gapmask << pos
+            T[c] |= threats
         allowed[pos + 1] = c + 1 if c == allowed[pos] and c < r else allowed[pos]
     states[start - 1] = (T, U, (0, 0))
 
@@ -275,27 +280,34 @@ def _dfs_deepest(
         else:
             length = 1
             if k > 3:
+                # U's bit is clear: no predecessor of color c ends a chain
+                # of length k-2, so k-2 is the most pos can reach
                 for d in gaps:
                     if d >= pos:
                         break
                     y = pos - d
                     if color[y] == c and chain[y] >= length:
                         length = chain[y] + 1
+                        if length == k - 2:
+                            break
         color[pos] = c
         chain[pos] = length
         T = T[:]
+        threats = (gapmask << pos) & width
         if k > 2:
             U = U[:]
             if length >= k - 2:
-                U[c] |= gapmask << pos
+                U[c] |= threats
         if length == k - 1:
-            T[c] |= gapmask << pos
+            T[c] |= threats
         if pos > best_depth:
             best_depth = pos
             best_word = bytes(color[1 : pos + 1])
         allowed[pos + 1] = c + 1 if c == allowed[pos] and c < r else allowed[pos]
         if pos < budget:  # the bound only matters on (pos, best_depth + 1]
-            done, expanded = _close(T, U, done, (4 << best_depth) - (2 << pos), gapmask, k, r)
+            done, expanded = _close(
+                T, U, done, (4 << best_depth) - (2 << pos), gapmask, width, k, r
+            )
             forced += expanded
             if done is None:
                 pruned += 1
@@ -497,6 +509,23 @@ def _odd_cycle(adj: list[int], n: int) -> Optional[list[int]]:
     return None
 
 
+def _prefix_bounds(gaps: list[int], n: int) -> tuple[list[int], int, dict]:
+    """The greedy coloring of positions 1..n, and the clique or odd-cycle
+    lower bound with its witness. The adjacency masks (n ints of n bits) are
+    freed before the search starts."""
+    adj = _prefix_adjacency(gaps, n)
+    greedy = _greedy_coloring(adj, n)
+    clique = _greedy_clique(adj, n)
+    lower = max(len(clique), 1)
+    lower_witness = {"kind": "clique", "vertices": clique}
+    if lower < 3:
+        cycle = _odd_cycle(adj, n)
+        if cycle is not None and len(cycle) % 2 == 1:
+            lower = 3
+            lower_witness = {"kind": "odd_cycle", "vertices": cycle}
+    return greedy[1:], lower, lower_witness
+
+
 def chromatic_number_prefix(view: GapSetView, n: int) -> ChromaticResult:
     """Bracket (or exactly solve) the chromatic number of the graph on [1..n]
     whose edges join positions differing by a gap.
@@ -509,18 +538,8 @@ def chromatic_number_prefix(view: GapSetView, n: int) -> ChromaticResult:
     if n < 1:
         raise ValueError("need n >= 1")
     gaps = [d for d in view.elements if d < n]
-    adj = _prefix_adjacency(gaps, n)
-    greedy = _greedy_coloring(adj, n)
-    upper = max(greedy[1:], default=1)
-    clique = _greedy_clique(adj, n)
-    lower = max(len(clique), 1)
-    lower_witness = {"kind": "clique", "vertices": clique}
-    if lower < 3:
-        cycle = _odd_cycle(adj, n)
-        if cycle is not None and len(cycle) % 2 == 1:
-            lower = 3
-            lower_witness = {"kind": "odd_cycle", "vertices": cycle}
-    coloring = greedy[1:]
+    coloring, lower, lower_witness = _prefix_bounds(gaps, n)
+    upper = max(coloring, default=1)
     nodes_left = _CHROMATIC_NODES
     value: Optional[int] = upper  # the greedy coloring witnesses the upper bound
     for r in range(lower, upper):

@@ -14,7 +14,10 @@ chosen from facts of its input; nothing else selects them:
   position 1 that is already longer skips them). Level l+1 of a color is
   its mask AND the OR over the gaps of level l shifted, one Python-int
   shift per gap, color and level;
-* the O(N |D|) DP otherwise.
+* the DP otherwise. Its gap loop stops at the first same-colored
+  predecessor whose color's longest chain up to it is below the best length
+  found so far, one running maximum per color; that is exact and, on long
+  chains, tries a few gaps per position in place of all |D|.
 
 Progressions and the pair check run on one Python-int mask per color. The
 pair check tests the first |D| positions one at a time against a gap mask,
@@ -51,8 +54,10 @@ DIFFSEQUENCE = "diffsequence"
 AP = "ap"
 
 # levels x colors the mask-level chain method may compute before it leaves
-# the prefix to the DP. A level costs about 1/2000 of the DP per color, so an
-# abandoned attempt costs a few percent of the DP it precedes.
+# the prefix to the DP. Forced past the greedy check, an abandoned attempt on
+# the bench chains costs 0.05-0.5 of the cut-off DP on the Fibonacci and
+# squares gaps and 3.4-3.9 times it (about 14 ms) on primes at N = 7000,
+# where the cut-off DP takes 4 ms; the greedy check skips every one of them.
 _LEVEL_BUDGET = 32
 
 # a period counts when it repeats at least this often: the residue rule then
@@ -117,7 +122,7 @@ def longest_mono_diffseq(coloring: Coloring, view: GapSetView) -> ScanResult:
     period = _period(gaps, n)
     if period:
         m, j = period
-        witness = _chain_by_residues(word, n, m, gaps[:j])
+        witness = _chain_by_residues(word, gaps, n, m, j)
     else:
         witness = _chain_by_levels(word, coloring.r, gaps, n) or _chain_by_dp(word, gaps, n)
     return ScanResult(DIFFSEQUENCE, len(witness), witness, n, word[witness[-1] - 1])
@@ -168,19 +173,19 @@ def _period(gaps: tuple[int, ...], n: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def _chain_by_residues(word: bytes, n: int, m: int, residues: tuple[int, ...]) -> list[int]:
+def _chain_by_residues(word: bytes, gaps: tuple[int, ...], n: int, m: int, j: int) -> list[int]:
     """Chain DP over (color, position mod m) classes when D has period m on
-    [1, n-1] and ``residues`` are the residues of its elements.
+    [1, n-1] and its first j elements are the residues of all of them.
 
     Position y precedes x exactly when they share a color and (x - y) mod m
-    is in ``residues``, so each class keeps only its best length and the
-    latest position with it, packed as length * (n + 1) + position: the
-    largest key among x's classes is the DP's parent (longest, then smallest
-    gap).
+    is a residue, so each class keeps only its best length and the latest
+    position with it, packed as length * (n + 1) + position: the largest key
+    among x's classes gives x's length.
     """
+    residues = gaps[:j]
     stride = n + 1
     keys = [0] * ((max(word) + 1) * m)
-    parent = [0] * stride
+    length = [0] * stride
     best_len, best_end = 0, 0
     for x in range(1, stride):
         base = word[x - 1] * m
@@ -189,15 +194,15 @@ def _chain_by_residues(word: bytes, n: int, m: int, residues: tuple[int, ...]) -
             key = keys[base + (x - s) % m]
             if key > top:
                 top = key
-        length, parent[x] = divmod(top, stride)
-        length += 1
+        best = top // stride + 1
+        length[x] = best
         slot = base + x % m
-        key = length * stride + x
+        key = best * stride + x
         if key > keys[slot]:
             keys[slot] = key
-        if length > best_len:
-            best_len, best_end = length, x
-    return _walk_back(parent, best_end)
+        if best > best_len:
+            best_len, best_end = best, x
+    return _walk_back(word, gaps, length, best_end)
 
 
 def _chain_by_levels(word: bytes, r: int, gaps: tuple[int, ...], n: int) -> Optional[list[int]]:
@@ -261,35 +266,62 @@ def _greedy_length(word: bytes, gaps: tuple[int, ...], n: int, limit: int) -> in
     return length
 
 
-def _walk_back(parent: list[int], end: int) -> list[int]:
-    witness = []
-    while end:
-        witness.append(end)
-        end = parent[end]
+def _walk_back(word: bytes, gaps: tuple[int, ...], length: list[int], end: int) -> list[int]:
+    """The DP's witness from its chain lengths: from ``end`` back, each step
+    takes the smallest gap to a same-colored predecessor one shorter, which
+    is the DP's parent. A step scans no more gaps than it spans, so the
+    walk costs O(N)."""
+    witness = [end]
+    x = end
+    while length[x] > 1:
+        want, cx = length[x] - 1, word[x - 1]
+        for d in gaps:
+            y = x - d
+            if word[y - 1] == cx and length[y] == want:
+                break
+        witness.append(y)
+        x = y
     witness.reverse()
     return witness
 
 
 def _chain_by_dp(word: bytes, gaps: tuple[int, ...], n: int) -> list[int]:
-    """The O(N x |D|) DP: L(x) = 1 + max L(x-d) over same-colored
-    predecessors, the parent being the smallest such gap."""
+    """The DP L(x) = 1 + max L(x-d) over same-colored predecessors, with an
+    exact cut-off on the gap loop.
+
+    top[y] is the longest chain ending at a position <= y of y's color, one
+    running maximum per color. The gaps run in increasing order, so y = x - d
+    decreases and the loop stops at the first same-colored y with
+    top[y] < best: no later y of that color reaches best, so only
+    predecessors that could never become the parent are skipped. On long
+    chains top stays close to the length reached, and few gaps are tried per
+    position; on short ones it never drops below best and the loop runs all
+    of its O(N |D|).
+    """
+    colors = b"\0" + word  # position x's color at index x
     length = [0] * (n + 1)
-    parent = [0] * (n + 1)
+    top = [0] * (n + 1)
+    running = [0] * 256
     best_len, best_end = 0, 0
     for x in range(1, n + 1):
-        cx = word[x - 1]
-        best, back = 1, 0
+        cx = colors[x]
+        best = 1
         for d in gaps:
             if d >= x:
                 break
             y = x - d
-            if word[y - 1] == cx and length[y] >= best:
-                best, back = length[y] + 1, y
+            if colors[y] == cx:
+                if length[y] >= best:
+                    best = length[y] + 1
+                elif top[y] < best:
+                    break
         length[x] = best
-        parent[x] = back
+        if best > running[cx]:
+            running[cx] = best
+        top[x] = running[cx]
         if best > best_len:
             best_len, best_end = best, x
-    return _walk_back(parent, best_end)
+    return _walk_back(word, gaps, length, best_end)
 
 
 def _color_masks(word: bytes, r: int) -> list[int]:

@@ -259,6 +259,13 @@ def test_color_text_format(capsys):
     assert out.strip() == "11221122"
 
 
+def test_block_and_residue_colorings_need_a_width(capsys):
+    for kind in ("block", "residue"):
+        code, _, err = _run(capsys, "color", "--kind", kind, "-N", "8")
+        assert code == 2
+        assert err.strip() == f"error: --kind {kind} needs -m"
+
+
 def test_color_rotation_flags(capsys):
     code, out, _ = _run(
         capsys, "color", "--kind", "rotation",
@@ -326,6 +333,17 @@ def test_complexity_command(capsys):
     assert code == 0
     counts = json.loads(out)["complexity"]
     assert counts == {"1": 2, "2": 3, "3": 4, "4": 5, "5": 6, "6": 7}
+
+
+def test_complexity_range_must_be_positive(capsys):
+    # a range of no lengths is refused, and --max-n 0 must not fall through to -n
+    for max_n in ("0", "-2"):
+        code, out, err = _run(
+            capsys, "complexity", "--coloring", "preset:goldenrotation", "-N", "20",
+            "--max-n", max_n,
+        )
+        assert (code, out) == (2, "")
+        assert err.strip() == f"error: --max-n must be >= 1 (got {max_n})"
 
 
 def test_pipeline_command_pass_and_growth_error(capsys):
@@ -434,9 +452,15 @@ _spec = _mostly(
     specs,
 )
 _spec_text = _mostly(_spec.map(json.dumps), st.text(max_size=8))
-_number_text = _mostly(
-    st.integers(-3, 2000).map(str), st.sampled_from(["", "x", "1/2", "1e3", "0x10", "-0"])
-)
+
+
+def _int_text(low, high):
+    return _mostly(
+        st.integers(low, high).map(str), st.sampled_from(["", "x", "1/2", "1e3", "0x10", "-0"])
+    )
+
+
+_number_text = _int_text(-3, 2000)
 
 
 @st.composite
@@ -461,19 +485,91 @@ def _scan_or_set_argv(draw):
     return argv
 
 
-@settings(max_examples=200, deadline=None)
-@given(_scan_or_set_argv())
-def test_scan_and_set_argv_fuzz(argv):
-    # any argv ends in exit 0, 1 or 2 without a traceback, and exit 1 only
-    # when a scan's length exceeds --max-k
+def _main_outcome(argv):
+    """Exit code, stdout and stderr of one CLI call."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse refuses malformed flags with exit 2
             code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scan_or_set_argv())
+def test_scan_and_set_argv_fuzz(argv):
+    # any argv ends in exit 0, 1 or 2 without a traceback, and exit 1 only
+    # when a scan's length exceeds --max-k
+    code, stdout, stderr = _main_outcome(argv)
     assert code in (0, 1, 2), (argv, code)
-    assert "Traceback" not in stderr.getvalue()
+    assert "Traceback" not in stderr
     if code == 1:
         max_k = int(argv[argv.index("--max-k") + 1])
-        assert json.loads(stdout.getvalue())["length"] > max_k
+        assert json.loads(stdout)["length"] > max_k
+
+
+_presets = _mostly(
+    st.sampled_from(["sqrt5over8", "oneplusphiover4", "goldenrotation"]),
+    st.sampled_from(["nope", ""]),
+)
+_rational_text = _mostly(
+    st.sampled_from(["0", "1/2", "-3/7", "5", "2/3", "1/1000"]),
+    st.sampled_from(["", "x", "1/0", "0.5", "nan", "1e3"]),
+)
+
+
+@st.composite
+def _other_command_argv(draw):
+    """argv for color, complexity, chromatic and delta, on small inputs only:
+    -N <= 2000 for colorings, budget <= 30 on one worker, and -N <= 50 for
+    chromatic (squares past about 85 spend its whole node budget, some 12 s)."""
+    command = draw(st.sampled_from(["color", "complexity", "chromatic", "delta"]))
+    argv = [command]
+
+    def maybe(flag, values):
+        if draw(st.integers(0, 9)):
+            argv.extend([flag, draw(values)])
+
+    if command == "color":
+        if draw(st.booleans()):
+            maybe("--preset", _presets)
+        else:
+            maybe("--kind", _mostly(
+                st.sampled_from(["frac", "block", "residue", "rotation"]), st.just("chain")
+            ))
+        for flag in ("--alpha", "--alpha-root5", "--x0", "--x0-root5", "--cut", "--cut-root5"):
+            if draw(st.booleans()):
+                argv += [flag, draw(_rational_text)]
+        maybe("-r", _int_text(-1, 6))
+        maybe("-m", _int_text(-1, 12))
+        maybe("-N", _int_text(-3, 2000))
+        if draw(st.booleans()):
+            argv += ["--format", draw(_mostly(st.sampled_from(["rle", "text"]), st.just("csv")))]
+    elif command == "complexity":
+        argv += ["--coloring", "preset:" + draw(_presets)]
+        maybe("-N", _int_text(-3, 2000))
+        if draw(st.booleans()):
+            maybe("-n", _int_text(-2, 2100))
+        if draw(st.booleans()):
+            maybe("--max-n", _int_text(-2, 40))
+    else:
+        maybe("--set-json", _spec_text)
+        if command == "chromatic":
+            maybe("-N", _int_text(-3, 50))
+        else:
+            maybe("-k", _int_text(-1, 6))
+            maybe("-r", _int_text(-1, 4))
+            maybe("--budget", _int_text(-3, 30))
+            argv += ["--threads", "1"]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_other_command_argv())
+def test_other_commands_argv_fuzz(argv):
+    # none of these commands claims anything, so any argv ends in exit 0 or 2
+    # without a traceback
+    code, _, stderr = _main_outcome(argv)
+    assert code in (0, 2), (argv, code)
+    assert "Traceback" not in stderr

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -304,6 +305,22 @@ def test_stats_block():
     assert stats["pruned"] > 0
     assert (stats["split_depth"], stats["frontier"]) == (None, 0)
     assert delta(v3, 4, 2, 40).stats == res.stats  # counts are deterministic
+
+
+def test_search_counts_are_pinned():
+    # k >= 4 runs the chain-length loop at every placement the U mask leaves
+    # open; nodes, prunes and forced moves must not move with its shortcuts
+    squares = GapSetSpec.polynomial([1, 0, 0]).enumerate(100)
+    nonmult4 = GapSetSpec.nonmultiples(4).enumerate(100)
+    for view, k, r, value, counts in (
+        (squares, 5, 2, 56, (107_805, 19_649, 34_254, 81_299)),
+        (nonmult4, 5, 3, 31, (153_726, 56_657, 45_826, 230_995)),
+    ):
+        res = delta(view, k, r, 100)
+        assert (res.verdict, res.value) == (DELTA, value)
+        stats = res.stats
+        assert (stats.nodes, stats.rejected, stats.pruned, stats.forced) == counts
+        assert _chain_free(res.witness.colors, [d for d in view.elements if d < 100], k)
 
 
 def test_canonical_color_order_keeps_existence_verdict():
@@ -612,6 +629,20 @@ def test_chromatic_pinned_values():
     for spec, n, value in ((squares, 57, 4), (squares, 58, 5), (GapSetSpec.primes(), 2000, 4)):
         res = chromatic_number_prefix(spec.enumerate(n), n)
         assert res.exact and res.value == value == res.lower == res.upper
+
+
+def test_chromatic_search_memory():
+    # threat masks cut to budget + 2 bits, and the adjacency freed before the
+    # search: 3.1 MB with neither, 2.6 MB with the cut alone, 2.0 MB with both
+    view = GapSetSpec.primes().enumerate(2000)
+    tracemalloc.start()
+    try:
+        res = chromatic_number_prefix(view, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exact and res.value == 4
+    assert peak < 2_400_000, peak
 
 
 # -- composite evidence -----------------------------------------------------------

@@ -335,6 +335,114 @@ def test_chain_kernel_matches_reference_dp(chain_methods):
     assert all(taken[m] >= 40 for m in ("residues", "levels", "levels, then dp", "dp")), taken
 
 
+def _cut_off_skips(coloring: Coloring, view: GapSetView) -> tuple[int, int]:
+    """(gap cells the DP's cut-off skips, usable gap cells), from a full scan.
+
+    At x the DP stops at the first same-colored y = x - d whose top[y], the
+    longest chain of that color ending at or before y, is below the best
+    length found so far; the usable gaps past d are skipped.
+    """
+    n = coloring.n
+    gaps = [d for d in view.elements if d < n]
+    word = coloring.colors
+    length = [0] * (n + 1)
+    top = [0] * (n + 1)
+    running = Counter()
+    skipped = cells = 0
+    for x in range(1, n + 1):
+        cx = word[x - 1]
+        usable = [d for d in gaps if d < x]
+        cells += len(usable)
+        best, stop = 1, None
+        for i, d in enumerate(usable):
+            y = x - d
+            if word[y - 1] == cx:
+                if stop is None and top[y] < best:
+                    stop = i
+                best = max(best, length[y] + 1)
+        if stop is not None:
+            skipped += len(usable) - 1 - stop
+        length[x] = best
+        running[cx] = max(running[cx], best)
+        top[x] = running[cx]
+    return skipped, cells
+
+
+def test_chain_dp_on_short_inputs_matches_reference():
+    # the scan sends short chains to other methods, so the DP is called
+    # directly; at 12, predecessor 7 makes best 3 and 6 has top 3 (from 4):
+    # equal to best is not below it, and 4 then makes best 4
+    cases = [(3, _word("211121132331"), [1, 5, 6, 8])]
+    rng = random.Random(3141)
+    for _ in range(1500):
+        r = rng.randint(1, 4)
+        n = rng.randint(1, 60)
+        word = bytes(rng.randint(1, r) for _ in range(n))
+        cases.append((r, word, rng.sample(range(1, 70), rng.randint(0, 10))))
+    for r, word, gaps in cases:
+        coloring, view = Coloring(r, word), _view(gaps, len(word))
+        usable = tuple(d for d in view.elements if d < len(word))
+        witness = verify_module._chain_by_dp(word, usable, len(word))
+        assert witness == _reference_chain(coloring, view).witness, (r, word, gaps)
+
+
+def _seeded_alphas(seed: int, count: int) -> list[Q5]:
+    """(a + b sqrt5)/c with 5 <= c <= 12, 0 <= a < c and 1 <= b < c."""
+    rng = random.Random(seed)
+    alphas = []
+    for _ in range(count):
+        c = rng.randint(5, 12)
+        alphas.append(Q5(F(rng.randrange(c), c), F(rng.randint(1, c - 1), c)))
+    return alphas
+
+
+def test_chain_dp_cut_off_matches_reference_dp(chain_methods):
+    primes = GapSetSpec.primes()
+    squares = GapSetSpec.polynomial([1, 0, 0])
+    cases = []
+    for r, alpha in zip((2, 3, 4), _seeded_alphas(5, 3)):
+        cases.append(("primes, frac", frac_coloring(alpha, r, 1500), primes.enumerate(1500)))
+    for r, alpha in zip((2, 3, 4, 3), _seeded_alphas(6, 4)):
+        cases.append(("squares, frac", frac_coloring(alpha, r, 3000), squares.enumerate(3000)))
+    for width in (2, 3, 7):
+        cases.append(("primes, blocks", block_coloring(width, 2000), primes.enumerate(2000)))
+    # r colors in blocks of 11 with n a multiple of 11 r: each color's class
+    # is color 1's shifted, so every color ties and color 1 ends first; the
+    # reversed palette makes color r the winner
+    for r in (2, 3, 4):
+        word = bytes((x // 11) % r + 1 for x in range(11 * r * 30))
+        for w in (word, bytes(r + 1 - c for c in word)):
+            cases.append(("tie", Coloring(r, w), primes.enumerate(len(w))))
+    # gaps are the primes above 50: three colors in blocks of 40 chain at
+    # most once per block, while color 4, every 53rd position, is a chain
+    n = 3000
+    above_50 = _view([p for p in primes.enumerate(n).elements if p > 50], n)
+    rare = bytes(4 if x % 53 == 0 else (x - 1) // 40 % 3 + 1 for x in range(1, n + 1))
+    cases.append(("rare color", Coloring(4, rare), above_50))
+    # gaps are the primes above 100 and blocks are narrower, so a chain takes
+    # one position per block of its color: the length plateaus a little
+    # above the level budget 32 // r within each block
+    above_100 = _view([p for p in primes.enumerate(n).elements if p > 100], n)
+    for r, width in ((2, 85), (3, 90)):
+        word = bytes((x - 1) // width % r + 1 for x in range(1, n + 1))
+        cases.append(("plateau", Coloring(r, word), above_100))
+
+    for what, coloring, view in cases:
+        result, method = chain_methods(coloring, view)
+        assert result.to_json() == _reference_chain(coloring, view).to_json(), what
+        assert method in ("dp", "levels, then dp"), (what, method)
+        skipped, cells = _cut_off_skips(coloring, view)
+        assert skipped > cells // 2, (what, skipped, cells)  # 80-98% here
+        if what == "tie":
+            assert result.color == coloring.colors[0]
+        elif what == "rare color":
+            counts = Counter(coloring.colors)
+            assert result.color == 4 == min(counts, key=counts.get)
+        elif what == "plateau":
+            budget = verify_module._LEVEL_BUDGET // coloring.r
+            assert budget < result.length <= budget + 3
+
+
 def test_periodic_and_short_chain_scans_skip_the_dp(monkeypatch):
     def no_dp(*args):
         raise AssertionError("the chain DP ran")
