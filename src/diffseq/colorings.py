@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Union
 
 from .exactnum import Q5, floor5, integer_triples, sign5
 
@@ -167,57 +167,38 @@ def residue_coloring(m: int, n: int) -> Coloring:
 CutLike = Union[int, Fraction, str, Q5]
 
 
-def rotation_word(
-    alpha: AlphaLike,
-    x0: AlphaLike,
-    cut: CutLike,
-    n: int,
-    first_class: Optional[Sequence[tuple[CutLike, CutLike]]] = None,
-) -> Coloring:
+def rotation_word(alpha: AlphaLike, x0: AlphaLike, cut: CutLike, n: int) -> Coloring:
     """Binary coding of the rotation x -> x + alpha started at x0.
 
     Position n gets color 1 iff {x0 + n*alpha} lies in [0, cut); with an
     irrational alpha and the cut aligned to {alpha} this produces a Sturmian
-    word. ``first_class`` replaces the single cut by a union of half-open
-    intervals [lo, hi) for color 1.
+    word.
 
     The point is kept as integers (P, U) over a common denominator L of
-    alpha, x0 and the endpoints: each step adds alpha, subtracts the floor,
-    and tests each window with two ``sign5`` calls.
+    alpha, x0 and the cut: each step adds alpha, subtracts the floor, and
+    tests the cut with one ``sign5`` call.
     """
     _check_length(n)
     alpha_q5 = Q5.coerce(alpha)
     x0_q5 = Q5.coerce(x0)
-    if first_class is None:
-        cut_q5 = Q5.coerce(cut)
-        if not (Q5(0) < cut_q5 < Q5(1)):
-            raise ValueError("cut must satisfy 0 < cut < 1")
-        windows = [(Q5(0), cut_q5)]
-    else:
-        windows = [(Q5.coerce(w_lo), Q5.coerce(w_hi)) for w_lo, w_hi in first_class]
-    L, ((AP, AU), (P, U), *ends) = integer_triples(
-        alpha_q5, x0_q5, *(end for window in windows for end in window)
-    )
-    bounds = list(zip(ends[::2], ends[1::2]))
+    cut_q5 = Q5.coerce(cut)
+    if not (Q5(0) < cut_q5 < Q5(1)):
+        raise ValueError("cut must satisfy 0 < cut < 1")
+    L, ((AP, AU), (P, U), (CP, CU)) = integer_triples(alpha_q5, x0_q5, cut_q5)
     word = bytearray(b"\x02") * n
     for pos in range(n):
         P += AP
         U += AU
-        P -= floor5(P, U, L) * L  # the point is now {x0 + (pos+1)*alpha}
-        for (lp, lu), (hp, hu) in bounds:
-            if sign5(P - lp, U - lu) >= 0 and sign5(P - hp, U - hu) < 0:
-                word[pos] = 1
-                break
+        P -= floor5(P, U, L) * L  # the point is now {x0 + (pos+1)*alpha}, >= 0
+        if sign5(P - CP, U - CU) < 0:
+            word[pos] = 1
     prov = {
         "generator": "rotation",
         "alpha": alpha_q5.to_json(),
         "x0": x0_q5.to_json(),
         "n": n,
+        "cut": cut_q5.to_json(),
     }
-    if first_class is None:
-        prov["cut"] = cut_q5.to_json()
-    else:
-        prov["first_class"] = [[lo.to_json(), hi.to_json()] for lo, hi in windows]
     return Coloring(2, bytes(word), prov)
 
 

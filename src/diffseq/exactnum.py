@@ -14,29 +14,33 @@ canonical form (positive denominator, gcd 1) after every operation.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 RationalLike = Union[int, Fraction, str]
 NumberLike = Union[int, Fraction, str, "Q5"]
 
+_RATIONAL_TEXT = re.compile("-?[0-9]+(/[0-9]+)?")
+
 
 def to_rational(value: RationalLike) -> Fraction:
     """Parse an exact rational from an int, Fraction, or a "p/q" string.
 
-    Decimal float syntax is rejected on purpose: callers must state exact
-    values ("21/100", not 0.21).
+    A string must be ASCII digits with an optional leading minus and an
+    optional "/q", the gapset schema's pattern, matched in full: no decimal
+    point or exponent ("21/100", not 0.21), no sign "+", underscore,
+    surrounding space or non-ASCII digit.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):  # JSON true is no number
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        if "." in text or "e" in text or "E" in text:
+        if not _RATIONAL_TEXT.fullmatch(value):
             raise ValueError(f"exact rational required (got {value!r}); write p/q")
         try:
-            return Fraction(text)
+            return Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")

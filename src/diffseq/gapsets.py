@@ -136,7 +136,7 @@ class GapSetSpec:
         """
         try:
             cs = tuple(to_rational(c) for c in coeffs)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise SpecValidationError(f"polynomial coefficients: {exc}") from None
         if len(cs) < 2:
             raise SpecValidationError("polynomial needs degree >= 1 plus a constant term")

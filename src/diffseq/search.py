@@ -31,7 +31,11 @@ r-coloring of [1..n] is an r-coloring with no monochromatic 2-term chain.
 ``chromatic_number_prefix`` takes greedy and clique/odd-cycle bounds, then
 runs the same search at k = 2 for r from the lower bound up, under one node
 budget for the whole loop. When the budget runs out the bounds stand and the
-result is not exact.
+result is not exact. The bounds read the graph from the same gap mask G and
+build no adjacency table: the greedy coloring is first-fit on per-color
+threat masks (v takes the least color whose mask has bit v clear, and that
+mask then ORs in G << v), and the clique and odd cycle take the neighbours
+of v as G << v together with G reflected on [0, n] shifted down by n - v.
 """
 
 from __future__ import annotations
@@ -41,14 +45,14 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .certs import Certificate
 from .colorings import Coloring, frac_coloring
 from .construct import certify_fracs, diffseq_bound_from_eps
 from .exactnum import Q5, rational_str, to_rational
 from .gapsets import GapSetView
-from .verify import longest_mono_diffseq
+from .verify import _gap_mask, longest_mono_diffseq
 
 DELTA = "delta"
 UNKNOWN = "unknown"
@@ -216,9 +220,7 @@ def _dfs_deepest(
     count exceeds it, so a returned count above ``max_nodes`` without a
     full-budget hit leaves the tree undecided.
     """
-    gapmask = 0
-    for d in gaps:
-        gapmask |= 1 << d
+    gapmask = _gap_mask(gaps)
     # no bit above budget + 1 (the top of the widest window) is ever read
     width = (1 << (budget + 2)) - 1
     color = bytearray(budget + 2)
@@ -427,52 +429,48 @@ class ChromaticResult:
         }
 
 
-def _prefix_adjacency(gaps: list[int], n: int) -> list[int]:
-    adj = [0] * (n + 1)
+def _greedy_coloring(gapmask: int, n: int) -> list[int]:
+    """First-fit on per-color threat masks (the k = 2 rule): v takes the
+    least color whose mask has bit v clear, and that mask ORs in G << v."""
+    threats = [0] * (n + 1)
+    colors = []
     for v in range(1, n + 1):
-        for d in gaps:
-            u = v - d
-            if u < 1:
-                break
-            adj[v] |= 1 << u
-            adj[u] |= 1 << v
-    return adj
-
-
-def _greedy_coloring(adj: list[int], n: int) -> list[int]:
-    colors = [0] * (n + 1)
-    for v in range(1, n + 1):
-        used = 0
-        nb = adj[v]
-        while nb:
-            u = nb & -nb
-            i = u.bit_length() - 1
-            if i < v:
-                used |= 1 << colors[i]
-            nb ^= u
         c = 1
-        while used >> c & 1:
+        while threats[c] >> v & 1:
             c += 1
-        colors[v] = c
+        threats[c] |= gapmask << v
+        colors.append(c)
     return colors
 
 
-def _greedy_clique(adj: list[int], n: int) -> list[int]:
+def _neighbours(gapmask: int, n: int) -> Callable[[int], int]:
+    """Neighbour masks of the distance graph on [1..n]: G << v holds the
+    v + d, and G reflected (bit n - d per gap d) shifted down by n - v the v - d."""
+    reflected = int(format(gapmask, f"0{n + 1}b")[::-1], 2)
+    vertices = (2 << n) - 2
+
+    def neighbours(v: int) -> int:
+        return ((gapmask << v) | (reflected >> (n - v))) & vertices
+
+    return neighbours
+
+
+def _greedy_clique(neighbours: Callable[[int], int], n: int) -> list[int]:
     best: list[int] = []
     for start in range(1, n + 1):
         clique = [start]
-        candidates = adj[start]
+        candidates = neighbours(start)
         while candidates:
             low = candidates & -candidates
             u = low.bit_length() - 1
             clique.append(u)
-            candidates &= adj[u]
+            candidates &= neighbours(u)
         if len(clique) > len(best):
             best = clique
     return sorted(best)
 
 
-def _odd_cycle(adj: list[int], n: int) -> Optional[list[int]]:
+def _odd_cycle(neighbours: Callable[[int], int], n: int) -> Optional[list[int]]:
     # two-color along a spanning tree; any same-side edge closes an odd cycle
     # (side is the parity of the tree path, so the closed walk has odd length)
     side = [-1] * (n + 1)
@@ -484,7 +482,7 @@ def _odd_cycle(adj: list[int], n: int) -> Optional[list[int]]:
         stack = [root]
         while stack:
             v = stack.pop()
-            nb = adj[v]
+            nb = neighbours(v)
             while nb:
                 low = nb & -nb
                 u = low.bit_length() - 1
@@ -511,29 +509,30 @@ def _odd_cycle(adj: list[int], n: int) -> Optional[list[int]]:
 
 def _prefix_bounds(gaps: list[int], n: int) -> tuple[list[int], int, dict]:
     """The greedy coloring of positions 1..n, and the clique or odd-cycle
-    lower bound with its witness. The adjacency masks (n ints of n bits) are
-    freed before the search starts."""
-    adj = _prefix_adjacency(gaps, n)
-    greedy = _greedy_coloring(adj, n)
-    clique = _greedy_clique(adj, n)
+    lower bound with its witness, all read from the gap mask G by shifts."""
+    gapmask = _gap_mask(gaps)
+    greedy = _greedy_coloring(gapmask, n)
+    neighbours = _neighbours(gapmask, n)
+    clique = _greedy_clique(neighbours, n)
     lower = max(len(clique), 1)
     lower_witness = {"kind": "clique", "vertices": clique}
     if lower < 3:
-        cycle = _odd_cycle(adj, n)
+        cycle = _odd_cycle(neighbours, n)
         if cycle is not None and len(cycle) % 2 == 1:
             lower = 3
             lower_witness = {"kind": "odd_cycle", "vertices": cycle}
-    return greedy[1:], lower, lower_witness
+    return greedy, lower, lower_witness
 
 
 def chromatic_number_prefix(view: GapSetView, n: int) -> ChromaticResult:
     """Bracket (or exactly solve) the chromatic number of the graph on [1..n]
     whose edges join positions differing by a gap.
 
-    The first r from the lower bound up with a 2-chain avoider of [1..n] is
-    the value and its first canonical avoider the coloring; the result is
-    exact when the bounds meet or every smaller r was refuted within
-    ``_CHROMATIC_NODES`` search nodes.
+    The greedy and clique/odd-cycle bounds read the graph from the gap mask
+    by shifts, with no adjacency table. The first r from the lower bound up
+    with a 2-chain avoider of [1..n] is the value and its first canonical
+    avoider the coloring; the result is exact when the bounds meet or every
+    smaller r was refuted within ``_CHROMATIC_NODES`` search nodes.
     """
     if n < 1:
         raise ValueError("need n >= 1")

@@ -334,6 +334,14 @@ def _color_masks(word: bytes, r: int) -> list[int]:
     return masks
 
 
+def _gap_mask(gaps: Sequence[int]) -> int:
+    """Bit d set for each gap d, built through one byte per bit: O(max gap)."""
+    bits = bytearray(b"0") * (max(gaps, default=0) + 1)
+    for d in gaps:
+        bits[d] = _ONE
+    return int(bits[::-1], 2)
+
+
 def _pair_starts(masks: list[int], d: int) -> int:
     """Bit x-1 is set iff positions x and x+d have the same color."""
     out = 0
@@ -376,8 +384,8 @@ def chromatically_intersective_check(coloring: Coloring, view: GapSetView) -> Sc
     """Two-term special case: is there a same-colored pair differing by a gap?
 
     The pair with the smallest first term x, then the smallest gap d, is
-    reported. Position x pairs with the set bits of (m >> x) & G, where m is
-    the mask of x's color and G has bit d-1 set for each gap d. The first
+    reported. Position x pairs with the set bits of (m >> (x-1)) & G, where m
+    is the mask of x's color and G has bit d set for each gap d. The first
     len(gaps) positions are tested that way in order, so an early pair stops
     the scan. A tested position costs one shift and a swept gap costs one per
     color, so past them the same-colored pair starts are ORed over the gaps
@@ -389,13 +397,10 @@ def chromatically_intersective_check(coloring: Coloring, view: GapSetView) -> Sc
     if n == 0:
         return ScanResult(DIFFSEQUENCE, 1, [], 0, None)
     masks = _color_masks(word, coloring.r)
-    gap_bits = bytearray(b"0" * n)
-    for d in gaps:
-        gap_bits[d - 1] = _ONE
-    gap_mask = int(gap_bits[::-1], 2)
+    gap_mask = _gap_mask(gaps)
 
     def partners(x: int) -> int:
-        return (masks[word[x - 1] - 1] >> x) & gap_mask
+        return (masks[word[x - 1] - 1] >> (x - 1)) & gap_mask
 
     head = len(gaps)
     x = next((x for x in range(1, head + 1) if partners(x)), 0)
@@ -408,7 +413,7 @@ def chromatically_intersective_check(coloring: Coloring, view: GapSetView) -> Sc
             x = head + (starts & -starts).bit_length()
     if x:
         found = partners(x)
-        d = (found & -found).bit_length()
+        d = (found & -found).bit_length() - 1
         return ScanResult(DIFFSEQUENCE, 2, [x, x + d], n, word[x - 1])
     return ScanResult(DIFFSEQUENCE, 1, [1], n, word[0])
 

@@ -573,3 +573,50 @@ def test_other_commands_argv_fuzz(argv):
     code, _, stderr = _main_outcome(argv)
     assert code in (0, 2), (argv, code)
     assert "Traceback" not in stderr
+
+
+_growing_spec = st.sampled_from([
+    {"kind": "geometric", "base": 4},
+    {"kind": "geometric", "base": 7},
+    {"kind": "even_fibonacci"},
+    {"kind": "pell"},
+    {"kind": "explicit", "elements": [1, 5, 30, 200, 1500, 9000]},
+    {"kind": "divided", "of": {"kind": "geometric", "base": 6}, "d": 2},
+])
+
+
+@st.composite
+def _alpha_or_pipeline_argv(draw):
+    """argv for alpha and pipeline on small inputs only: --steps <= 30 and,
+    for pipeline, a scan length -N <= 2000."""
+    command = draw(st.sampled_from(["alpha", "pipeline"]))
+    argv = [command]
+
+    def maybe(flag, values):
+        if draw(st.integers(0, 9)):
+            argv.extend([flag, draw(values)])
+
+    # mostly sets that grow fast enough for the constructor, and values it takes
+    maybe("--set-json", _mostly(_growing_spec.map(json.dumps), _spec_text))
+    maybe("--delta", _mostly(st.sampled_from(["1", "1/2", "2/3", "1/1000", "3"]), _rational_text))
+    maybe("--steps", _mostly(_int_text(2, 30), _int_text(-2, 1)))
+    if draw(st.booleans()):
+        maybe("-r", _mostly(_int_text(2, 4), _int_text(-1, 1)))
+    if draw(st.booleans()):
+        maybe("--start", _mostly(_int_text(0, 6), _int_text(-3, 40)))
+    if command == "pipeline":
+        maybe("-N", _mostly(_int_text(1, 2000), _int_text(-3, 0)))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_alpha_or_pipeline_argv())
+def test_alpha_and_pipeline_argv_fuzz(argv):
+    # any argv ends in exit 0, 1 or 2 without a traceback, and exit 1 only
+    # when pipeline's finite-range evidence fails
+    code, stdout, stderr = _main_outcome(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in stderr
+    if code == 1:
+        assert argv[0] == "pipeline"
+        assert json.loads(stdout)["evidence"]["passed"] is False

@@ -70,16 +70,6 @@ def test_golden_rotation_is_sturmian_on_prefix():
         assert complexity(word, n) == n + 1
 
 
-def test_rotation_multi_interval_classes():
-    windows = [(F(0), F(1, 4)), (F(1, 2), F(3, 4))]
-    word = rotation_word(F(1, 8), 0, None, 16, first_class=windows)
-    expected = []
-    for n in range(1, 17):
-        f = F(n, 8) % 1
-        expected.append(1 if any(lo <= f < hi for lo, hi in windows) else 2)
-    assert word.word() == expected
-
-
 def test_complexity_examples():
     alternating = Coloring(2, bytes([1, 2] * 10))
     assert complexity(alternating, 2) == 2  # {12, 21}
@@ -188,18 +178,16 @@ def test_rotation_word_exact_hits_on_the_cut():
     assert golden.word() == _ref_rotation(GOLDEN_ANGLE, 0, [(0, GOLDEN_ANGLE)], 500)
 
 
-def test_rotation_multi_window_endpoint_hits():
-    # {n/4} runs 1/4, 1/2, 3/4, 0: the shared endpoint 1/2 belongs to the
-    # second window, 3/4 (an upper end) and 0 (outside) to neither
-    windows = [(F(1, 4), F(1, 2)), (F(1, 2), F(3, 4))]
-    word = rotation_word(F(1, 4), 0, None, 8, first_class=windows)
-    assert word.word() == [1, 1, 2, 2] * 2
-    # irrational windows with a start point on a window end
-    q5_windows = [(Q5(0), GOLDEN_ANGLE), (Q5(F(3, 4)), Q5(1))]
-    start = Q5(F(3, 4)) - SQRT5_OVER_8
-    word = rotation_word(SQRT5_OVER_8, start, None, 300, first_class=q5_windows)
-    assert word.at(1) == 1  # {start + alpha} = 3/4 exactly
-    assert word.word() == _ref_rotation(SQRT5_OVER_8, start, q5_windows, 300)
+def test_rotation_word_endpoint_hits():
+    # {n/4} runs 1/4, 1/2, 3/4, 0: the cut 1/2 (an upper end) and 3/4 fall
+    # outside [0, 1/2), the lower end 0 inside
+    assert rotation_word(F(1, 4), 0, F(1, 2), 8).word() == [1, 2, 2, 1] * 2
+    # irrational cut with the start point placed so that {x0 + alpha} is
+    # exactly the cut, then exactly 0
+    for start, first in ((GOLDEN_ANGLE - SQRT5_OVER_8, 2), (-SQRT5_OVER_8, 1)):
+        word = rotation_word(SQRT5_OVER_8, start, GOLDEN_ANGLE, 300)
+        assert word.at(1) == first
+        assert word.word() == _ref_rotation(SQRT5_OVER_8, start, [(0, GOLDEN_ANGLE)], 300)
 
 
 def test_rotation_word_matches_reference_random():
@@ -209,10 +197,10 @@ def test_rotation_word_matches_reference_random():
             F(rng.randint(-30, 30), rng.randint(1, 12)), F(rng.randint(-9, 9), rng.randint(1, 12))
         )
         x0 = Q5(F(rng.randint(-9, 9), rng.randint(1, 8)), F(rng.randint(-3, 3), rng.randint(1, 8)))
-        cuts = sorted(F(rng.randint(0, 12), 12) for _ in range(4))
-        windows = [(cuts[0], cuts[1]), (cuts[2], cuts[3])]
-        word = rotation_word(alpha, x0, None, 120, first_class=windows)
-        assert word.word() == _ref_rotation(alpha, x0, windows, 120)
+        cut = Q5(F(rng.randint(1, 11), 12), F(rng.randint(-3, 3), rng.randint(1, 8)))
+        cut -= _ref_floor(cut)  # never 0: k/12 is no integer and sqrt5 is irrational
+        word = rotation_word(alpha, x0, cut, 120)
+        assert word.word() == _ref_rotation(alpha, x0, [(0, cut)], 120)
 
 
 def test_frac_coloring_matches_reference_near_cuts():

@@ -133,6 +133,11 @@ def test_rational_parsing_and_serialization():
     assert rational_str(F(5)) == "5/1"
     with pytest.raises(ValueError):
         to_rational("0.21")
+    # only the schema's -?[0-9]+(/[0-9]+)? in full, though Fraction reads these
+    for text in ("1_0", "1/2_0", "\u0663", "+1", " 1/2 ", "1/2\n", "1/-2", ""):
+        with pytest.raises(ValueError):
+            to_rational(text)
+    assert to_rational("-0/7") == 0
     assert Q5(F(3, 8), F(-1, 8)).to_json() == {"a": "3/8", "b": "-1/8"}
     with pytest.raises(TypeError):
         to_rational(True)  # a JSON boolean is not the integer 1

@@ -1,11 +1,15 @@
 """Gap set enumeration, transforms, growth certificates, the sieve cap."""
 
+import json
 import math
+import pathlib
 import random
 import tracemalloc
 from fractions import Fraction
 
+import jsonschema
 import pytest
+from referencing import Registry, Resource
 
 from diffseq import gapsets
 from diffseq.gapsets import (
@@ -15,6 +19,8 @@ from diffseq.gapsets import (
     fib_values,
     growth_certificate,
 )
+
+SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
 
 def test_enumerate_named_families():
@@ -276,24 +282,43 @@ def test_json_round_trip_all_kinds():
         GapSetSpec.from_json({"no": "kind"})
 
 
-@pytest.mark.parametrize(
-    "obj",
-    [
-        {"kind": "geometric", "base": 4.7},
-        {"kind": "geometric", "base": "4"},
-        {"kind": "explicit", "elements": [1.9, 3]},
-        {"kind": "explicit", "elements": "12"},
-        {"kind": "explicit", "elements": 12},
-        {"kind": "nonmultiples", "m": True},
-        {"kind": "polynomial", "coeffs": "10"},
-        {"kind": "polynomial", "coeffs": [1.5, 0]},
-        {"kind": "polynomial", "coeffs": [True, 0]},
-        {"kind": "union", "of": {"kind": "primes"}},
-        {"kind": "divided", "of": {"kind": "primes"}, "d": 2.0},
-        {"kind": "shifted", "of": {"kind": "primes"}, "c": "1"},
-    ],
-)
+OUTSIDE_SCHEMA = [
+    {"kind": "geometric", "base": 4.7},
+    {"kind": "geometric", "base": "4"},
+    {"kind": "explicit", "elements": [1.9, 3]},
+    {"kind": "explicit", "elements": "12"},
+    {"kind": "explicit", "elements": 12},
+    {"kind": "nonmultiples", "m": True},
+    {"kind": "polynomial", "coeffs": "10"},
+    {"kind": "polynomial", "coeffs": [1.5, 0]},
+    {"kind": "polynomial", "coeffs": [True, 0]},
+    {"kind": "union", "of": {"kind": "primes"}},
+    {"kind": "divided", "of": {"kind": "primes"}, "d": 2.0},
+    {"kind": "shifted", "of": {"kind": "primes"}, "c": "1"},
+    # coefficient strings Fraction would read but the schema's pattern refuses
+    {"kind": "polynomial", "coeffs": ["1_0", "0"]},
+    {"kind": "polynomial", "coeffs": ["1/2_0", "0"]},
+    {"kind": "polynomial", "coeffs": ["\u0663", "0"]},
+    {"kind": "polynomial", "coeffs": ["+1", "0"]},
+    {"kind": "polynomial", "coeffs": [" 1/2 ", "0"]},
+]
+
+
+@pytest.mark.parametrize("obj", OUTSIDE_SCHEMA)
 def test_from_json_refuses_values_outside_the_schema(obj):
     # a value the schema rejects is refused, never truncated, parsed or iterated into a set
     with pytest.raises(SpecValidationError):
         GapSetSpec.from_json(obj)
+
+
+def test_the_schema_rejects_every_refused_value():
+    schema = json.loads((SCHEMA_DIR / "gapset-spec.schema.json").read_text())
+    registry = Registry().with_resource(schema["$id"], Resource.from_contents(schema))
+    validator = jsonschema.validators.validator_for(schema)(schema, registry=registry)
+    # JSON Schema counts 2.0 as an integer, so an integral float is the one
+    # refusal the schema cannot state; the parser refuses the float json reads
+    integral_float = {"kind": "divided", "of": {"kind": "primes"}, "d": 2.0}
+    for obj in OUTSIDE_SCHEMA:
+        assert validator.is_valid(obj) == (obj == integral_float), obj
+    # integer coefficients stay valid, as the parser reads them
+    assert validator.is_valid({"kind": "polynomial", "coeffs": [1, "-1/2", 0]})

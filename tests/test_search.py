@@ -536,21 +536,113 @@ def test_chromatic_path_and_witness_properness():
         assert res.exact and res.value == _chromatic_by_enumeration(view, n)
 
 
-def _reference_chromatic(view, n):
-    """The search's greedy and clique/odd-cycle bounds, then a plain recursive
-    proper-coloring backtrack in canonical color order for every r from the
-    lower bound up; returns ``to_json()`` of the result."""
-    adj = search._prefix_adjacency([d for d in view.elements if d < n], n)
-    greedy = search._greedy_coloring(adj, n)
-    upper = max(greedy[1:], default=1)
-    clique = search._greedy_clique(adj, n)
+# the table-based bounds that preceded the shifted gap masks: one adjacency
+# int of n bits per vertex, kept here as the reference
+
+
+def _reference_adjacency(gaps, n):
+    adj = [0] * (n + 1)
+    for v in range(1, n + 1):
+        for d in gaps:
+            u = v - d
+            if u < 1:
+                break
+            adj[v] |= 1 << u
+            adj[u] |= 1 << v
+    return adj
+
+
+def _reference_greedy_coloring(adj, n):
+    colors = [0] * (n + 1)
+    for v in range(1, n + 1):
+        used = 0
+        nb = adj[v]
+        while nb:
+            u = nb & -nb
+            i = u.bit_length() - 1
+            if i < v:
+                used |= 1 << colors[i]
+            nb ^= u
+        c = 1
+        while used >> c & 1:
+            c += 1
+        colors[v] = c
+    return colors
+
+
+def _reference_greedy_clique(adj, n):
+    best = []
+    for start in range(1, n + 1):
+        clique = [start]
+        candidates = adj[start]
+        while candidates:
+            low = candidates & -candidates
+            u = low.bit_length() - 1
+            clique.append(u)
+            candidates &= adj[u]
+        if len(clique) > len(best):
+            best = clique
+    return sorted(best)
+
+
+def _reference_odd_cycle(adj, n):
+    side = [-1] * (n + 1)
+    parent = [0] * (n + 1)
+    for root in range(1, n + 1):
+        if side[root] != -1:
+            continue
+        side[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            nb = adj[v]
+            while nb:
+                low = nb & -nb
+                u = low.bit_length() - 1
+                nb ^= low
+                if side[u] == -1:
+                    side[u] = side[v] ^ 1
+                    parent[u] = v
+                    stack.append(u)
+                elif side[u] == side[v] and u != v:
+                    chain_v = []
+                    x = v
+                    while x:
+                        chain_v.append(x)
+                        x = parent[x]
+                    index_of = {x: i for i, x in enumerate(chain_v)}
+                    path_u = []
+                    y = u
+                    while y not in index_of:
+                        path_u.append(y)
+                        y = parent[y]
+                    return chain_v[: index_of[y] + 1] + path_u[::-1]
+    return None
+
+
+def _reference_bounds(gaps, n):
+    """(greedy coloring, lower bound, lower witness, adjacency table)."""
+    adj = _reference_adjacency(gaps, n)
+    greedy = _reference_greedy_coloring(adj, n)[1:]
+    clique = _reference_greedy_clique(adj, n)
     lower = max(len(clique), 1)
     lower_witness = {"kind": "clique", "vertices": clique}
     if lower < 3:
-        cycle = search._odd_cycle(adj, n)
+        cycle = _reference_odd_cycle(adj, n)
         if cycle is not None and len(cycle) % 2 == 1:
             lower = 3
             lower_witness = {"kind": "odd_cycle", "vertices": cycle}
+    return greedy, lower, lower_witness, adj
+
+
+def _reference_chromatic(view, n):
+    """The table-based greedy and clique/odd-cycle bounds, then a plain
+    recursive proper-coloring backtrack in canonical color order for every r
+    from the lower bound up; returns ``to_json()`` of the result."""
+    greedy, lower, lower_witness, adj = _reference_bounds(
+        [d for d in view.elements if d < n], n
+    )
+    upper = max(greedy, default=1)
 
     def colorable(kcolors):
         colors = [0] * (n + 1)
@@ -569,13 +661,45 @@ def _reference_chromatic(view, n):
 
         return colors[1:] if place(1, 0) else None
 
-    value, coloring = upper, greedy[1:]
+    value, coloring = upper, greedy
     for k in range(lower, upper):
         sol = colorable(k)
         if sol is not None:
             value, coloring = k, sol
             break
     return search.ChromaticResult(n, value, value, True, coloring, lower_witness).to_json()
+
+
+def test_prefix_bounds_match_the_table_reference():
+    # greedy coloring, lower bound and witness from shifted gap masks equal
+    # the adjacency-table versions, odd-cycle witnesses included
+    families = [
+        GapSetSpec.primes(),
+        GapSetSpec.nonmultiples(3),
+        GapSetSpec.polynomial([1, 0, 0]),
+        GapSetSpec.fibonacci(),
+        GapSetSpec.geometric(2),
+        GapSetSpec.nonmultiples(2),  # odd gaps: bipartite, no odd cycle
+        GapSetSpec.explicit([2, 3]),  # triangle-free with odd cycles
+        GapSetSpec.explicit([100, 150]),
+    ]
+    kinds = set()
+    for spec in families:
+        for n in (1, 2, 7, 40, 300):
+            gaps = [d for d in spec.enumerate(n).elements if d < n]
+            ref = _reference_bounds(gaps, n)[:3]
+            assert search._prefix_bounds(gaps, n) == ref, (spec, n)
+            kinds.add(ref[2]["kind"])
+    rng = random.Random(127)
+    for _ in range(320):
+        n = rng.randint(1, 120)
+        top = rng.choice((6, 20, 130))
+        gaps = sorted(rng.sample(range(1, top), rng.randint(1, min(8, top - 1))))
+        gaps = [d for d in gaps if d < n]
+        ref = _reference_bounds(gaps, n)[:3]
+        assert search._prefix_bounds(gaps, n) == ref, (gaps, n)
+        kinds.add(ref[2]["kind"])
+    assert kinds == {"clique", "odd_cycle"}
 
 
 def test_chromatic_matches_reference_colorer():
@@ -632,8 +756,8 @@ def test_chromatic_pinned_values():
 
 
 def test_chromatic_search_memory():
-    # threat masks cut to budget + 2 bits, and the adjacency freed before the
-    # search: 3.1 MB with neither, 2.6 MB with the cut alone, 2.0 MB with both
+    # the peak, 2.0 MB, is the search's per-depth threat masks, cut to
+    # budget + 2 bits (3.1 MB uncut, with the old adjacency table held)
     view = GapSetSpec.primes().enumerate(2000)
     tracemalloc.start()
     try:
@@ -643,6 +767,20 @@ def test_chromatic_search_memory():
         tracemalloc.stop()
     assert res.exact and res.value == 4
     assert peak < 2_400_000, peak
+
+
+def test_prefix_bounds_build_no_table():
+    # the bounds read neighbours from the gap mask by shifts: about 24 KB at
+    # n = 2000, where a table of n ints of n bits peaked near 0.63 MB
+    gaps = [d for d in GapSetSpec.primes().enumerate(2000).elements if d < 2000]
+    tracemalloc.start()
+    try:
+        greedy, lower, _ = search._prefix_bounds(gaps, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (max(greedy), lower) == (12, 4)  # chi = 4 needs the search
+    assert peak < 200_000, peak
 
 
 # -- composite evidence -----------------------------------------------------------
