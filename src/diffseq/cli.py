@@ -214,7 +214,11 @@ def _cmd_pipeline(args) -> int:
         )
     q = elements[args.start : need]
     alpha_cert = construct.build_alpha(q, args.r, delta, first_gap=elements[0])
-    evidence = search.doa_evidence(view, alpha_cert.alpha, alpha_cert.eps1, args.r, args.n)
+    # the window covers the constructed elements and the gaps the scan can use,
+    # not whatever lies beyond them in the widened view
+    evidence = search.doa_evidence(
+        view.restrict(max(args.n, q[-1])), alpha_cert.alpha, alpha_cert.eps1, args.r, args.n
+    )
     payload = {
         "growth": growth.to_json(),
         "alpha": alpha_cert.to_json(),

@@ -42,13 +42,6 @@ class Coloring:
     def n(self) -> int:
         return len(self.colors)
 
-    def at(self, pos: int) -> int:
-        """Color of position pos (1-based)."""
-        return self.colors[pos - 1]
-
-    def word(self) -> list[int]:
-        return list(self.colors)
-
     # -- export ----------------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -149,19 +142,18 @@ def block_coloring(m: int, n: int) -> Coloring:
     if m < 1:
         raise ValueError("block width must be >= 1")
     _check_length(n)
-    word = bytearray(n)
-    for x in range(1, n + 1):
-        word[x - 1] = 1 if 1 <= x % (2 * m) <= m else 2
-    return Coloring(2, bytes(word), {"generator": "block", "m": m, "n": n})
+    half = min(m, n)  # a block longer than the word is cut to it
+    word = (b"\1" * half + b"\2" * half) * (n // (2 * half) + 1)
+    return Coloring(2, word[:n], {"generator": "block", "m": m, "n": n})
 
 
 def residue_coloring(m: int, n: int) -> Coloring:
     """m colors by residue: position x gets color (x mod m) + 1."""
-    if m < 2:
-        raise ValueError("residue modulus must be >= 2")
+    if not 2 <= m <= 255:
+        raise ValueError("residue modulus must be in 2..255")
     _check_length(n)
-    word = bytes((x % m) + 1 for x in range(1, n + 1))
-    return Coloring(m, word, {"generator": "residue", "m": m, "n": n})
+    word = bytes(range(2, m + 1)) + b"\1"  # positions 1..m of each period
+    return Coloring(m, (word * (n // m + 1))[:n], {"generator": "residue", "m": m, "n": n})
 
 
 CutLike = Union[int, Fraction, str, Q5]

@@ -67,10 +67,6 @@ class AlphaCertificate:
     intervals: list[RatInterval]
     verdicts: list[dict] = field(default_factory=list)
 
-    @property
-    def all_in_window(self) -> bool:
-        return all(v["in_window"] for v in self.verdicts)
-
     def to_json(self) -> dict:
         return {
             "alpha": rational_str(self.alpha),

@@ -253,9 +253,6 @@ class RatInterval:
     def __setattr__(self, name, value):
         raise AttributeError("RatInterval values are immutable")
 
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 

@@ -24,7 +24,10 @@ first-deepest avoider in depth-first order, and with it the verdict, value
 and witness, is the one a plain search finds. ``delta`` is the one entry
 point. With ``threads`` above 1 (default 1, capped at the CPU count) the
 subtrees below a fixed depth are explored in parallel; the result does not
-depend on the worker count because results merge in subtree order.
+depend on the worker count because results merge in subtree order. A subtree
+job places its prefix through the same loop as every other position (one
+allowed color each, forced-move closure included), so on more than one
+worker ``nodes`` and ``forced`` also count each subtree's prefix placement.
 
 Chromatic numbers of the prefix distance graphs are the k = 2 case: a proper
 r-coloring of [1..n] is an r-coloring with no monochromatic 2-term chain.
@@ -52,7 +55,7 @@ from .colorings import Coloring, frac_coloring
 from .construct import certify_fracs, diffseq_bound_from_eps
 from .exactnum import Q5, rational_str, to_rational
 from .gapsets import GapSetView
-from .verify import _gap_mask, longest_mono_diffseq
+from .verify import _gap_mask, _usable_gaps, longest_mono_diffseq
 
 DELTA = "delta"
 UNKNOWN = "unknown"
@@ -213,11 +216,13 @@ def _dfs_deepest(
 ) -> tuple[int, bytes, SearchStats, list[bytes]]:
     """Depth-first search for the deepest canonical avoider extending ``prefix``.
 
-    Returns (deepest depth, word at that depth, counts, frontier), where the
-    frontier lists every avoider of exact length ``stop_depth`` instead of
-    descending past it (used to split work). Exits early on a full-budget hit.
-    With ``max_nodes`` it also stops at the first backtrack after the node
-    count exceeds it, so a returned count above ``max_nodes`` without a
+    The prefix goes through the main loop like any other positions, each
+    allowing only its own color, and the search ends when it backtracks into
+    it. Returns (deepest depth, word at that depth, counts, frontier), where
+    the frontier lists every avoider of exact length ``stop_depth`` instead
+    of descending past it (used to split work). Exits early on a full-budget
+    hit. With ``max_nodes`` it also stops at the first backtrack after the
+    node count exceeds it, so a returned count above ``max_nodes`` without a
     full-budget hit leaves the tree undecided.
     """
     gapmask = _gap_mask(gaps)
@@ -227,36 +232,22 @@ def _dfs_deepest(
     chain = [0] * (budget + 2)  # length of the chain ending at each colored position
     allowed = [1] * (budget + 2)  # largest color a position may take (canonical order)
     nxt = [1] * (budget + 2)
+    # a prefix position allows its own color only, so backtracking into the
+    # prefix unwinds to the end; past it the cap is 1 + the largest prefix color
+    fixed = len(prefix)
+    nxt[1 : fixed + 1] = allowed[1 : fixed + 1] = prefix
+    allowed[fixed + 1] = min(max(prefix, default=0) + 1, r)
     # states[p]: threat masks T, U and expanded sets after positions 1..p are colored
     states: list = [None] * (budget + 2)
     T = [(1 << (budget + 1)) - 2 if k == 1 else 0] * (r + 1)
-    U = [0] * (r + 1)
-    start = len(prefix) + 1
-    for pos in range(1, start):
-        c = prefix[pos - 1]
-        color[pos] = c
-        length = 1
-        for d in gaps:
-            if d >= pos:
-                break
-            y = pos - d
-            if color[y] == c and chain[y] >= length:
-                length = chain[y] + 1
-        chain[pos] = length
-        threats = (gapmask << pos) & width
-        if length >= k - 2:
-            U[c] |= threats
-        if length >= k - 1:
-            T[c] |= threats
-        allowed[pos + 1] = c + 1 if c == allowed[pos] and c < r else allowed[pos]
-    states[start - 1] = (T, U, (0, 0))
+    states[0] = (T, [0] * (r + 1), (0, 0))
 
-    best_depth = len(prefix)
-    best_word = bytes(prefix)
+    best_depth = 0
+    best_word = b""
     frontier: list[bytes] = []
     nodes = rejected = pruned = forced = 0
-    pos = start
-    while pos >= start:
+    pos = 1
+    while pos:
         if pos > budget:
             stats = SearchStats(nodes, rejected, pruned, forced)
             return budget, bytes(color[1 : budget + 1]), stats, frontier
@@ -305,7 +296,8 @@ def _dfs_deepest(
         if pos > best_depth:
             best_depth = pos
             best_word = bytes(color[1 : pos + 1])
-        allowed[pos + 1] = c + 1 if c == allowed[pos] and c < r else allowed[pos]
+        if pos > fixed:
+            allowed[pos + 1] = c + 1 if c == allowed[pos] and c < r else allowed[pos]
         if pos < budget:  # the bound only matters on (pos, best_depth + 1]
             done, expanded = _close(
                 T, U, done, (4 << best_depth) - (2 << pos), gapmask, width, k, r
@@ -317,12 +309,6 @@ def _dfs_deepest(
         states[pos] = (T, U, done)
         pos += 1
     return best_depth, best_word, SearchStats(nodes, rejected, pruned, forced), frontier
-
-
-def _subtree_job(args) -> tuple[int, bytes, SearchStats]:
-    gaps, k, r, budget, prefix = args
-    depth, word, stats, _ = _dfs_deepest(gaps, k, r, budget, prefix=prefix)
-    return depth, word, stats
 
 
 def delta(view: GapSetView, k: int, r: int, budget: int, threads: int = 1) -> DeltaResult:
@@ -340,10 +326,8 @@ def delta(view: GapSetView, k: int, r: int, budget: int, threads: int = 1) -> De
         raise ValueError("budget must be >= 1")
     if k < 1 or r < 2:
         raise ValueError("need k >= 1 and r >= 2")
-    if view.bound < budget:
-        raise ValueError(f"gap set enumerated to {view.bound} < budget {budget}")
+    gaps = list(_usable_gaps(view, budget))
     threads = min(threads, os.cpu_count() or 1)
-    gaps = [d for d in view.elements if d < budget]
     started = time.perf_counter()
 
     if threads <= 1 or budget <= 4:
@@ -379,10 +363,10 @@ def _parallel_search(
     pool = ProcessPoolExecutor(max_workers=threads)
     try:
         futures = [
-            pool.submit(_subtree_job, (gaps, k, r, budget, prefix)) for prefix in frontier
+            pool.submit(_dfs_deepest, gaps, k, r, budget, prefix) for prefix in frontier
         ]
         for future in futures:
-            sub_depth, sub_word, sub_stats = future.result()
+            sub_depth, sub_word, sub_stats, _ = future.result()
             stats.add(sub_stats)
             if sub_depth > best_depth:
                 best_depth, best_word = sub_depth, sub_word
@@ -536,7 +520,7 @@ def chromatic_number_prefix(view: GapSetView, n: int) -> ChromaticResult:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    gaps = [d for d in view.elements if d < n]
+    gaps = list(_usable_gaps(view, n))
     coloring, lower, lower_witness = _prefix_bounds(gaps, n)
     upper = max(coloring, default=1)
     nodes_left = _CHROMATIC_NODES

@@ -98,9 +98,11 @@ class ScanResult:
 
 
 def _usable_gaps(view: GapSetView, n: int) -> tuple[int, ...]:
+    """The gaps below n; a view that stops short of n is refused, since a gap
+    it never listed could join two of the positions 1..n."""
     if view.bound < n:
         raise ValueError(
-            f"gap set enumerated only to {view.bound} but the coloring has length {n}"
+            f"gap set enumerated only to {view.bound} but positions run to {n}"
         )
     return view.elements[: bisect_left(view.elements, n)]
 

@@ -232,7 +232,7 @@ def test_c10_known_small_values():
         and all(res.verdict == DELTA for res in pigeonhole)
         and all(res.value == r + 1 for res, r in zip(pigeonhole, (2, 3, 4, 5)))
         and r3.verdict == UNKNOWN
-        and r3.witness.word() == [1, 2] * 25
+        and list(r3.witness.colors) == [1, 2] * 25
     )
     _report(
         "C10",
@@ -257,7 +257,7 @@ def test_c11_chromatic_prefix_facts():
     residues = residue_coloring(3, 12)
     gaps = [d for d in v3.elements if d < 12]
     residue_proper = all(
-        residues.at(x) != residues.at(x + d)
+        residues.colors[x - 1] != residues.colors[x + d - 1]
         for x in range(1, 13)
         for d in gaps
         if x + d <= 12

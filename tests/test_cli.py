@@ -51,7 +51,10 @@ def test_alpha_command_trace(capsys):
 
 # SHA-256 of the stdout of the README examples, pinned when `alpha` and
 # `pipeline` got their shared set-widening helper and when `chromatic` moved
-# onto the avoider search: the output must not move
+# onto the avoider search: the output must not move. The `pipeline` digest was
+# re-pinned when its evidence moved to the view cut at max(-N, last constructed
+# element): only the bound in its two `verified_range` strings changed, from
+# the widened enumeration's 335544320000 to the last element 4^19 = 274877906944
 README_EXAMPLES = [
     (
         ["alpha", "--set-json", '{"kind":"geometric","base":4}', "--delta", "1", "--steps", "20"],
@@ -60,7 +63,7 @@ README_EXAMPLES = [
     (
         ["pipeline", "--set-json", '{"kind":"geometric","base":4}', "--delta", "1",
          "--steps", "20", "-N", "20000"],
-        "090414baffa862734bef601f315bd3a6dd943f69a8059942b6cde9c3586e8599",
+        "6b6458387ea5051c127f085bca307ad9db46ab11563ab14aaf0fb1e9342cb3a4",
     ),
     (
         ["chromatic", "--set-json", '{"kind":"nonmultiples","m":3}', "-N", "12"],
@@ -275,7 +278,7 @@ def test_color_rotation_flags(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    word = Coloring.from_json(payload).word()
+    word = list(Coloring.from_json(payload).colors)
     assert word == [2, 1, 2, 1, 1, 2, 1, 2, 1, 1]
 
 
@@ -298,7 +301,7 @@ def test_delta_command_with_witness(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "delta" and payload["value"] == 3
     avoider = Coloring.from_json(json.loads(witness.read_text()))
-    assert avoider.word() == [1, 2]
+    assert list(avoider.colors) == [1, 2]
 
 
 def test_chromatic_command(capsys):
@@ -362,6 +365,20 @@ def test_pipeline_command_pass_and_growth_error(capsys):
     )
     assert code == 2
     assert "7/2" in err  # growth threshold 2 + 1 + 1/2
+
+
+def test_pipeline_verdict_ignores_elements_past_the_constructed_steps(capsys):
+    # the view is widened from 129 by factors of 16 until it holds 15 elements;
+    # its 16th, 7^15, lies outside the window but was never constrained by the
+    # constructor, so it must not fail the evidence
+    code, out, _ = _run(
+        capsys, "pipeline", "--set-json", '{"kind":"geometric","base":7}',
+        "--delta", "1/1000", "--steps", "15", "-N", "129",
+    )
+    assert code == 0
+    evidence = json.loads(out)["evidence"]
+    assert evidence["passed"]
+    assert evidence["verified_range"].startswith(f"window over 15 enumerated gaps up to {7 ** 14};")
 
 
 def test_pipeline_r3(capsys):

@@ -20,15 +20,15 @@ from diffseq.exactnum import PHI, Q5
 
 def test_frac_coloring_examples():
     sqrt5_over_8 = Q5(0, F(1, 8))
-    assert frac_coloring(sqrt5_over_8, 2, 1).at(1) == 1  # frac 0.2795 < 1/2
-    assert frac_coloring(F(1, 3), 3, 6).word() == [2, 3, 1, 2, 3, 1]
-    assert frac_coloring(0, 2, 5).word() == [1, 1, 1, 1, 1]
+    assert frac_coloring(sqrt5_over_8, 2, 1).colors[0] == 1  # frac 0.2795 < 1/2
+    assert list(frac_coloring(F(1, 3), 3, 6).colors) == [2, 3, 1, 2, 3, 1]
+    assert list(frac_coloring(0, 2, 5).colors) == [1, 1, 1, 1, 1]
 
 
 def test_frac_coloring_boundary_goes_up():
     # frac(1/2 * 1) = 1/2 sits on the class cut and belongs to the upper class
-    assert frac_coloring(F(1, 2), 2, 4).word() == [2, 1, 2, 1]
-    assert frac_coloring(F(1, 4), 4, 4).word() == [2, 3, 4, 1]
+    assert list(frac_coloring(F(1, 2), 2, 4).colors) == [2, 1, 2, 1]
+    assert list(frac_coloring(F(1, 4), 4, 4).colors) == [2, 3, 4, 1]
 
 
 def test_frac_coloring_agrees_between_paths():
@@ -39,20 +39,37 @@ def test_frac_coloring_agrees_between_paths():
 
 
 def test_block_coloring_examples():
-    assert block_coloring(2, 8).word() == [1, 1, 2, 2, 1, 1, 2, 2]
-    assert block_coloring(1, 4).word() == [1, 2, 1, 2]
-    assert block_coloring(3, 6).word() == [1, 1, 1, 2, 2, 2]
+    assert list(block_coloring(2, 8).colors) == [1, 1, 2, 2, 1, 1, 2, 2]
+    assert list(block_coloring(1, 4).colors) == [1, 2, 1, 2]
+    assert list(block_coloring(3, 6).colors) == [1, 1, 1, 2, 2, 2]
+    # one period repeated and cut, against the per-position rule; a block
+    # wider than the word included
+    for m in (1, 3, 7, 100, 10**9):
+        for n in (1, 5, 5000, 77777):
+            assert block_coloring(m, n).colors == bytes(
+                1 if 1 <= x % (2 * m) <= m else 2 for x in range(1, n + 1)
+            ), (m, n)
 
 
 def test_residue_coloring_examples():
-    assert residue_coloring(3, 6).word() == [2, 3, 1, 2, 3, 1]
-    assert residue_coloring(2, 4).word() == [2, 1, 2, 1]
-    assert residue_coloring(5, 5).word() == [2, 3, 4, 5, 1]
+    assert list(residue_coloring(3, 6).colors) == [2, 3, 1, 2, 3, 1]
+    assert list(residue_coloring(2, 4).colors) == [2, 1, 2, 1]
+    assert list(residue_coloring(5, 5).colors) == [2, 3, 4, 5, 1]
+    # one period repeated and cut, against the per-position rule, up to the
+    # largest modulus a byte holds
+    for m in (2, 3, 7, 100, 255):
+        for n in (1, 5, 5000, 77777):
+            assert residue_coloring(m, n).colors == bytes(
+                x % m + 1 for x in range(1, n + 1)
+            ), (m, n)
+    for m in (1, 256):
+        with pytest.raises(ValueError):
+            residue_coloring(m, 5)
 
 
 def test_rotation_word_examples():
-    assert rotation_word(F(1, 2), 0, F(1, 2), 4).word() == [2, 1, 2, 1]
-    assert rotation_word(0, F(1, 4), F(1, 2), 3).word() == [1, 1, 1]
+    assert list(rotation_word(F(1, 2), 0, F(1, 2), 4).colors) == [2, 1, 2, 1]
+    assert list(rotation_word(0, F(1, 4), F(1, 2), 3).colors) == [1, 1, 1]
 
 
 GOLDEN_ANGLE = PHI - 1  # (sqrt5 - 1) / 2
@@ -61,7 +78,7 @@ GOLDEN_ANGLE = PHI - 1  # (sqrt5 - 1) / 2
 def test_golden_rotation_word_prefix():
     # coding of n*(phi-1) with the cut aligned to the angle (Sturmian)
     word = rotation_word(GOLDEN_ANGLE, 0, GOLDEN_ANGLE, 20)
-    assert word.word() == [2, 1, 2, 1, 1, 2, 1, 2, 1, 1, 2, 1, 1, 2, 1, 2, 1, 1, 2, 1]
+    assert list(word.colors) == [2, 1, 2, 1, 1, 2, 1, 2, 1, 1, 2, 1, 1, 2, 1, 2, 1, 1, 2, 1]
 
 
 def test_golden_rotation_is_sturmian_on_prefix():
@@ -103,9 +120,9 @@ def test_presets():
     assert preset_coloring("oneplusphiover4", 16).colors == frac_coloring(
         Q5(F(3, 8), F(1, 8)), 2, 16
     ).colors
-    assert preset_coloring("goldenrotation", 20).word() == rotation_word(
+    assert preset_coloring("goldenrotation", 20).colors == rotation_word(
         GOLDEN_ANGLE, 0, GOLDEN_ANGLE, 20
-    ).word()
+    ).colors
     with pytest.raises(ValueError):
         preset_coloring("nope", 10)
 
@@ -114,7 +131,7 @@ def test_exports_round_trip():
     word = block_coloring(3, 50)
     again = Coloring.from_json(word.to_json())
     assert again.colors == word.colors and again.r == word.r
-    assert word.to_text() == "".join(str(c) for c in word.word())
+    assert word.to_text() == "".join(str(c) for c in word.colors)
 
 
 def test_length_cap_and_validation():
@@ -170,24 +187,24 @@ def _ref_rotation(alpha, x0, windows, n):
 def test_rotation_word_exact_hits_on_the_cut():
     # rational alpha lands on the cut 1/3 at n = 1, 4, ... and on 0 at n = 3, 6, ...
     word = rotation_word(F(1, 3), 0, F(1, 3), 9)
-    assert word.word() == [2, 2, 1] * 3
-    assert word.word() == _ref_rotation(F(1, 3), 0, [(0, F(1, 3))], 9)
+    assert list(word.colors) == [2, 2, 1] * 3
+    assert list(word.colors) == _ref_rotation(F(1, 3), 0, [(0, F(1, 3))], 9)
     # the golden word hits its irrational cut exactly at n = 1: {alpha} = alpha
     golden = rotation_word(GOLDEN_ANGLE, 0, GOLDEN_ANGLE, 500)
-    assert golden.at(1) == 2
-    assert golden.word() == _ref_rotation(GOLDEN_ANGLE, 0, [(0, GOLDEN_ANGLE)], 500)
+    assert golden.colors[0] == 2
+    assert list(golden.colors) == _ref_rotation(GOLDEN_ANGLE, 0, [(0, GOLDEN_ANGLE)], 500)
 
 
 def test_rotation_word_endpoint_hits():
     # {n/4} runs 1/4, 1/2, 3/4, 0: the cut 1/2 (an upper end) and 3/4 fall
     # outside [0, 1/2), the lower end 0 inside
-    assert rotation_word(F(1, 4), 0, F(1, 2), 8).word() == [1, 2, 2, 1] * 2
+    assert list(rotation_word(F(1, 4), 0, F(1, 2), 8).colors) == [1, 2, 2, 1] * 2
     # irrational cut with the start point placed so that {x0 + alpha} is
     # exactly the cut, then exactly 0
     for start, first in ((GOLDEN_ANGLE - SQRT5_OVER_8, 2), (-SQRT5_OVER_8, 1)):
         word = rotation_word(SQRT5_OVER_8, start, GOLDEN_ANGLE, 300)
-        assert word.at(1) == first
-        assert word.word() == _ref_rotation(SQRT5_OVER_8, start, [(0, GOLDEN_ANGLE)], 300)
+        assert word.colors[0] == first
+        assert list(word.colors) == _ref_rotation(SQRT5_OVER_8, start, [(0, GOLDEN_ANGLE)], 300)
 
 
 def test_rotation_word_matches_reference_random():
@@ -200,7 +217,7 @@ def test_rotation_word_matches_reference_random():
         cut = Q5(F(rng.randint(1, 11), 12), F(rng.randint(-3, 3), rng.randint(1, 8)))
         cut -= _ref_floor(cut)  # never 0: k/12 is no integer and sqrt5 is irrational
         word = rotation_word(alpha, x0, cut, 120)
-        assert word.word() == _ref_rotation(alpha, x0, [(0, cut)], 120)
+        assert list(word.colors) == _ref_rotation(alpha, x0, [(0, cut)], 120)
 
 
 def test_frac_coloring_matches_reference_near_cuts():
@@ -215,9 +232,9 @@ def test_frac_coloring_matches_reference_near_cuts():
             word = frac_coloring(alpha, r, 3000)
             for x in list(range(1, 200)) + fib[:-1]:
                 y = alpha * x
-                assert word.at(x) == _ref_floor(y * r) - r * _ref_floor(y) + 1, (alpha, r, x)
+                assert word.colors[x - 1] == _ref_floor(y * r) - r * _ref_floor(y) + 1, (alpha, r, x)
     # a rational alpha given as Q5 lands exactly on the cuts 1/4, 1/2, 3/4
-    assert frac_coloring(Q5(F(1, 4)), 4, 4).word() == [2, 3, 4, 1]
+    assert list(frac_coloring(Q5(F(1, 4)), 4, 4).colors) == [2, 3, 4, 1]
 
 
 def test_from_json_rejects_malformed_rle():

@@ -153,7 +153,7 @@ def test_immutability_and_hash():
 
 def test_rat_interval():
     box = RatInterval(F(1, 8), F(1, 2))
-    assert box.width() == F(3, 8)
+    assert box.hi - box.lo == F(3, 8)
     assert box.midpoint() == F(5, 16)
     assert box.contains_interval(RatInterval(F(9, 32), F(3, 8)))
     with pytest.raises(ValueError):

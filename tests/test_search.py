@@ -183,7 +183,7 @@ def test_known_small_values():
     v3 = GapSetSpec.nonmultiples(3).enumerate(10)
     result = delta(v3, 2, 2, 10)
     assert (result.verdict, result.value) == (DELTA, 3)
-    assert result.witness.word() == [1, 2]
+    assert list(result.witness.colors) == [1, 2]
 
     for r in (2, 3, 4, 5):
         res = delta(_naturals(10), 2, r, 10)
@@ -194,12 +194,12 @@ def test_unknown_with_structured_witnesses():
     singles = GapSetSpec.explicit([1]).enumerate(50)
     res = delta(singles, 2, 2, 50)
     assert res.verdict == UNKNOWN and res.value is None
-    assert res.witness.word() == [1, 2] * 25  # alternating avoider
+    assert list(res.witness.colors) == [1, 2] * 25  # alternating avoider
 
     twos = GapSetSpec.explicit([2]).enumerate(40)
     res = delta(twos, 2, 2, 40)
     assert res.verdict == UNKNOWN
-    assert res.witness.word() == ([1, 1, 2, 2] * 10)  # block avoider
+    assert list(res.witness.colors) == ([1, 1, 2, 2] * 10)  # block avoider
 
 
 def test_delta_v3_three_term():
@@ -208,7 +208,7 @@ def test_delta_v3_three_term():
     assert (result.verdict, result.value) == (DELTA, 7)
     gaps = list(v3.restrict(29))
     # the witness avoids, and the enumeration oracle confirms both sides
-    assert _chain_free(tuple(result.witness.word()), gaps, 3)
+    assert _chain_free(tuple(result.witness.colors), gaps, 3)
     assert _max_avoidable_bitmask_enum([d for d in gaps if d < 8], 3, 8) == 6
 
 
@@ -274,7 +274,8 @@ def test_kernel_matches_reference_loop():
 
 
 def test_kernel_matches_reference_loop_below_a_prefix():
-    # subtree jobs replay their prefix into the masks before searching
+    # subtree jobs place their prefix through the kernel loop, one allowed
+    # color per prefix position, before searching below it
     rng = random.Random(223)
     for _ in range(60):
         k = rng.randint(3, 5)
@@ -285,9 +286,7 @@ def test_kernel_matches_reference_loop_below_a_prefix():
         for prefix in frontier:
             depth, word, _, _ = _dfs_deepest(gaps, k, r, budget, prefix=prefix)
             ref_depth, ref_word = _reference_deepest(gaps, k, r, budget, prefix=prefix)
-            assert depth == ref_depth
-            if depth > len(prefix):
-                assert word == ref_word
+            assert (depth, word) == (ref_depth, ref_word)
 
 
 def test_one_term_chains_through_max_avoidable():
@@ -508,11 +507,19 @@ def test_chromatic_v3_prefix_with_residue_witness():
     residues = residue_coloring(3, 12)
     gaps = [d for d in v3.elements if d < 12]
     assert all(
-        residues.at(x) != residues.at(x + d)
+        residues.colors[x - 1] != residues.colors[x + d - 1]
         for x in range(1, 13)
         for d in gaps
         if x + d <= 12
     )
+
+
+def test_chromatic_refuses_a_view_short_of_n():
+    # enumerated to 10, {1, 50} looks like a path: chi = 2; to 100 the gap 50
+    # closes odd cycles (1, 2, ..., 51 and back), so chi = 3
+    with pytest.raises(ValueError):
+        chromatic_number_prefix(GapSetSpec.explicit([1, 50]).enumerate(10), 100)
+    assert chromatic_number_prefix(GapSetSpec.explicit([1, 50]).enumerate(100), 100).value == 3
 
 
 def test_chromatic_path_and_witness_properness():

@@ -40,7 +40,7 @@ def _assert_valid_witness(result: ScanResult, coloring: Coloring, gaps, ap: bool
     w = result.witness
     assert len(w) == result.length
     assert all(w[i] < w[i + 1] for i in range(len(w) - 1))
-    assert len({coloring.at(x) for x in w}) <= 1
+    assert len({coloring.colors[x - 1] for x in w}) <= 1
     diffs = [w[i + 1] - w[i] for i in range(len(w) - 1)]
     assert all(d in gaps for d in diffs)
     if ap:
