@@ -20,6 +20,7 @@ from .construct import (
     build_alpha,
     certify_fracs,
     diffseq_bound_from_eps,
+    doa_evidence,
     epsilon_of,
     growth_factor,
 )
@@ -40,7 +41,6 @@ from .search import (
     DeltaResult,
     chromatic_number_prefix,
     delta,
-    doa_evidence,
 )
 from .verify import (
     ScanResult,

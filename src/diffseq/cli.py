@@ -216,7 +216,7 @@ def _cmd_pipeline(args) -> int:
     alpha_cert = construct.build_alpha(q, args.r, delta, first_gap=elements[0])
     # the window covers the constructed elements and the gaps the scan can use,
     # not whatever lies beyond them in the widened view
-    evidence = search.doa_evidence(
+    evidence = construct.doa_evidence(
         view.restrict(max(args.n, q[-1])), alpha_cert.alpha, alpha_cert.eps1, args.r, args.n
     )
     payload = {

@@ -2,16 +2,31 @@
 and circle-rotation words, plus subword complexity.
 
 Colorings are materialized words (one byte per position, positions 1..N) so
-the scanning layer gets random access. Generation is exact: class membership
-at a boundary is decided by the integer kernel of ``exactnum`` (``floor5``,
+the scanning layer gets random access. Generation is exact: every floor and
+sign is decided by the integer kernel of ``exactnum`` (``floor5``,
 ``sign5``) on common-denominator integers, never by floats, and no ``Q5``
 object is built per position.
+
+A frac coloring is built as a word, with no Python loop over positions. Its
+classes are the running sums mod r of a step word, which is 0 followed by
+the characteristic word c_theta of theta = {r*alpha}. With the continued
+fraction theta = [0; d_1 + 1, d_2, d_3, ...], c_theta is the limit of the
+standard words t_-1 = 1, t_0 = 0, t_n = t_(n-1)^(d_n) t_(n-2) (Lothaire,
+*Algebraic Combinatorics on Words*, ch. 2, standard and characteristic
+Sturmian words). The partial quotients come from ``floor5`` on integer
+triples. Each standard word is kept as the bytes of its colors together with
+its step sum mod r, so appending a copy is one ``bytes.translate`` by the
+running sum, and the copies of a power cycle with period r / gcd(sum, r).
+A rational theta has a finite expansion and its word repeats the last
+standard word. ``rotation_word`` keeps a ``floor5``/``sign5`` step per
+position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 from .exactnum import Q5, floor5, integer_triples, sign5
@@ -19,6 +34,7 @@ from .exactnum import Q5, floor5, integer_triples, sign5
 MAX_LENGTH = 10_000_000  # one byte per position: 10 MB of word at the cap
 
 _BYTE = [bytes((c,)) for c in range(256)]
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 AlphaLike = Union[int, Fraction, str, Q5]
 
@@ -34,8 +50,8 @@ class Coloring:
     def __post_init__(self):
         if self.r < 1 or self.r > 255:
             raise ValueError("color count must be in 1..255")
-        bad = [c for c in set(self.colors) if not 1 <= c <= self.r]
-        if bad:
+        if self.colors.translate(None, bytes(range(1, self.r + 1))):
+            bad = [c for c in set(self.colors) if not 1 <= c <= self.r]
             raise ValueError(f"colors outside 1..{self.r}: {bad}")
 
     @property
@@ -98,7 +114,7 @@ class Coloring:
         """One character per position; only for r <= 9."""
         if self.r > 9:
             raise ValueError("text export needs r <= 9")
-        return "".join(str(c) for c in self.colors)
+        return self.colors.translate(_DIGITS).decode()
 
 
 def _check_length(n: int):
@@ -112,29 +128,86 @@ def frac_coloring(alpha: AlphaLike, r: int, n: int) -> Coloring:
     """Color x by which r-th of the unit interval {alpha*x} falls in.
 
     Class i is the half-open window [(i-1)/r, i/r); an exact hit on a cut
-    point i/r therefore lands in the higher class. For an irrational alpha
-    the class is floor(r*alpha*x) mod r + 1, one ``floor5`` call per position.
+    point i/r therefore lands in the higher class. The class is
+    floor(r*alpha*x) mod r + 1. With b = floor(r*alpha) and theta = r*alpha - b
+    it is (x*b + floor(x*theta)) mod r + 1, so the word is the running sum
+    mod r of the step word 0 c_theta, whose letters 0 and 1 are the steps b
+    and b + 1 (c_theta is the characteristic word of theta, see the module
+    docstring). The word is assembled from the standard words of theta by
+    joining byte strings, one round per partial quotient.
     """
     if r < 2:
         raise ValueError("need r >= 2")
     _check_length(n)
     alpha_q5 = Q5.coerce(alpha)
-    P0, U0, L = alpha_q5.as_integer_triple()
-    if U0 == 0:
-        word = bytearray(n)
-        # rational rotation: {alpha*x} = (P0*x mod L)/L
-        for x in range(1, n + 1):
-            rem = (P0 * x) % L
-            word[x - 1] = (r * rem) // L + 1
-    else:
-        # floor(r*{y}) = floor(r*y) - r*floor(y), which is floor(r*y) mod r
-        rP, rU = r * P0, r * U0
-        word = bytes(floor5(rP * x, rU * x, L) % r + 1 for x in range(1, n + 1))
+    P, U, L = alpha_q5.as_integer_triple()
+    P, U = r * P, r * U
+    b = floor5(P, U, L)
+    need = n - 1  # letters of c_theta after the leading 0
+    colors, pad = bytes(range(1, r + 1)) * 2, bytes(255 - r)
+
+    def shift(k):  # the bytes.translate table adding k (0 <= k < r) to the colors mod r
+        return b"\0" + colors[k : k + r] + pad
+
+    # A word over {0, 1} is held as (the colors it gives right after the
+    # leading 0, its step sum mod r); a joined word goes on from the first's sum.
+    def join(u, v):
+        return u[0] + v[0].translate(shift(u[1])), (u[1] + v[1]) % r
+
+    def power(u, d):
+        # the sums of the copies of u cycle with period r / gcd(sum, r)
+        word, s = u
+        cycle = r // gcd(s, r)
+        block = b"".join([word.translate(shift(j * s % r)) for j in range(min(d, cycle))])
+        if d > cycle:
+            reps, rest = divmod(d, cycle)
+            block = block * reps + block[: rest * len(word)]
+        return block, d * s % r
+
+    older = bytes([(2 * b + 1) % r + 1]), (b + 1) % r  # t_-1 = 1
+    old = bytes([2 * b % r + 1]), b % r  # t_0 = 0
+    for index, d in enumerate(_standard_exponents(P - b * L, U, L), 1):
+        if index > 1 and len(old[0]) >= need:
+            break
+        # t_index = t_(index-1)^d t_(index-2), with d cut to the copies that reach need
+        older, old = old, join(power(old, min(d, -(-need // len(old[0])))), older)
+    else:  # rational theta, 0 included: c_theta repeats the last standard word
+        old = power(old, -(-need // len(old[0])))
     return Coloring(
         r,
-        bytes(word),
+        bytes([b % r + 1]) + old[0][:need],
         {"generator": "frac", "alpha": alpha_q5.to_json(), "r": r, "n": n},
     )
+
+
+def _standard_exponents(P: int, U: int, L: int):
+    """The exponents d_1, d_2, ... of the standard words of theta = (P + U*sqrt5)/L
+    in [0, 1), where theta = [0; d_1 + 1, d_2, d_3, ...].
+
+    A rational theta = p/q has a finite expansion, and its step word is
+    (0 w 1)^infinity = 0 (w 1 0)^infinity for the lower Christoffel word 0 w 1
+    of length q. So the expansion is made to end at an even index, whose
+    standard word is w 1 0: [..., a] at an odd index becomes [..., a - 1, 1].
+    theta = 0 has no exponents. Each round inverts the
+    remainder exactly, 1/theta = L*(P - U*sqrt5) / (P^2 - 5*U^2), and takes
+    its floor with ``floor5``.
+    """
+    index = 0
+    while P or U:
+        index += 1
+        P, U, L = L * P, -L * U, P * P - 5 * U * U
+        if L < 0:
+            P, U, L = -P, -U, -L
+        g = gcd(P, U, L)
+        P, U, L = P // g, U // g, L // g
+        a = floor5(P, U, L)
+        P -= a * L
+        d = a - 1 if index == 1 else a
+        if P or U or index % 2 == 0:
+            yield d
+        else:
+            yield d - 1
+            yield 1
 
 
 def block_coloring(m: int, n: int) -> Coloring:

@@ -1,7 +1,9 @@
 """Nested-interval construction of a rational alpha whose fractional parts
 {alpha * q_n} stay inside [eps, (r-1)/r] along a fast-growing gap sequence,
 plus the translation of such a window certificate into an upper bound on
-monochromatic diffsequence length.
+monochromatic diffsequence length, and the finite-range accessibility
+evidence that joins the certificate with a chain scan of the induced
+fractional-part coloring.
 
 Everything here is exact: rational arithmetic for the construction, and the
 integer Q(sqrt5) kernel of ``exactnum`` for the window certificate, which
@@ -17,8 +19,10 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .certs import Certificate
+from .colorings import frac_coloring
 from .exactnum import Q5, RatInterval, _first_outside, frac, rational_str, to_rational
 from .gapsets import GapSetView
+from .verify import longest_mono_diffseq
 
 AlphaLike = Union[int, Fraction, str, Q5]
 
@@ -208,3 +212,46 @@ def diffseq_bound_from_eps(r: int, eps) -> int:
     if not 0 < eps <= Fraction(r - 1, r):
         raise ValueError("need 0 < eps <= (r-1)/r")
     return math.ceil(1 / (r * eps)) + 1
+
+
+def doa_evidence(
+    view: GapSetView,
+    alpha: AlphaLike,
+    eps,
+    r: int,
+    n: int,
+) -> Certificate:
+    """Finite-range evidence that the gap set is not r-accessible: the window
+    certificate on the enumerated elements plus a full scan of the induced
+    r-class coloring on [1..n] staying below the implied chain-length bound.
+
+    This is evidence over the checked ranges, not a proof over all of N.
+    """
+    eps = to_rational(eps)
+    window_cert = certify_fracs(alpha, view, eps, r)
+    bound = diffseq_bound_from_eps(r, eps)
+    coloring = frac_coloring(alpha, r, n)
+    scan = longest_mono_diffseq(coloring, view.restrict(n) if view.bound > n else view)
+    passed = window_cert.passed and scan.length < bound
+    alpha_q5 = Q5.coerce(alpha)
+    return Certificate(
+        claim="accessibility-upper-evidence",
+        params={
+            "alpha": alpha_q5.to_json(),
+            "eps": rational_str(eps),
+            "r": r,
+            "chain_length_bound": bound,
+            "scan_length": scan.length,
+        },
+        verified_range=(
+            f"window over {len(view)} enumerated gaps up to {view.bound}; "
+            f"chain scan over positions 1..{n}"
+        ),
+        passed=passed,
+        witnesses={"scan": scan.to_json()},
+        notes=(
+            "finite-range evidence that no monochromatic chain reaches the "
+            "bound under this coloring; not a statement over all integers"
+        ),
+        components=[window_cert],
+    )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from . import colorings, construct, gapsets, search, verify
+from . import colorings, construct, gapsets, verify
 from .exactnum import Q5
 
 SQRT5_OVER_8 = Q5(0, Fraction(1, 8))
@@ -154,7 +154,7 @@ def _claim_pipeline(params: dict) -> tuple[bool, str]:
         and cert.intervals[3].hi == Fraction(43, 128)
         and cert.eps == Fraction(1, 8)
     )
-    evidence = search.doa_evidence(spec.enumerate(max(n, q[-1])), cert.alpha, cert.eps, 2, n)
+    evidence = construct.doa_evidence(spec.enumerate(max(n, q[-1])), cert.alpha, cert.eps, 2, n)
     ok = trace_ok and evidence.passed
     scan_len = evidence.params["scan_length"]
     return ok, (

@@ -1,6 +1,6 @@
 """Exact computation of the least prefix length forcing a monochromatic
-k-term chain (with witness avoider colorings), distance-graph chromatic
-bounds on prefixes, and the composite finite-range accessibility evidence.
+k-term chain (with witness avoider colorings) and distance-graph chromatic
+bounds on prefixes.
 
 The avoider search colors positions left to right and breaks color symmetry
 canonically: position 1 is color 1 and a new color may only enter as
@@ -47,13 +47,9 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
-from .certs import Certificate
-from .colorings import Coloring, frac_coloring
-from .construct import certify_fracs, diffseq_bound_from_eps
-from .exactnum import Q5, rational_str, to_rational
+from .colorings import Coloring
 from .gapsets import GapSetView
 from .verify import _gap_mask, _usable_gaps, longest_mono_diffseq
 
@@ -537,49 +533,3 @@ def chromatic_number_prefix(view: GapSetView, n: int) -> ChromaticResult:
     if value is not None:
         lower = upper = value
     return ChromaticResult(n, lower, upper, value is not None, coloring, lower_witness)
-
-
-# -- composite accessibility evidence -------------------------------------------------
-
-
-def doa_evidence(
-    view: GapSetView,
-    alpha: Union[Q5, Fraction, int, str],
-    eps,
-    r: int,
-    n: int,
-) -> Certificate:
-    """Finite-range evidence that the gap set is not r-accessible: the window
-    certificate on the enumerated elements plus a full scan of the induced
-    r-class coloring on [1..n] staying below the implied chain-length bound.
-
-    This is evidence over the checked ranges, not a proof over all of N.
-    """
-    eps = to_rational(eps)
-    window_cert = certify_fracs(alpha, view, eps, r)
-    bound = diffseq_bound_from_eps(r, eps)
-    coloring = frac_coloring(alpha, r, n)
-    scan = longest_mono_diffseq(coloring, view.restrict(n) if view.bound > n else view)
-    passed = window_cert.passed and scan.length < bound
-    alpha_q5 = Q5.coerce(alpha)
-    return Certificate(
-        claim="accessibility-upper-evidence",
-        params={
-            "alpha": alpha_q5.to_json(),
-            "eps": rational_str(eps),
-            "r": r,
-            "chain_length_bound": bound,
-            "scan_length": scan.length,
-        },
-        verified_range=(
-            f"window over {len(view)} enumerated gaps up to {view.bound}; "
-            f"chain scan over positions 1..{n}"
-        ),
-        passed=passed,
-        witnesses={"scan": scan.to_json()},
-        notes=(
-            "finite-range evidence that no monochromatic chain reaches the "
-            "bound under this coloring; not a statement over all integers"
-        ),
-        components=[window_cert],
-    )

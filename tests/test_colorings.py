@@ -15,7 +15,7 @@ from diffseq.colorings import (
     residue_coloring,
     rotation_word,
 )
-from diffseq.exactnum import PHI, Q5
+from diffseq.exactnum import PHI, Q5, floor5
 
 
 def test_frac_coloring_examples():
@@ -32,7 +32,7 @@ def test_frac_coloring_boundary_goes_up():
 
 
 def test_frac_coloring_agrees_between_paths():
-    # the rational fast path and the quadratic path must color identically
+    # a rational alpha colors the same given as a Fraction or as a Q5
     alpha = F(7, 19)
     as_q5 = Q5(F(7, 19), 0)
     assert frac_coloring(alpha, 3, 200).colors == frac_coloring(as_q5, 3, 200).colors
@@ -253,3 +253,63 @@ def test_from_json_rejects_malformed_rle():
     ):
         with pytest.raises(ValueError):
             Coloring.from_json(bad)
+
+
+# -- the word construction against the per-position floor5 loop ---------------------
+
+
+def _ref_frac(alpha, r, n):
+    # class floor(r*{alpha*x}) + 1 = floor(r*alpha*x) mod r + 1, one floor5 per position
+    P0, U0, L = Q5.coerce(alpha).as_integer_triple()
+    rP, rU = r * P0, r * U0
+    return bytes([floor5(rP * x, rU * x, L) % r + 1 for x in range(1, n + 1)])
+
+
+def _frac_alphas(rng):
+    alphas = [0, 1, -2, F(1, 10**6), Q5(0, F(1, 10**5)), Q5(0, F(-1, 10**5))]
+    # r*alpha an integer for some r in the test
+    alphas += [F(k, m) for m in (2, 3, 4, 5, 7, 255) for k in (-1, 1, m + 2)]
+    while len(alphas) < 150:
+        alphas.append(F(rng.randint(-60, 60), rng.randint(1, 50)))
+    while len(alphas) < 300:  # both parts of either sign
+        a = F(rng.randint(-30, 30), rng.randint(1, 12))
+        alphas.append(Q5(a, F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 12))))
+    return alphas
+
+
+def test_frac_coloring_matches_the_per_position_loop():
+    # rationals, 0, integer r*alpha, huge partial quotients (1/10^6 and
+    # sqrt5/10^5) and random Q(sqrt5) alphas; every prefix length against
+    # the reference word
+    for alpha in _frac_alphas(random.Random(11)):
+        for r in (2, 3, 4, 5, 7, 255):
+            ref = _ref_frac(alpha, r, 3000)
+            for n in (1, 2, 3, 17, 3000):
+                word = frac_coloring(alpha, r, n)
+                assert word.colors == ref[:n], (alpha, r, n)
+                assert word.provenance == {
+                    "generator": "frac", "alpha": Q5.coerce(alpha).to_json(), "r": r, "n": n
+                }
+
+
+def test_frac_coloring_rational_expansion_ending_at_an_odd_index():
+    # {r*alpha} = 1/3 = [0; 3] ends at index 1, so the word repeats the
+    # standard word of [0; 2, 1], which ends in 10
+    for alpha, r in ((F(1, 3), 4), (F(1, 3), 7), (F(2, 3), 2)):
+        assert frac_coloring(alpha, r, 300).colors == _ref_frac(alpha, r, 300), (alpha, r)
+    assert list(frac_coloring(F(1, 3), 4, 6).colors) == [2, 3, 1] * 2
+
+
+def test_frac_coloring_at_the_length_cap():
+    # spot checks against the decimal reference, where r*alpha*x at a
+    # Fibonacci x sits just beside a class cut
+    n = 10**7
+    fib = [1, 2]
+    while fib[-1] < n:
+        fib.append(fib[-1] + fib[-2])
+    for alpha, r in ((Q5(F(3, 8), F(1, 8)), 2), (GOLDEN_ANGLE, 3)):
+        word = frac_coloring(alpha, r, n).colors
+        assert len(word) == n
+        for x in list(range(1, 201)) + fib[:-1] + [n]:
+            y = alpha * x
+            assert word[x - 1] == _ref_floor(y * r) - r * _ref_floor(y) + 1, (alpha, r, x)

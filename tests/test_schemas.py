@@ -9,10 +9,10 @@ import pytest
 from referencing import Registry, Resource
 
 from diffseq.colorings import preset_coloring
-from diffseq.construct import build_alpha
+from diffseq.construct import build_alpha, doa_evidence
 from diffseq.gapsets import GapSetSpec
 from diffseq.reproduce import run_reproduce
-from diffseq.search import chromatic_number_prefix, delta, doa_evidence
+from diffseq.search import chromatic_number_prefix, delta
 from diffseq.verify import longest_mono_ap
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"

@@ -9,6 +9,7 @@ import pytest
 
 from diffseq import search
 from diffseq.colorings import Coloring, residue_coloring
+from diffseq.construct import doa_evidence
 from diffseq.exactnum import Q5
 from diffseq.gapsets import GapSetSpec
 from diffseq.search import (
@@ -17,7 +18,6 @@ from diffseq.search import (
     _dfs_deepest,
     chromatic_number_prefix,
     delta,
-    doa_evidence,
 )
 from diffseq.verify import chromatically_intersective_check, longest_mono_diffseq
 
