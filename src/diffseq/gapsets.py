@@ -3,6 +3,12 @@
 A ``GapSetSpec`` is a rule denoting a set of positive integers; a
 ``GapSetView`` is its materialized, sorted prefix up to a bound. Views are
 complete: no member of the denoted set below the bound is missing.
+
+The sieved kinds (nonmultiples, primes), and every transform or union with a
+sieved part, are membership bytes over [0..bound] that one C-level
+``compress`` reads out. The listed kinds (fibonacci, even_fibonacci, pell,
+geometric, polynomial, explicit) and their transforms and unions build their
+elements directly, since their bounds may reach 10**40.
 """
 
 from __future__ import annotations
@@ -12,15 +18,15 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, cycle, groupby
+from itertools import chain, compress, groupby
 from typing import Iterable, Optional, Sequence
 
 from .certs import Certificate
 from .exactnum import rational_str, to_rational
 
-# the primes kind sieves one byte per integer up to the bound and the
-# nonmultiples kind walks every integer up to it; 10x the coloring length
-# cap, so divided(..., d <= 10) still reaches a scan at that cap
+# the sieved kinds (primes, nonmultiples) hold one byte per integer up to the
+# bound; 10x the coloring length cap, so divided(..., d <= 10) still reaches
+# a scan at that cap
 MAX_SIEVE = 10**8
 
 # the polynomial kind evaluates p(n) once per n until p passes the bound
@@ -208,13 +214,89 @@ class GapSetSpec:
         """Materialize the denoted set up to ``bound`` (complete, sorted)."""
         if bound < 1:
             raise ValueError("enumeration bound must be >= 1")
-        return GapSetView(tuple(self._elements(bound)), bound)
+        members = self._members(bound)
+        if members is None:
+            elements = tuple(self._elements(bound))
+        elif 1 in members[4::2]:
+            elements = tuple(compress(range(bound + 1), members))
+        else:
+            # no even member above 2 (the primes): compress 1, 2 and the odd
+            # positions from 3; the full bytes are dropped before the tuple is built
+            low = compress((1, 2), members[1:3])
+            members = members[3::2]
+            elements = tuple(chain(low, compress(range(3, bound + 1, 2), members)))
+        del members  # not held while the view validates
+        return GapSetView(elements, bound)
+
+    def _members(self, bound: int) -> Optional[bytearray]:
+        """Membership bytes over [0..bound] (1 at each element, 0 elsewhere),
+        or None when no part of the rule is sieved.
+
+        The sieved kinds (nonmultiples, primes) check their bound against
+        ``MAX_SIEVE``. A transform reads its inner bytes at the bound it needs
+        (bound * d for a divided kind); a union ORs its sieved parts' bytes
+        and sets its listed parts' elements. The listed kinds return None at
+        any bound, which may reach 10**40, so the choice follows the kinds
+        alone.
+        """
+        kind = self.kind
+        if kind == "nonmultiples":
+            _check_sieve(bound)
+            # the multiples of m are the positions 0, m, 2m, ...; m past the
+            # bound zeroes position 0 alone, with no period of m bytes built
+            out = bytearray(b"\x01") * (bound + 1)
+            out[:: self.m] = bytearray(len(range(0, bound + 1, self.m)))
+            return out
+        if kind == "primes":
+            return _primes_upto(bound)
+        if kind == "union":
+            # the OR of the sieved parts' bytes, then the listed parts by index
+            bits, listed = 0, []
+            for part in self.parts:
+                inner = part._members(bound)
+                if inner is None:
+                    listed.append(part)
+                else:
+                    bits |= int.from_bytes(inner, "little")
+            if len(listed) == len(self.parts):
+                return None
+            out = bytearray(bits.to_bytes(bound + 1, "little"))
+            for part in listed:
+                for a in part._elements(bound):
+                    out[a] = 1
+            return out
+        if kind == "divided":
+            inner = self.inner._members(bound * self.d)
+            return None if inner is None else inner[:: self.d]
+        if kind == "multiples_filtered":
+            inner = self.inner._members(bound)
+            if inner is None:
+                return None
+            out = bytearray(bound + 1)
+            out[:: self.d] = inner[:: self.d]
+            return out
+        if kind == "shifted":
+            c = self.shift
+            inner = self.inner._members(max(bound - c, 1))
+            if inner is None:
+                return None
+            if c < 0:
+                # out[x] = inner[x - c]; position 0 takes inner's -c, which
+                # shifts to 0 and is no element
+                del inner[:-c]
+                inner[0] = 0
+            else:
+                # c + 1 zero positions before inner's 1, 2, ...; a shift past
+                # the bound leaves only zeros
+                inner[:1] = bytes(min(c, bound) + 1)
+                del inner[bound + 1 :]
+            return inner
+        return None
 
     def _elements(self, bound: int) -> Iterable[int]:
-        """The elements <= bound in increasing order. Sieved and transformed
-        kinds give iterators, so the inner set of a divided, filtered or
-        shifted kind is never held as a list; a union holds one sorted list
-        of its parts' elements."""
+        """The elements <= bound of a rule with no sieved part, in increasing
+        order. A union holds one sorted list of its parts' elements; the
+        transforms walk their inner elements."""
         kind = self.kind
         if kind == "fibonacci":
             out, a, b = [], 1, 2
@@ -242,14 +324,6 @@ class GapSetSpec:
             return out
         if kind == "polynomial":
             return self._poly_elements(bound)
-        if kind == "nonmultiples":
-            _check_sieve(bound)
-            # residues 1..m of one period: only m itself is a multiple; a
-            # period longer than the bound is cut at bound + 1 (no multiple below)
-            keep = cycle([1] * (min(self.m, bound + 1) - 1) + [0])
-            return compress(range(1, bound + 1), keep)
-        if kind == "primes":
-            return _primes_upto(bound)
         if kind == "explicit":
             return [e for e in self.elements if e <= bound]
         if kind == "union":
@@ -368,17 +442,17 @@ def _check_sieve(bound: int) -> None:
         raise ValueError(f"enumeration bound {bound} exceeds the sieve cap {MAX_SIEVE}")
 
 
-def _primes_upto(n: int) -> Iterable[int]:
+def _primes_upto(n: int) -> bytearray:
+    """The prime sieve over [0..n], n >= 1: 1 at each prime, 0 elsewhere."""
     _check_sieve(n)
-    if n < 2:
-        return []
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             start = p * p
+            # a bytearray of zeros: assigning bytes would copy them into one first
             sieve[start :: p] = bytearray(len(range(start, n + 1, p)))
-    return compress(range(n + 1), sieve)
+    return sieve
 
 
 def growth_certificate(view: GapSetView, rho, start: int = 0) -> Certificate:

@@ -126,6 +126,34 @@ def test_sieve_cap_stops_widening(monkeypatch, capsys, argv):
     assert built and max(built) <= 10**5
 
 
+COMPOSED_JSON = json.dumps({"kind": "union", "of": [
+    {"kind": "shifted", "of": {"kind": "primes"}, "c": -1},
+    {"kind": "geometric", "base": 3},
+    {"kind": "divided", "of": {"kind": "nonmultiples", "m": 5}, "d": 2},
+    {"kind": "shifted", "of": {"kind": "fibonacci"}, "c": 2},
+]})
+
+
+@pytest.mark.parametrize(
+    "spec, n, digest",
+    [
+        (COMPOSED_JSON, 500_000, "54cea2af57f5e7c21bedd0f6112193e74656393ac0c29ebd468fca84f945294f"),
+        (
+            '{"kind":"divided","of":{"kind":"nonmultiples","m":6},"d":4}',
+            10_000,
+            "a3017461e2819cd8819e1af50ab37c3fad1ec6c2f4de41f027faaedc67422abf",
+        ),
+    ],
+    ids=["composed", "divided"],
+)
+def test_set_output_is_pinned(capsys, spec, n, digest):
+    # SHA-256 of the stdout of `diffseq set` as the per-element generators
+    # wrote it, before enumeration went through membership bytes
+    code, out, _ = _run(capsys, "set", "--set-json", spec, "-N", str(n))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_delta_one_term_chains_are_validated(capsys):
     code, _, err = _run(
         capsys, "delta", "--set-json", '{"kind":"fibonacci"}',
