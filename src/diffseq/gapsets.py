@@ -5,10 +5,11 @@ A ``GapSetSpec`` is a rule denoting a set of positive integers; a
 complete: no member of the denoted set below the bound is missing.
 
 The sieved kinds (nonmultiples, primes), and every transform or union with a
-sieved part, are membership bytes over [0..bound] that one C-level
-``compress`` reads out. The listed kinds (fibonacci, even_fibonacci, pell,
-geometric, polynomial, explicit) and their transforms and unions build their
-elements directly, since their bounds may reach 10**40.
+sieved part, are membership bytes over a window of [0..bound] that one
+C-level ``compress`` reads out; a shift moves the window, so a set shifted far
+up holds only its inner bytes. The listed kinds (fibonacci, even_fibonacci,
+pell, geometric, polynomial, explicit) and their transforms and unions build
+their elements directly, since their bounds may reach 10**40.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .certs import Certificate
 from .exactnum import rational_str, to_rational
 
 # the sieved kinds (primes, nonmultiples) hold one byte per integer up to the
-# bound; 10x the coloring length cap, so divided(..., d <= 10) still reaches
-# a scan at that cap
+# bound, and a union with a sieved part one per position it spans; 10x the
+# coloring length cap, so divided(..., d <= 10) still reaches a scan at that cap
 MAX_SIEVE = 10**8
 
 # the polynomial kind evaluates p(n) once per n until p passes the bound
@@ -214,30 +215,38 @@ class GapSetSpec:
         """Materialize the denoted set up to ``bound`` (complete, sorted)."""
         if bound < 1:
             raise ValueError("enumeration bound must be >= 1")
-        members = self._members(bound)
-        if members is None:
-            elements = tuple(self._elements(bound))
-        elif 1 in members[4::2]:
-            elements = tuple(compress(range(bound + 1), members))
+        if self.kind == "primes":
+            # 2 is the one even prime: compress it and the odd positions from
+            # 3, with the full sieve dropped before the tuple is built
+            sieve = _primes_upto(bound)
+            found = chain(compress((2,), sieve[2:3]), compress(range(3, bound + 1, 2), sieve[3::2]))
+            del sieve
         else:
-            # no even member above 2 (the primes): compress 1, 2 and the odd
-            # positions from 3; the full bytes are dropped before the tuple is built
-            low = compress((1, 2), members[1:3])
-            members = members[3::2]
-            elements = tuple(chain(low, compress(range(3, bound + 1, 2), members)))
-        del members  # not held while the view validates
+            members = self._members(bound)
+            if members is None:
+                found = self._elements(bound)
+            else:
+                lo, flags = members
+                found = compress(range(lo, lo + len(flags)), flags)
+                del members, flags
+        elements = tuple(found)
+        del found  # no membership bytes are held while the view validates
         return GapSetView(elements, bound)
 
-    def _members(self, bound: int) -> Optional[bytearray]:
-        """Membership bytes over [0..bound] (1 at each element, 0 elsewhere),
-        or None when no part of the rule is sieved.
+    def _members(self, bound: int) -> Optional[tuple[int, bytearray]]:
+        """Membership bytes of the elements <= bound as ``(lo, flags)``:
+        ``flags[i]`` is 1 exactly when lo + i is an element, and no element
+        lies outside [lo, lo + len(flags)). None when no part of the rule is
+        sieved.
 
         The sieved kinds (nonmultiples, primes) check their bound against
-        ``MAX_SIEVE``. A transform reads its inner bytes at the bound it needs
-        (bound * d for a divided kind); a union ORs its sieved parts' bytes
-        and sets its listed parts' elements. The listed kinds return None at
-        any bound, which may reach 10**40, so the choice follows the kinds
-        alone.
+        ``MAX_SIEVE`` and start at lo = 0. A transform reads its inner bytes
+        at the bound it needs (bound * d for a divided kind) and only moves,
+        cuts or strides them, so a shift moves lo and builds no zeros; a
+        union ORs its sieved parts' bytes over the span they cover with the
+        listed parts' elements, checked against ``MAX_SIEVE`` too. The listed
+        kinds return None at any bound, which may reach 10**40, so the choice
+        follows the kinds alone.
         """
         kind = self.kind
         if kind == "nonmultiples":
@@ -246,51 +255,66 @@ class GapSetSpec:
             # bound zeroes position 0 alone, with no period of m bytes built
             out = bytearray(b"\x01") * (bound + 1)
             out[:: self.m] = bytearray(len(range(0, bound + 1, self.m)))
-            return out
+            return 0, out
         if kind == "primes":
-            return _primes_upto(bound)
+            return 0, _primes_upto(bound)
         if kind == "union":
-            # the OR of the sieved parts' bytes, then the listed parts by index
-            bits, listed = 0, []
-            for part in self.parts:
-                inner = part._members(bound)
-                if inner is None:
-                    listed.append(part)
-                else:
-                    bits |= int.from_bytes(inner, "little")
-            if len(listed) == len(self.parts):
+            members = [p._members(bound) for p in self.parts]
+            if members.count(None) == len(members):
                 return None
-            out = bytearray(bits.to_bytes(bound + 1, "little"))
-            for part in listed:
-                for a in part._elements(bound):
-                    out[a] = 1
-            return out
+            # the listed parts' elements and the sieved parts' bytes that
+            # hold a position: a shift past the bound leaves none, and no span
+            extra = list(chain.from_iterable(
+                p._elements(bound) for p, m in zip(self.parts, members) if m is None
+            ))
+            windows = [m for m in members if m is not None and m[1]]
+            lo = min(chain((at for at, _ in windows), extra), default=0)
+            hi = max(chain((at + len(f) for at, f in windows), (a + 1 for a in extra)), default=0)
+            if hi - lo > MAX_SIEVE + 1:
+                raise ValueError(
+                    f"union spans {hi - lo} positions up to bound {bound}, "
+                    f"above the sieve cap {MAX_SIEVE}"
+                )
+            # the OR of the sieved parts' bytes, each moved to its lo, then
+            # the listed parts by index
+            bits = 0
+            for at, flags in windows:
+                bits |= int.from_bytes(flags, "little") << 8 * (at - lo)
+            out = bytearray(bits.to_bytes(hi - lo, "little"))
+            for a in extra:
+                out[a - lo] = 1
+            return lo, out
         if kind == "divided":
-            inner = self.inner._members(bound * self.d)
-            return None if inner is None else inner[:: self.d]
-        if kind == "multiples_filtered":
-            inner = self.inner._members(bound)
-            if inner is None:
+            members = self.inner._members(bound * self.d)
+            if members is None:
                 return None
-            out = bytearray(bound + 1)
-            out[:: self.d] = inner[:: self.d]
-            return out
+            # x is an element when x*d is one; the first x with x*d >= lo
+            lo, flags = members
+            first = -(-lo // self.d)
+            return first, flags[first * self.d - lo :: self.d]
+        if kind == "multiples_filtered":
+            members = self.inner._members(bound)
+            if members is None:
+                return None
+            lo, flags = members
+            out = bytearray(len(flags))
+            at = -lo % self.d  # the index of the first multiple of d
+            out[at :: self.d] = flags[at :: self.d]
+            return lo, out
         if kind == "shifted":
             c = self.shift
-            inner = self.inner._members(max(bound - c, 1))
-            if inner is None:
+            members = self.inner._members(max(bound - c, 1))
+            if members is None:
                 return None
-            if c < 0:
-                # out[x] = inner[x - c]; position 0 takes inner's -c, which
-                # shifts to 0 and is no element
-                del inner[:-c]
-                inner[0] = 0
-            else:
-                # c + 1 zero positions before inner's 1, 2, ...; a shift past
-                # the bound leaves only zeros
-                inner[:1] = bytes(min(c, bound) + 1)
-                del inner[bound + 1 :]
-            return inner
+            lo, flags = members
+            lo += c
+            if lo < 1:
+                # positions below 1 hold no element
+                del flags[: 1 - lo]
+                lo = 1
+            # a shift past the bound moves the inner bytes at bound 1 above it
+            del flags[max(bound + 1 - lo, 0) :]
+            return lo, flags
         return None
 
     def _elements(self, bound: int) -> Iterable[int]:

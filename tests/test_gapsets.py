@@ -5,7 +5,6 @@ import math
 import operator
 import pathlib
 import random
-import time
 import tracemalloc
 from fractions import Fraction
 from itertools import chain, compress, cycle, groupby
@@ -269,13 +268,40 @@ def test_listed_kinds_build_no_bound_sized_bytes():
     # bytes over [0..10**40] could never be allocated: only the lists are built
     spec = GapSetSpec.union([GapSetSpec.geometric(2), GapSetSpec.fibonacci()]).shifted(3)
     assert spec._members(10**40) is None
-    start = time.perf_counter()
     view = spec.enumerate(10**40)
-    assert time.perf_counter() - start < 1.0
     assert view.elements[:12] == (4, 5, 6, 7, 8, 11, 16, 19, 24, 35, 37, 58)
     assert len(view) == 322  # 2^0..2^132 and F_2..F_193, with 1, 2 and 8 in both
     assert view.elements[-1] == 9663391306290450775010025392525829059716
 
+
+
+def test_far_shifts_hold_only_the_inner_bytes(monkeypatch):
+    # a shift moves the inner bytes up to start at c and builds no zeros
+    # below it; with the cap at 1000 a byte per position up to 10**9 would
+    # raise, and the tracemalloc peak shows none is allocated either
+    monkeypatch.setattr(gapsets, "MAX_SIEVE", 1000)
+    far = GapSetSpec.primes().shifted(10**9)
+    cases = [
+        (far, 10**9 + 100),
+        (GapSetSpec.primes().shifted(10**12), 10**12),  # past the bound: empty
+        (far.divide(2), 5 * 10**8 + 50),
+        (far.shifted(7 - 10**9), 107),
+        (GapSetSpec.union([far, GapSetSpec.nonmultiples(3).shifted(10**9 + 50)]).filter_multiples(2), 10**9 + 100),
+    ]
+    tracemalloc.start()
+    try:
+        views = [spec.enumerate(bound) for spec, bound in cases]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000
+    for (spec, bound), view in zip(cases, views):
+        assert view.elements == tuple(_reference_elements(spec, bound)), (spec, bound)
+    assert len(views[0]) == 25 and views[1].elements == ()
+    # a union spans every position from its least to its greatest part:
+    # 1 .. 10**9 + 100 here, above the cap, so it raises before allocating
+    with pytest.raises(ValueError, match="sieve cap"):
+        GapSetSpec.union([far, GapSetSpec.explicit([1])]).enumerate(10**9 + 100)
 
 @pytest.mark.parametrize(
     "spec, bound",
