@@ -7,7 +7,8 @@ complete: no member of the denoted set below the bound is missing.
 The sieved kinds (nonmultiples, primes), and every transform or union with a
 sieved part, are membership bytes over a window of [0..bound] that one
 C-level ``compress`` reads out; a shift moves the window, so a set shifted far
-up holds only its inner bytes. The listed kinds (fibonacci, even_fibonacci,
+up holds only its inner bytes, and a union's listed elements below the window
+stay a sorted list. The listed kinds (fibonacci, even_fibonacci,
 pell, geometric, polynomial, explicit) and their transforms and unions build
 their elements directly, since their bounds may reach 10**40.
 """
@@ -19,15 +20,16 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, groupby
+from itertools import chain, compress, groupby, islice
 from typing import Iterable, Optional, Sequence
 
 from .certs import Certificate
 from .exactnum import rational_str, to_rational
 
 # the sieved kinds (primes, nonmultiples) hold one byte per integer up to the
-# bound, and a union with a sieved part one per position it spans; 10x the
-# coloring length cap, so divided(..., d <= 10) still reaches a scan at that cap
+# bound, and a union with a sieved part one per position of its widest sieved
+# part; 10x the coloring length cap, so divided(..., d <= 10) still reaches a
+# scan at that cap
 MAX_SIEVE = 10**8
 
 # the polynomial kind evaluates p(n) once per n until p passes the bound
@@ -70,7 +72,7 @@ class GapSetView:
 
     def __post_init__(self):
         els = self.elements
-        if not all(map(operator.lt, els, els[1:])):
+        if not all(map(operator.lt, els, islice(els, 1, None))):
             raise ValueError("view elements must be strictly increasing")
         if els and els[0] < 1:
             raise ValueError("gap set elements must be positive")
@@ -226,27 +228,29 @@ class GapSetSpec:
             if members is None:
                 found = self._elements(bound)
             else:
-                lo, flags = members
-                found = compress(range(lo, lo + len(flags)), flags)
+                lo, flags, below = members
+                found = chain(below, compress(range(lo, lo + len(flags)), flags))
                 del members, flags
         elements = tuple(found)
         del found  # no membership bytes are held while the view validates
         return GapSetView(elements, bound)
 
-    def _members(self, bound: int) -> Optional[tuple[int, bytearray]]:
-        """Membership bytes of the elements <= bound as ``(lo, flags)``:
-        ``flags[i]`` is 1 exactly when lo + i is an element, and no element
-        lies outside [lo, lo + len(flags)). None when no part of the rule is
-        sieved.
+    def _members(self, bound: int) -> Optional[tuple[int, bytearray, list[int]]]:
+        """The elements <= bound as ``(lo, flags, below)``: ``flags[i]`` is 1
+        exactly when lo + i is an element, ``below`` lists the elements
+        under lo in increasing order, and no element lies at or above
+        lo + len(flags). None when no part of the rule is sieved.
 
         The sieved kinds (nonmultiples, primes) check their bound against
         ``MAX_SIEVE`` and start at lo = 0. A transform reads its inner bytes
         at the bound it needs (bound * d for a divided kind) and only moves,
-        cuts or strides them, so a shift moves lo and builds no zeros; a
-        union ORs its sieved parts' bytes over the span they cover with the
-        listed parts' elements, checked against ``MAX_SIEVE`` too. The listed
-        kinds return None at any bound, which may reach 10**40, so the choice
-        follows the kinds alone.
+        cuts or strides them, so a shift moves lo and builds no zeros. Every
+        window is empty or ends at bound + 1, so a union ORs its sieved
+        parts' bytes over the widest part's window and sets the listed
+        elements that fall inside it; the rest join ``below``, and no part
+        is held at more than its own size. The listed kinds return None at
+        any bound, which may reach 10**40, so the choice follows the kinds
+        alone.
         """
         kind = self.kind
         if kind == "nonmultiples":
@@ -255,58 +259,54 @@ class GapSetSpec:
             # bound zeroes position 0 alone, with no period of m bytes built
             out = bytearray(b"\x01") * (bound + 1)
             out[:: self.m] = bytearray(len(range(0, bound + 1, self.m)))
-            return 0, out
+            return 0, out, []
         if kind == "primes":
-            return 0, _primes_upto(bound)
+            return 0, _primes_upto(bound), []
         if kind == "union":
             members = [p._members(bound) for p in self.parts]
             if members.count(None) == len(members):
                 return None
-            # the listed parts' elements and the sieved parts' bytes that
-            # hold a position: a shift past the bound leaves none, and no span
-            extra = list(chain.from_iterable(
-                p._elements(bound) for p, m in zip(self.parts, members) if m is None
+            # the listed parts' elements and the sieved parts' elements below
+            # their windows; a window that holds no position (a shift past
+            # the bound) sets no lo
+            loose = list(chain.from_iterable(
+                p._elements(bound) if m is None else m[2] for p, m in zip(self.parts, members)
             ))
-            windows = [m for m in members if m is not None and m[1]]
-            lo = min(chain((at for at, _ in windows), extra), default=0)
-            hi = max(chain((at + len(f) for at, f in windows), (a + 1 for a in extra)), default=0)
-            if hi - lo > MAX_SIEVE + 1:
-                raise ValueError(
-                    f"union spans {hi - lo} positions up to bound {bound}, "
-                    f"above the sieve cap {MAX_SIEVE}"
-                )
-            # the OR of the sieved parts' bytes, each moved to its lo, then
-            # the listed parts by index
+            windows = [m[:2] for m in members if m is not None and m[1]]
+            lo = min((at for at, _ in windows), default=bound + 1)
             bits = 0
             for at, flags in windows:
                 bits |= int.from_bytes(flags, "little") << 8 * (at - lo)
-            out = bytearray(bits.to_bytes(hi - lo, "little"))
-            for a in extra:
-                out[a - lo] = 1
-            return lo, out
+            out = bytearray(bits.to_bytes(bound + 1 - lo, "little"))
+            for a in loose:
+                if a >= lo:
+                    out[a - lo] = 1
+            return lo, out, sorted({a for a in loose if a < lo})
         if kind == "divided":
             members = self.inner._members(bound * self.d)
             if members is None:
                 return None
             # x is an element when x*d is one; the first x with x*d >= lo
-            lo, flags = members
-            first = -(-lo // self.d)
-            return first, flags[first * self.d - lo :: self.d]
+            lo, flags, below = members
+            d = self.d
+            first = -(-lo // d)
+            return first, flags[first * d - lo :: d], [a // d for a in below if a % d == 0]
         if kind == "multiples_filtered":
             members = self.inner._members(bound)
             if members is None:
                 return None
-            lo, flags = members
+            lo, flags, below = members
+            d = self.d
             out = bytearray(len(flags))
-            at = -lo % self.d  # the index of the first multiple of d
-            out[at :: self.d] = flags[at :: self.d]
-            return lo, out
+            at = -lo % d  # the index of the first multiple of d
+            out[at::d] = flags[at::d]
+            return lo, out, [a for a in below if a % d == 0]
         if kind == "shifted":
             c = self.shift
             members = self.inner._members(max(bound - c, 1))
             if members is None:
                 return None
-            lo, flags = members
+            lo, flags, below = members
             lo += c
             if lo < 1:
                 # positions below 1 hold no element
@@ -314,7 +314,7 @@ class GapSetSpec:
                 lo = 1
             # a shift past the bound moves the inner bytes at bound 1 above it
             del flags[max(bound + 1 - lo, 0) :]
-            return lo, flags
+            return lo, flags, [a + c for a in below if 1 <= a + c <= bound]
         return None
 
     def _elements(self, bound: int) -> Iterable[int]:

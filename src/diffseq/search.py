@@ -18,6 +18,18 @@ new is forced. A window position threatened in every color is dead: no
 extension reaches it, so the subtree cannot go deeper than best and is cut.
 The masks are immutable per depth, so backtracking needs no undo.
 
+The parent's masks are already closed on its window, so only two kinds of
+position can be new to the closure: those where the placement added G << pos
+to U_c or T_c (only at chain length k-2 or more), and those above the
+parent's window top when best grew after the parent was closed. When there
+are none, no closure runs and the depth keeps the parent's lists. Otherwise
+the closure's first round reads only those positions (at k = 3 the whole
+window, see ``_close``), and later rounds the whole window. At r = 2 the
+first round runs inline: a dead position cuts the branch there, and the
+closure is called only when that round finds an expansion. Everywhere else
+the bits, and so the verdicts, are the parent's, so every expansion, prune
+and count is the one a closure over the whole window gives.
+
 Rejections only remove colorings that contain a k-term chain and the bound
 only cuts subtrees that cannot beat the deepest avoider found so far, so the
 first-deepest avoider in depth-first order, and with it the verdict, value
@@ -160,7 +172,7 @@ def _forced(T: list[int], window: int, r: int) -> Optional[list[int]]:
     return forced
 
 
-def _close(T, U, done, window, gapmask, width, k, r):
+def _close(T, U, done, window, changed, gapmask, width, k, r):
     """Close the threat masks (updated in place) under forced moves on the
     window of uncolored positions.
 
@@ -169,12 +181,22 @@ def _close(T, U, done, window, gapmask, width, k, r):
     joins U or T. ``done`` holds the positions already expanded at level
     k-2 and at level k-1. Returns (done, expansions), with done None when
     some window position is threatened in every color.
+
+    The masks come closed on the parent's window: no position there is
+    dead, and every forced one has expanded. ``changed`` holds the window
+    positions whose T or U bits the last placement set, and those the window
+    gained above the parent's top. Elsewhere a position's bits, and so its
+    verdict, are the parent's, so the first round reads only ``changed`` and
+    finds the same dead positions and expansions as a round over the whole
+    window. At k = 3 it reads the whole window: there a forced position
+    joins U within the round, and U's new bits can reach an unchanged
+    position forced to the same color. Later rounds read the whole window.
     """
     done_u, done_t = done
     expansions = 0
-    grew = True
-    while grew:
-        forced = _forced(T, window, r)
+    scope = window if k == 3 else changed
+    while True:
+        forced = _forced(T, scope, r)
         if forced is None:
             return None, expansions
         grew = False
@@ -198,7 +220,9 @@ def _close(T, U, done, window, gapmask, width, k, r):
                     U[c] |= add
                 expansions += new.bit_count()
                 grew = True
-    return (done_u, done_t), expansions
+        if not grew:
+            return (done_u, done_t), expansions
+        scope = window
 
 
 def _dfs_deepest(
@@ -233,10 +257,12 @@ def _dfs_deepest(
     fixed = len(prefix)
     nxt[1 : fixed + 1] = allowed[1 : fixed + 1] = prefix
     allowed[fixed + 1] = min(max(prefix, default=0) + 1, r)
-    # states[p]: threat masks T, U and expanded sets after positions 1..p are colored
+    # states[p]: threat masks T, U and expanded sets after positions 1..p are
+    # colored, and the deepest avoider's depth when they were closed (the
+    # empty state has nothing to close, so it counts as closed to the budget)
     states: list = [None] * (budget + 2)
     T = [(1 << (budget + 1)) - 2 if k == 1 else 0] * (r + 1)
-    states[0] = (T, [0] * (r + 1), (0, 0))
+    states[0] = (T, [0] * (r + 1), (0, 0), budget)
 
     best_depth = 0
     best_word = b""
@@ -260,7 +286,7 @@ def _dfs_deepest(
             continue
         nxt[pos] = c + 1
         nodes += 1
-        T, U, done = states[pos - 1]
+        T, U, done, closed_at = states[pos - 1]
         if T[c] >> pos & 1:
             rejected += 1
             continue
@@ -281,28 +307,54 @@ def _dfs_deepest(
                             break
         color[pos] = c
         chain[pos] = length
-        T = T[:]
-        threats = (gapmask << pos) & width
-        if k > 2:
-            U = U[:]
-            if length >= k - 2:
-                U[c] |= threats
-        if length == k - 1:
-            T[c] |= threats
+        changed = 0
+        if length >= k - 2:  # G << pos joins U_c, and at length k-1 T_c too
+            changed = (gapmask << pos) & width
+            if k > 2:
+                U = U[:]
+                U[c] |= changed
+            if length == k - 1:
+                T = T[:]
+                T[c] |= changed
         if pos > best_depth:
             best_depth = pos
             best_word = bytes(color[1 : pos + 1])
         if pos > fixed:
             allowed[pos + 1] = c + 1 if c == allowed[pos] and c < r else allowed[pos]
         if pos < budget:  # the bound only matters on (pos, best_depth + 1]
-            done, expanded = _close(
-                T, U, done, (4 << best_depth) - (2 << pos), gapmask, width, k, r
-            )
-            forced += expanded
-            if done is None:
-                pruned += 1
-                continue
-        states[pos] = (T, U, done)
+            window = (4 << best_depth) - (2 << pos)
+            if best_depth > closed_at:  # the window grew since the parent was closed
+                changed |= (4 << best_depth) - (4 << closed_at)
+            changed &= window
+            if changed and r == 2:
+                # the closure's first round inline: a changed position
+                # threatened in both colors is dead, and one threatened in
+                # one color is forced to the other, where it expands unless
+                # done: into T (at k > 2 only where that color's U hits
+                # it), and at k = 3 into U
+                t1, t2 = T[1], T[2]
+                if changed & t1 & t2:
+                    pruned += 1
+                    continue
+                if k == 2:
+                    fresh = changed & (t1 | t2) & ~done[1]
+                else:
+                    fresh = ((changed & t1 & U[2]) | (changed & t2 & U[1])) & ~done[1]
+                    if k == 3:
+                        fresh |= changed & (t1 | t2) & ~done[0]
+                if not fresh:
+                    changed = 0
+            if changed:
+                if length < k - 1:  # _close updates the lists in place
+                    T = T[:]
+                    if length < k - 2:
+                        U = U[:]
+                done, expanded = _close(T, U, done, window, changed, gapmask, width, k, r)
+                forced += expanded
+                if done is None:
+                    pruned += 1
+                    continue
+        states[pos] = (T, U, done, best_depth)
         pos += 1
     return best_depth, best_word, SearchStats(nodes, rejected, pruned, forced), frontier
 

@@ -1,5 +1,6 @@
 """Avoider search against full-enumeration oracles; chromatic bounds; evidence."""
 
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -15,11 +16,14 @@ from diffseq.gapsets import GapSetSpec
 from diffseq.search import (
     DELTA,
     UNKNOWN,
+    _close,
     _dfs_deepest,
+    _forced,
+    _spread,
     chromatic_number_prefix,
     delta,
 )
-from diffseq.verify import chromatically_intersective_check, longest_mono_diffseq
+from diffseq.verify import _gap_mask, chromatically_intersective_check, longest_mono_diffseq
 
 
 def _naturals(bound):
@@ -308,18 +312,120 @@ def test_stats_block():
 
 def test_search_counts_are_pinned():
     # k >= 4 runs the chain-length loop at every placement the U mask leaves
-    # open; nodes, prunes and forced moves must not move with its shortcuts
+    # open; nodes, prunes and forced moves must not move with its shortcuts,
+    # nor with the closure that re-reads only the changed bits
+    primes = GapSetSpec.primes().enumerate(100)
     squares = GapSetSpec.polynomial([1, 0, 0]).enumerate(100)
     nonmult4 = GapSetSpec.nonmultiples(4).enumerate(100)
-    for view, k, r, value, counts in (
-        (squares, 5, 2, 56, (107_805, 19_649, 34_254, 81_299)),
-        (nonmult4, 5, 3, 31, (153_726, 56_657, 45_826, 230_995)),
+    for view, k, r, budget, value, counts in (
+        (primes, 7, 2, 100, 33, (208_933, 37_347, 67_120, 156_658)),
+        (squares, 5, 2, 100, 56, (107_805, 19_649, 34_254, 81_299)),
+        (squares, 3, 2, 100, 21, (119, 34, 26, 174)),
+        (nonmult4, 5, 3, 100, 31, (153_726, 56_657, 45_826, 230_995)),
+        (nonmult4, 3, 3, 40, 13, (107, 48, 23, 121)),
     ):
-        res = delta(view, k, r, 100)
+        res = delta(view, k, r, budget)
         assert (res.verdict, res.value) == (DELTA, value)
         stats = res.stats
         assert (stats.nodes, stats.rejected, stats.pruned, stats.forced) == counts
-        assert _chain_free(res.witness.colors, [d for d in view.elements if d < 100], k)
+        assert _chain_free(res.witness.colors, [d for d in view.elements if d < budget], k)
+
+
+def test_search_sweep_is_pinned():
+    # depth, word, counts and frontier of about 1,200 small searches, prefixes
+    # included; the digest was taken on the full-window closure
+    rng = random.Random(307)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        k = rng.randint(2, 5)
+        r = rng.randint(2, 4)
+        budget = rng.randint(8, 40)
+        gaps = [d for d in sorted(rng.sample(range(1, 16), rng.randint(2, 7))) if d < budget]
+        runs = [_dfs_deepest(gaps, k, r, budget), _dfs_deepest(gaps, k, r, budget, stop_depth=4)]
+        runs += [_dfs_deepest(gaps, k, r, budget, prefix) for prefix in runs[1][3][:2]]
+        for depth, word, stats, frontier in runs:
+            counts = (stats.nodes, stats.rejected, stats.pruned, stats.forced)
+            digest.update(repr((depth, word, counts, frontier)).encode())
+    assert digest.hexdigest() == "dcd084e6f6d1fd40fa702438e301bc67a82f0366a20ecded972179d0ceb9e08f"
+
+
+def _reference_close(T, U, done, window, gapmask, width, k, r):
+    """The closure over the whole window in every round (the kernel's first
+    round reads only the changed bits)."""
+    done_u, done_t = done
+    expansions = 0
+    grew = True
+    while grew:
+        forced = _forced(T, window, r)
+        if forced is None:
+            return None, expansions
+        grew = False
+        for c in range(1, r + 1):
+            f = forced[c]
+            if not f:
+                continue
+            if k == 3:
+                new = f & ~done_u
+                if new:
+                    done_u |= new
+                    U[c] |= _spread(gapmask, new, width)
+                    expansions += new.bit_count()
+            new = (f if k == 2 else f & U[c]) & ~done_t
+            if new:
+                done_t |= new
+                add = _spread(gapmask, new, width)
+                T[c] |= add
+                if k > 3:
+                    U[c] |= add
+                expansions += new.bit_count()
+                grew = True
+    return (done_u, done_t), expansions
+
+
+def test_changed_bit_closure_matches_the_full_window():
+    # closed states from random prefixes: each placement re-closes on a
+    # window whose top may have grown since the parent was closed, and the
+    # changed-bit closure must leave the masks, done sets and expansion
+    # count of the full-window one, or die in the same place
+    rng = random.Random(331)
+    closed = deaths = 0
+    for _ in range(300):
+        k = rng.randint(2, 5)
+        r = rng.randint(2, 4)
+        budget = rng.randint(8, 40)
+        gaps = sorted(rng.sample(range(1, 12), rng.randint(1, 6)))
+        gapmask = _gap_mask(gaps)
+        width = (1 << (budget + 2)) - 1
+        T, U, done, top = [0] * (r + 1), [0] * (r + 1), (0, 0), 1
+        word = [0]
+        chain = [0]
+        for pos in range(1, budget):
+            c = rng.choice([c for c in range(1, r + 1) if not T[c] >> pos & 1])
+            length = 1 + max(
+                (chain[pos - d] for d in gaps if d < pos and word[pos - d] == c), default=0
+            )
+            word.append(c)
+            chain.append(length)
+            changed = (gapmask << pos) & width if length >= k - 2 else 0
+            if k > 2 and length >= k - 2:
+                U[c] |= changed
+            if length == k - 1:
+                T[c] |= changed
+            new_top = max(top, pos + 1)
+            if rng.random() < 0.2:
+                new_top = rng.randint(new_top, budget + 1)
+            window = (2 << new_top) - (2 << pos)
+            changed = (changed | ((2 << new_top) - (2 << top))) & window
+            mine, theirs = (T[:], U[:]), (T[:], U[:])
+            got = _close(*mine, done, window, changed, gapmask, width, k, r)
+            assert got == _reference_close(*theirs, done, window, gapmask, width, k, r)
+            if got[0] is None:
+                deaths += 1
+                break
+            assert mine == theirs
+            (T, U), done, top = mine, got[0], new_top
+            closed += 1
+    assert closed > 3_000 and deaths > 50
 
 
 def test_canonical_color_order_keeps_existence_verdict():
