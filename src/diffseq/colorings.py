@@ -27,16 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Union
 
-from .exactnum import Q5, floor5, integer_triples, sign5
+from .exactnum import NumberLike, Q5, floor5, integer_triples, sign5
 
 MAX_LENGTH = 10_000_000  # one byte per position: 10 MB of word at the cap
 
 _BYTE = [bytes((c,)) for c in range(256)]
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
-
-AlphaLike = Union[int, Fraction, str, Q5]
 
 
 @dataclass
@@ -124,7 +121,7 @@ def _check_length(n: int):
         raise ValueError(f"coloring length capped at {MAX_LENGTH} (1 byte/position)")
 
 
-def frac_coloring(alpha: AlphaLike, r: int, n: int) -> Coloring:
+def frac_coloring(alpha: NumberLike, r: int, n: int) -> Coloring:
     """Color x by which r-th of the unit interval {alpha*x} falls in.
 
     Class i is the half-open window [(i-1)/r, i/r); an exact hit on a cut
@@ -229,10 +226,7 @@ def residue_coloring(m: int, n: int) -> Coloring:
     return Coloring(m, (word * (n // m + 1))[:n], {"generator": "residue", "m": m, "n": n})
 
 
-CutLike = Union[int, Fraction, str, Q5]
-
-
-def rotation_word(alpha: AlphaLike, x0: AlphaLike, cut: CutLike, n: int) -> Coloring:
+def rotation_word(alpha: NumberLike, x0: NumberLike, cut: NumberLike, n: int) -> Coloring:
     """Binary coding of the rotation x -> x + alpha started at x0.
 
     Position n gets color 1 iff {x0 + n*alpha} lies in [0, cut); with an

@@ -16,15 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .certs import Certificate
 from .colorings import frac_coloring
-from .exactnum import Q5, RatInterval, _first_outside, frac, rational_str, to_rational
+from .exactnum import NumberLike, Q5, RatInterval, _first_outside, frac, rational_str, to_rational
 from .gapsets import GapSetView
 from .verify import longest_mono_diffseq
-
-AlphaLike = Union[int, Fraction, str, Q5]
 
 
 class GrowthConditionError(ValueError):
@@ -168,7 +166,7 @@ def build_alpha(
     )
 
 
-def certify_fracs(alpha: AlphaLike, view: GapSetView, eps, r: int) -> Certificate:
+def certify_fracs(alpha: NumberLike, view: GapSetView, eps, r: int) -> Certificate:
     """Exact check that {alpha * d} lies in [eps, (r-1)/r] for every enumerated d.
 
     The certificate scopes its claim to the enumerated range; it says nothing
@@ -216,7 +214,7 @@ def diffseq_bound_from_eps(r: int, eps) -> int:
 
 def doa_evidence(
     view: GapSetView,
-    alpha: AlphaLike,
+    alpha: NumberLike,
     eps,
     r: int,
     n: int,

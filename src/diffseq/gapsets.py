@@ -2,7 +2,8 @@
 
 A ``GapSetSpec`` is a rule denoting a set of positive integers; a
 ``GapSetView`` is its materialized, sorted prefix up to a bound. Views are
-complete: no member of the denoted set below the bound is missing.
+complete: no member of the denoted set below the bound is missing, and a view
+carries its rule's period when the rule has one.
 
 The sieved kinds (nonmultiples, primes), and every transform or union with a
 sieved part, are membership bytes over a window of [0..bound] that one
@@ -65,10 +66,15 @@ def fib_values(count: int) -> list[int]:
 
 @dataclass(frozen=True)
 class GapSetView:
-    """Sorted, deduplicated elements of a gap set, complete up to ``bound``."""
+    """Sorted, deduplicated elements of a gap set, complete up to ``bound``.
+
+    ``period``, when known, is a period m of the whole set, read from its
+    rule: every x >= 1 is an element exactly when x + m is one.
+    """
 
     elements: tuple[int, ...]
     bound: int
+    period: Optional[int] = None
 
     def __post_init__(self):
         els = self.elements
@@ -90,7 +96,7 @@ class GapSetView:
         if bound > self.bound:
             raise ValueError("cannot extend a view; re-enumerate its defining rule instead")
         cut = bisect.bisect_right(self.elements, bound)
-        return GapSetView(self.elements[:cut], bound)
+        return GapSetView(self.elements[:cut], bound, self.period)
 
     def to_json(self) -> dict:
         return {"elements": list(self.elements), "bound": self.bound}
@@ -233,7 +239,36 @@ class GapSetSpec:
                 del members, flags
         elements = tuple(found)
         del found  # no membership bytes are held while the view validates
-        return GapSetView(elements, bound)
+        return GapSetView(elements, bound, self._period())
+
+    def _period(self) -> Optional[int]:
+        """A period m of the denoted set from its rule alone, or None.
+
+        nonmultiples(m) has period m, and a linear polynomial (p/q) n has p,
+        since its values are the multiples of p. A union has the lcm of its
+        parts' periods, dividing by d gives m / gcd(m, d) and keeping the
+        multiples of d gives lcm(m, d). A shift down keeps the inner period;
+        a shift up may drop the first members of a class, so it gives None,
+        as every other kind does.
+        """
+        kind = self.kind
+        if kind == "nonmultiples":
+            return self.m
+        if kind == "polynomial":
+            return self.coeffs[0].numerator if len(self.coeffs) == 2 else None
+        if kind == "union":
+            periods = [p._period() for p in self.parts]
+            return None if None in periods else math.lcm(*periods)
+        if kind not in ("divided", "multiples_filtered", "shifted"):
+            return None
+        m = self.inner._period()
+        if m is None:
+            return None
+        if kind == "divided":
+            return m // math.gcd(m, self.d)
+        if kind == "multiples_filtered":
+            return math.lcm(m, self.d)
+        return m if self.shift <= 0 else None
 
     def _members(self, bound: int) -> Optional[tuple[int, bytearray, list[int]]]:
         """The elements <= bound as ``(lo, flags, below)``: ``flags[i]`` is 1

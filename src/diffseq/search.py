@@ -61,9 +61,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
-from .colorings import Coloring
+from .colorings import MAX_LENGTH, Coloring
 from .gapsets import GapSetView
-from .verify import _gap_mask, _usable_gaps, longest_mono_diffseq
+from .verify import _gap_mask, _usable_gaps
 
 DELTA = "delta"
 UNKNOWN = "unknown"
@@ -368,10 +368,11 @@ def delta(view: GapSetView, k: int, r: int, budget: int, threads: int = 1) -> De
     n is below the budget, no avoider of [1..n+1] exists, so the least
     forcing length is exactly n+1 (verdict "delta"). Otherwise the verdict
     is "unknown" at the budget. A single position is a 1-term chain, so
-    k = 1 gives 1. The worker count is capped at the number of CPUs.
+    k = 1 gives 1. The worker count is capped at the number of CPUs. The
+    budget is at most ``MAX_LENGTH``, the longest witness a coloring holds.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    if not 1 <= budget <= MAX_LENGTH:
+        raise ValueError(f"budget must be in 1..{MAX_LENGTH} (got {budget})")
     if k < 1 or r < 2:
         raise ValueError("need k >= 1 and r >= 2")
     gaps = list(_usable_gaps(view, budget))
@@ -564,10 +565,11 @@ def chromatic_number_prefix(view: GapSetView, n: int) -> ChromaticResult:
     by shifts, with no adjacency table. The first r from the lower bound up
     with a 2-chain avoider of [1..n] is the value and its first canonical
     avoider the coloring; the result is exact when the bounds meet or every
-    smaller r was refuted within ``_CHROMATIC_NODES`` search nodes.
+    smaller r was refuted within ``_CHROMATIC_NODES`` search nodes. n is at
+    most ``MAX_LENGTH``, the longest coloring.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if not 1 <= n <= MAX_LENGTH:
+        raise ValueError(f"need n in 1..{MAX_LENGTH} (got {n})")
     gaps = list(_usable_gaps(view, n))
     coloring, lower, lower_witness = _prefix_bounds(gaps, n)
     upper = max(coloring, default=1)

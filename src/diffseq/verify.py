@@ -6,10 +6,9 @@ periodicity-complete certificates, and exact fractional-part bound scans.
 A chain scan gives the chain DP's result by one of three exact methods,
 chosen from facts of its input; nothing else selects them:
 
-* the residue rule, when the usable gaps D on [1, N-1] have a period m
-  (found from the gap tuple itself). Per (color, residue mod m) it keeps the
-  best length and the latest position with it, at O(N |R|) for the
-  residues R of one period;
+* the residue rule, when the view carries its rule's period m and
+  8 m < N. Per (color, residue mod m) it keeps the best length and the
+  latest position with it, at O(N |R|) for the residues R of one period;
 * mask levels, when the chain is at most 32 / r long (a greedy chain from
   position 1 that is already longer skips them). Level l+1 of a color is
   its mask AND the OR over the gaps of level l shifted, one Python-int
@@ -31,14 +30,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import compress, count, islice, repeat
-from operator import add, eq, itemgetter
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .certs import Certificate
 from .colorings import Coloring
 from .exactnum import (
+    NumberLike,
     PHI,
     PHI_CONJ,
     Q5,
@@ -63,12 +60,6 @@ _LEVEL_BUDGET = 32
 # a period counts when it repeats at least this often: the residue rule then
 # costs at most 1/8 of the DP
 _PERIOD_REPEATS = 8
-
-# candidate periods that _period examines, and that may reach its O(n + |D|)
-# full test; a set that is symmetric on [1, n-1] passes its first filter at
-# every j
-_PERIOD_CANDIDATES = 4096
-_PERIOD_TESTS = 4
 
 _ONE = ord("1")
 
@@ -113,66 +104,20 @@ def longest_mono_diffseq(coloring: Coloring, view: GapSetView) -> ScanResult:
     The witness is the DP's: it ends at the first position with the longest
     chain, and each step back takes the smallest gap to a predecessor one
     shorter. The method comes from the input: the residue rule when the
-    usable gaps are periodic, else mask levels while the chain stays within
-    the level budget, else the DP.
+    view carries a period m with m * _PERIOD_REPEATS < N, else mask levels
+    while the chain stays within the level budget, else the DP.
     """
     n = coloring.n
     gaps = _usable_gaps(view, n)
     word = coloring.colors
     if n == 0:
         return ScanResult(DIFFSEQUENCE, 0, [], 0, None)
-    period = _period(gaps, n)
-    if period:
-        m, j = period
-        witness = _chain_by_residues(word, gaps, n, m, j)
+    m = view.period
+    if m and m * _PERIOD_REPEATS < n:
+        witness = _chain_by_residues(word, gaps, n, m, bisect_right(gaps, m))
     else:
         witness = _chain_by_levels(word, coloring.r, gaps, n) or _chain_by_dp(word, gaps, n)
     return ScanResult(DIFFSEQUENCE, len(witness), witness, n, word[witness[-1] - 1])
-
-
-def _period(gaps: tuple[int, ...], n: int) -> Optional[tuple[int, int]]:
-    """The smallest period m of D on [1, n-1] that repeats at least
-    _PERIOD_REPEATS times, given the elements sorted: m and the number
-    j <= len(gaps) / _PERIOD_REPEATS of elements in [1, m]. None when there
-    is no such period, or when the search below gives up.
-
-    D has period m exactly when the gaps <= n-1-m, each plus m, are the gaps
-    > m, and then m = gaps[j] - gaps[0]. Cheap filters come first:
-    gaps[-1] - gaps[-1-j] = m (tested for every j in one C-level scan),
-    gaps[j-1] <= m, the first gap without a partner lies above n-1-m, and
-    the residues gaps[:j] have len(gaps) members in [1, n-1] (counted in
-    O(log j)). The full test alone decides: it repeats the first period's
-    membership up to n, which must hold exactly len(gaps) members in
-    [1, n-1], every gap among them. It costs O(n + |D|). At most
-    _PERIOD_CANDIDATES candidates are examined and _PERIOD_TESTS reach the
-    full test, so a set that is periodic but for one moved element costs
-    O(n + |D|), not O(n |D|).
-    """
-    size = len(gaps)
-    if size < 2:
-        return None
-    first = gaps[0]
-    heads = islice(gaps, 1, size // _PERIOD_REPEATS + 1)
-    ends = map(add, heads, islice(reversed(gaps), 1, None))
-    candidates = compress(count(1), map(eq, ends, repeat(first + gaps[-1])))
-    tests = 0
-    for j in islice(candidates, _PERIOD_CANDIDATES):
-        m = gaps[j] - first
-        if gaps[j - 1] > m or gaps[size - j] + m < n:
-            continue
-        q, rem = divmod(n - 1, m)
-        if j * q + bisect_right(gaps, rem, 0, j) != size:
-            continue
-        pattern = bytearray(b"0" * m)
-        for d in gaps[:j]:
-            pattern[d % m] = _ONE
-        members = bytes(pattern * (n // m + 1))[:n]
-        if members.count(_ONE, 1) == size and b"0" not in bytes(itemgetter(*gaps)(members)):
-            return m, j
-        tests += 1
-        if tests == _PERIOD_TESTS:
-            return None
-    return None
 
 
 def _chain_by_residues(word: bytes, gaps: tuple[int, ...], n: int, m: int, j: int) -> list[int]:
@@ -397,7 +342,7 @@ def chromatically_intersective_check(coloring: Coloring, view: GapSetView) -> Sc
     gaps = _usable_gaps(view, n)
     word = coloring.colors
     if n == 0:
-        return ScanResult(DIFFSEQUENCE, 1, [], 0, None)
+        return ScanResult(DIFFSEQUENCE, 0, [], 0, None)
     masks = _color_masks(word, coloring.r)
     gap_mask = _gap_mask(gaps)
 
@@ -571,7 +516,7 @@ FRAC_WINDOW = "frac_window"
 
 
 def frac_bound_scan(
-    alpha: Union[Q5, Fraction, int, str],
+    alpha: NumberLike,
     seq: Sequence[int],
     mode: str,
     bound=None,

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffseq import cli, gapsets, reproduce
-from diffseq.colorings import Coloring
+from diffseq.colorings import MAX_LENGTH, Coloring
 from test_json_properties import specs
 
 
@@ -27,6 +27,11 @@ def test_set_command(capsys):
     payload = json.loads(out)
     assert payload["elements"] == [1, 2, 3, 5, 8, 13]
     assert payload["spec"] == {"kind": "fibonacci"}
+    # a periodic set's view carries its period, but the output does not show it
+    code, out, _ = _run(capsys, "set", "--set-json", '{"kind":"nonmultiples","m":3}', "-N", "8")
+    assert json.loads(out) == {
+        "spec": {"kind": "nonmultiples", "m": 3}, "elements": [1, 2, 4, 5, 7, 8], "bound": 8
+    }
 
 
 def test_set_requires_definition(capsys):
@@ -161,6 +166,18 @@ def test_delta_one_term_chains_are_validated(capsys):
     )
     assert code == 2
     assert "r >= 2" in err
+
+
+def test_search_lengths_past_the_coloring_cap_exit_2(capsys):
+    one = '{"kind":"explicit","elements":[1]}'
+    too_long = str(MAX_LENGTH + 1)
+    for argv in (
+        ["delta", "--set-json", one, "-k", "3", "-r", "2", "--budget", too_long],
+        ["chromatic", "--set-json", one, "-N", too_long],
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and str(MAX_LENGTH) in err
 
 
 def test_alpha_rejects_decimal_delta(capsys):

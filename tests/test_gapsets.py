@@ -452,6 +452,85 @@ def test_view_validation_and_restrict():
         view.restrict(101)
 
 
+def _assert_period(spec: GapSetSpec, m: int, bound: int = 600) -> None:
+    """x is an element exactly when x + m is, for every x in [1, bound - m]."""
+    members = set(spec.enumerate(bound))
+    assert all((x in members) == (x + m in members) for x in range(1, bound - m + 1)), spec
+
+
+def test_period_from_the_rule():
+    nonmult, linear, union = GapSetSpec.nonmultiples, GapSetSpec.polynomial, GapSetSpec.union
+    periodic = [
+        (nonmult(1), 1),  # the empty set
+        (nonmult(3), 3),
+        (nonmult(7), 7),
+        (linear([3, 0]), 3),
+        (linear(["5/2", 0]), 5),  # the multiples of 5
+        (linear(["1/4", 0]), 1),  # every positive integer
+        (union([]), 1),
+        (union([nonmult(3), nonmult(5)]), 15),
+        (union([nonmult(4), linear([6, 0])]), 12),
+        (union([union([nonmult(2), linear([3, 0])]), nonmult(5).shifted(-2)]), 30),
+        (nonmult(6).divide(4), 3),
+        (nonmult(5).divide(2), 5),
+        (linear([12, 0]).divide(8), 3),
+        (nonmult(6).filter_multiples(4), 12),
+        (linear([3, 0]).filter_multiples(2), 6),
+        (nonmult(4).shifted(-1), 4),
+        (nonmult(4).shifted(-5).divide(3), 4),
+        (GapSetSpec.shifted_by(nonmult(3), 0), 3),
+        (union([nonmult(3), nonmult(5).divide(2)]).shifted(-7).filter_multiples(2), 30),
+    ]
+    for spec, m in periodic:
+        assert spec._period() == m, spec
+        _assert_period(spec, m)
+    for spec in (
+        GapSetSpec.primes(),
+        GapSetSpec.fibonacci(),
+        GapSetSpec.even_fibonacci(),
+        GapSetSpec.pell(),
+        GapSetSpec.geometric(2),
+        linear([1, 0, 0]),
+        GapSetSpec.explicit([3, 6, 9]),
+        nonmult(3).shifted(2),  # 1 and 2 leave, while 4 and 5 stay
+        union([nonmult(3), GapSetSpec.primes()]),
+        nonmult(3).shifted(2).divide(2),
+    ):
+        assert spec._period() is None, spec
+
+    # the view carries the period through restrict, and no JSON shows it
+    view = nonmult(3).enumerate(100)
+    assert view.period == view.restrict(50).period == 3
+    assert GapSetSpec.fibonacci().enumerate(100).period is None
+    assert view.to_json() == {"elements": list(view), "bound": 100}
+
+
+_periodic_specs = st.recursive(
+    st.one_of(
+        st.integers(1, 12).map(GapSetSpec.nonmultiples),
+        st.tuples(st.integers(1, 12), st.integers(1, 4)).map(
+            lambda pq: GapSetSpec.polynomial([Fraction(*pq), 0])
+        ),
+        st.sampled_from([GapSetSpec.primes(), GapSetSpec.explicit([2, 5])]),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(GapSetSpec.union),
+        st.tuples(inner, st.integers(1, 4)).map(lambda s: s[0].divide(s[1])),
+        st.tuples(inner, st.integers(1, 4)).map(lambda s: s[0].filter_multiples(s[1])),
+        st.tuples(inner, st.integers(-5, 5)).map(lambda s: s[0].shifted(s[1])),
+    ),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_periodic_specs)
+def test_period_from_the_rule_holds_on_random_rules(spec):
+    m = spec._period()
+    if m is not None and m <= 300:
+        _assert_period(spec, m)
+
+
 def test_json_round_trip_all_kinds():
     specs = [
         GapSetSpec.fibonacci(),

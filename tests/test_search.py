@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from diffseq import search
-from diffseq.colorings import Coloring, residue_coloring
+from diffseq.colorings import MAX_LENGTH, Coloring, residue_coloring
 from diffseq.construct import doa_evidence
 from diffseq.exactnum import Q5
 from diffseq.gapsets import GapSetSpec
@@ -232,6 +232,23 @@ def test_budget_validation():
             delta(view, k, 2, 9)  # enumerated only to 5
         with pytest.raises(ValueError):
             delta(view, k, 1, 5)
+
+
+def test_search_lengths_past_the_coloring_cap_are_refused():
+    # the witness is a coloring, so a budget (or n) above MAX_LENGTH is
+    # refused before the search allocates its per-position state
+    n = MAX_LENGTH + 1
+    view = GapSetSpec.explicit([1]).enumerate(n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            delta(view, 3, 2, n)
+        with pytest.raises(ValueError, match="need n"):
+            chromatic_number_prefix(view, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
 
 
 def test_engine_matches_two_color_enumeration():

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -134,26 +135,29 @@ def _reference_pair(coloring: Coloring, view: GapSetView) -> ScanResult:
                 break
             if word[y - 1] == cx:
                 return ScanResult(DIFFSEQUENCE, 2, [x, y], n, cx)
-    return ScanResult(DIFFSEQUENCE, 1, [1] if n else [], n, word[0] if n else None)
+    if n == 0:
+        return ScanResult(DIFFSEQUENCE, 0, [], 0, None)
+    return ScanResult(DIFFSEQUENCE, 1, [1], n, word[0])
 
 
-def _periodic_gaps(rng: random.Random, n: int) -> list[int]:
+def _periodic_gaps(rng: random.Random, n: int) -> tuple[list[int], Optional[int]]:
     """A random residue pattern mod m, listed to past n, sometimes with one
-    element added or dropped."""
+    element added or dropped; with m as its period when no element was."""
     m = rng.randint(1, 12)
     residues = set(rng.sample(range(1, m + 1), rng.randint(1, m)))
-    gaps = {d for d in range(1, n + m) if (d - 1) % m + 1 in residues}
+    pattern = {d for d in range(1, n + m) if (d - 1) % m + 1 in residues}
+    gaps = set(pattern)
     change = rng.randint(1, n + m)
     if rng.random() < 0.2:
         gaps.add(change)
     elif rng.random() < 0.2:
         gaps.discard(change)
-    return sorted(gaps)
+    return sorted(gaps), m if gaps == pattern else None
 
 
-def _view(gaps, n: int) -> GapSetView:
+def _view(gaps, n: int, period: Optional[int] = None) -> GapSetView:
     """A view of exactly ``gaps``, complete to at least n (gaps may reach past n)."""
-    return GapSetView(tuple(sorted(gaps)), max([n, *gaps]))
+    return GapSetView(tuple(sorted(gaps)), max([n, *gaps]), period)
 
 
 def test_mask_kernels_match_reference_loops():
@@ -184,7 +188,7 @@ def test_mask_kernels_match_reference_loops():
         r = rng.randint(1, 4)
         n = rng.randint(0, 60)
         word = bytes(rng.randint(1, r) for _ in range(n))
-        random_cases.append((r, word, _periodic_gaps(rng, n)))
+        random_cases.append((r, word, _periodic_gaps(rng, n)[0]))
     for r, word, gaps in edge_cases + random_cases:
         coloring, view = Coloring(r, word), _view(gaps, len(word))
         assert longest_mono_ap(coloring, view).to_json() == _reference_ap(coloring, view).to_json()
@@ -283,29 +287,34 @@ def chain_methods(monkeypatch):
 
 
 def test_chain_kernel_matches_reference_dp(chain_methods):
+    # (r, word, gaps, the view's period, the method expected)
     edge_cases = [
-        (1, b"", [], "none"),  # n = 0
-        (2, b"", [1, 3], "none"),  # n = 0, gaps past the end
-        (1, b"\x01", [1], "levels"),  # n = 1: every gap reaches past the end
-        (2, b"\x01\x02" * 4, [], "levels"),  # no usable gap: witness [1]
-        (1, b"\x01" * 9, [3, 9, 12], "levels"),  # r = 1; gaps equal to and past n
-        (2, b"\x01\x02\x01\x02\x01", [2, 3], "levels"),  # only period is n - 2, with no gap above it
-        (2, b"\x01\x02" * 4, [2], "levels"),  # color tie: color 1 ends first
-        (2, b"\x02\x01" * 4, [2], "levels"),  # color tie: color 2 ends first
-        (2, b"\x01\x02" * 30, list(range(2, 60, 2)), "residues"),  # color tie, even gaps
+        (1, b"", [], None, "none"),  # n = 0
+        (2, b"", [1, 3], 2, "none"),  # n = 0, gaps past the end
+        (1, b"\x01", [1], None, "levels"),  # n = 1: every gap reaches past the end
+        (2, b"\x01\x02" * 4, [], None, "levels"),  # no usable gap: witness [1]
+        (1, b"\x01" * 9, [3, 9, 12], None, "levels"),  # r = 1; gaps equal to and past n
+        (2, b"\x01\x02\x01\x02\x01", [2, 3], None, "levels"),  # a list carries no period
+        (2, b"\x01\x02" * 4, [2], None, "levels"),  # color tie: color 1 ends first
+        (2, b"\x02\x01" * 4, [2], None, "levels"),  # color tie: color 2 ends first
+        (2, b"\x01\x02" * 30, list(range(2, 60, 2)), 2, "residues"),  # color tie, even gaps
         # residue tie: on the witness, 24's predecessors 22 (residue 2 mod 5)
         # and 21 (residue 3) end chains of the same length; 22 wins
         (2, _word("1122211222221221111211211111211121222211222221112221"),
-         [d for d in range(1, 52) if d % 5 in (2, 3)], "residues"),
-        (1, b"\x01" * 40, list(range(1, 40, 2)), "residues"),  # r = 1, odd gaps
+         [d for d in range(1, 52) if d % 5 in (2, 3)], 5, "residues"),
+        (1, b"\x01" * 40, list(range(1, 40, 2)), 2, "residues"),  # r = 1, odd gaps
+        (1, b"\x01" * 40, [], 1, "residues"),  # the empty set has period 1
+        # a period must fit 8 times below n: 5 * 8 < 41, not < 40
+        (2, b"\x01\x02" * 20 + b"\x01", list(range(5, 41, 5)), 5, "residues"),
+        (2, b"\x01\x02" * 20, list(range(5, 41, 5)), 5, "levels"),
         # the longest chain, 16 = 32 / r, is the last the level budget allows;
         # position 1's color is alone, so the greedy chain does not skip the levels
-        (2, b"\x02" + b"\x01" * 16, [1, 40], "levels"),
-        (2, b"\x02" + b"\x01" * 17, [1, 40], "levels, then dp"),  # one level past it
-        (3, b"\x03" + b"\x01" * 10, [1, 40], "levels"),  # 10 = 32 // 3
-        (3, b"\x03" + b"\x01" * 11, [1, 40], "levels, then dp"),
-        (2, b"\x01" * 16, [1, 40], "levels"),  # the greedy chain from 1 fits the budget
-        (2, b"\x01" * 17, [1, 40], "dp"),  # the greedy chain from 1 is already too long
+        (2, b"\x02" + b"\x01" * 16, [1, 40], None, "levels"),
+        (2, b"\x02" + b"\x01" * 17, [1, 40], None, "levels, then dp"),  # one level past it
+        (3, b"\x03" + b"\x01" * 10, [1, 40], None, "levels"),  # 10 = 32 // 3
+        (3, b"\x03" + b"\x01" * 11, [1, 40], None, "levels, then dp"),
+        (2, b"\x01" * 16, [1, 40], None, "levels"),  # the greedy chain from 1 fits the budget
+        (2, b"\x01" * 17, [1, 40], None, "dp"),  # the greedy chain from 1 is already too long
     ]
     rng = random.Random(2718)
     random_cases = []
@@ -314,9 +323,9 @@ def test_chain_kernel_matches_reference_dp(chain_methods):
         n = rng.randint(0, 200)
         kind = rng.random()
         if kind < 0.4:
-            gaps = _periodic_gaps(rng, n)
+            gaps, period = _periodic_gaps(rng, n)
         else:
-            gaps = rng.sample(range(1, 210), rng.randint(0, 6 if kind < 0.7 else 60))
+            gaps, period = rng.sample(range(1, 210), rng.randint(0, 6 if kind < 0.7 else 60)), None
         if rng.random() < 0.4:
             word = [rng.randint(1, r) for _ in range(n)]
         else:  # blocks of one color make long chains
@@ -324,10 +333,10 @@ def test_chain_kernel_matches_reference_dp(chain_methods):
             word = [x // width % r + 1 for x in range(n)]
         if n and r > 1 and rng.random() < 0.3:  # position 1's color appears nowhere else
             word = [r] + [min(c, r - 1) for c in word[1:]]
-        random_cases.append((r, bytes(word), gaps, None))
+        random_cases.append((r, bytes(word), gaps, period, None))
     taken = Counter()
-    for r, word, gaps, expected in edge_cases + random_cases:
-        coloring, view = Coloring(r, word), _view(gaps, len(word))
+    for r, word, gaps, period, expected in edge_cases + random_cases:
+        coloring, view = Coloring(r, word), _view(gaps, len(word), period)
         result, method = chain_methods(coloring, view)
         assert result.to_json() == _reference_chain(coloring, view).to_json(), (r, word, gaps)
         assert expected in (None, method), (r, word, gaps, method)
@@ -458,55 +467,6 @@ def test_periodic_and_short_chain_scans_skip_the_dp(monkeypatch):
     assert even_fib.length == 3
 
 
-def test_period_of_gap_tuples(monkeypatch):
-    n = 20_000
-
-    def period(spec):
-        return verify_module._period(_usable(spec, n), n)
-
-    def _usable(spec, bound):
-        return tuple(d for d in spec.enumerate(bound).elements if d < bound)
-
-    nonmult3 = GapSetSpec.nonmultiples(3)
-    assert period(nonmult3) == (3, 2)
-    assert period(GapSetSpec.nonmultiples(5).divide(2)) == (5, 4)
-    assert period(GapSetSpec.nonmultiples(4).shifted(-1)) == (4, 3)
-    assert period(GapSetSpec.union([nonmult3, GapSetSpec.nonmultiples(5)])) == (15, 14)
-    # multiples of 7 on [1, 63]; on [1, 70] the missing 70 breaks the period
-    sevens = tuple(range(7, 64, 7))
-    assert verify_module._period(sevens, 64) == (7, 1)
-    assert verify_module._period(sevens, 71) is None
-    # a period must repeat 8 times: 9 multiples of 7 do, 7 do not
-    assert verify_module._period(sevens[:7], 50) is None
-    for aperiodic in (
-        GapSetSpec.primes(),
-        GapSetSpec.fibonacci(),
-        GapSetSpec.union([nonmult3, GapSetSpec.explicit([15_000])]),  # one late exception
-    ):
-        assert period(aperiodic) is None
-    # with m | n the set is symmetric on [1, n-1], so every j up to the
-    # period passes the first filter; the member count turns them away
-    for m, bound in ((7, 700), (11, 1100), (1000, 200_000)):
-        gaps = tuple(d for d in range(1, bound) if d % m)
-        assert verify_module._period(gaps, bound) == (m, m - 1)
-    # [1, n-1] less one element: every j passes the filters but the count,
-    # or (less 3 or n - 3) the only candidate holds almost every element
-    for missing in (150_001, 100_000, 3, 199_997):
-        gaps = tuple(d for d in range(1, 200_000) if d != missing)
-        assert verify_module._period(gaps, 200_000) is None
-    # one element moved keeps the count, so every candidate would reach the
-    # O(n + |D|) membership gather; only _PERIOD_TESTS of them do
-    gathers = []
-    real_itemgetter = verify_module.itemgetter
-    monkeypatch.setattr(
-        verify_module, "itemgetter", lambda *keys: gathers.append(1) or real_itemgetter(*keys)
-    )
-    moved = tuple(sorted({d for d in range(1, 200_000) if d % 3} - {100_000} | {99_999}))
-    assert verify_module._period(moved, 200_000) is None
-    assert len(gathers) == verify_module._PERIOD_TESTS
-    assert verify_module._period(_usable(nonmult3, 25), 25) == (3, 2)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_chain_scan_on_residue_patterns_matches_reference(data):
@@ -517,7 +477,7 @@ def test_chain_scan_on_residue_patterns_matches_reference(data):
     word = bytes(data.draw(st.lists(st.integers(1, r), min_size=n, max_size=n)))
     gaps = [d for d in range(1, n + m) if (d - 1) % m + 1 in residues]
     coloring = Coloring(r, word)
-    view = GapSetSpec.explicit(gaps).enumerate(max(n, 1))
+    view = _view(gaps, n, m)
     assert longest_mono_diffseq(coloring, view).to_json() == _reference_chain(coloring, view).to_json()
 
 
