@@ -11,6 +11,7 @@ Exit codes: 0 success / assertion held, 1 assertion or claim failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -42,17 +43,34 @@ def _add_set_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--set-json", metavar="JSON", help="inline JSON set definition")
 
 
+@contextlib.contextmanager
+def _parsing(what: str):
+    # the json decoder and the set parser recurse once per level of nesting
+    try:
+        yield
+    except RecursionError:
+        raise InputError(f"{what} is nested too deeply to parse") from None
+
+
 def _load_spec(args) -> gapsets.GapSetSpec:
     if args.set and args.set_json:
         raise InputError("give either --set or --set-json, not both")
-    if args.set:
-        with open(args.set) as fh:
-            obj = json.load(fh)
-    elif args.set_json:
-        obj = json.loads(args.set_json)
-    else:
+    if not (args.set or args.set_json):
         raise InputError("a set definition is required (--set FILE or --set-json JSON)")
-    return gapsets.GapSetSpec.from_json(obj)
+    with _parsing("set definition"):
+        if args.set:
+            with open(args.set) as fh:
+                obj = json.load(fh)
+        else:
+            obj = json.loads(args.set_json)
+        return gapsets.GapSetSpec.from_json(obj)
+
+
+def _length(n: int, flag: str) -> int:
+    # refused before the set is enumerated at n: no coloring or witness is longer
+    if not 1 <= n <= colorings.MAX_LENGTH:
+        raise InputError(f"{flag} must be in 1..{colorings.MAX_LENGTH} (got {n})")
+    return n
 
 
 def _parse_number(rational: Optional[str], root5: Optional[str]):
@@ -89,7 +107,7 @@ def _load_coloring(args) -> colorings.Coloring:
         if args.n is None:
             raise InputError("presets need a length: -N")
         return colorings.preset_coloring(name, args.n)
-    with open(source) as fh:
+    with open(source) as fh, _parsing("coloring file"):
         return colorings.Coloring.from_json(json.load(fh))
 
 
@@ -164,7 +182,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_delta(args) -> int:
     spec = _load_spec(args)
-    view = spec.enumerate(args.budget)
+    view = spec.enumerate(_length(args.budget, "--budget"))
     result = search.delta(view, args.k, args.r, args.budget, threads=args.threads)
     _emit(args, {"set": spec.to_json(), **result.to_json()})
     if args.emit_witness and result.witness is not None:
@@ -176,7 +194,7 @@ def _cmd_delta(args) -> int:
 
 def _cmd_chromatic(args) -> int:
     spec = _load_spec(args)
-    view = spec.enumerate(args.n)
+    view = spec.enumerate(_length(args.n, "-N"))
     result = search.chromatic_number_prefix(view, args.n)
     _emit(args, {"set": spec.to_json(), **result.to_json()})
     return 0
@@ -200,7 +218,7 @@ def _cmd_pipeline(args) -> int:
     factor = construct.growth_factor(args.r, delta)
     if args.steps < 2:
         raise InputError("pipeline needs --steps >= 2 to check gap growth")
-    view = _widened_view(spec, args.start, args.steps, args.n)
+    view = _widened_view(spec, args.start, args.steps, _length(args.n, "-N"))
     need = args.start + args.steps
     elements = view.elements
     growth = gapsets.growth_certificate(

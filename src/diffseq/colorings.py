@@ -133,8 +133,8 @@ def frac_coloring(alpha: NumberLike, r: int, n: int) -> Coloring:
     docstring). The word is assembled from the standard words of theta by
     joining byte strings, one round per partial quotient.
     """
-    if r < 2:
-        raise ValueError("need r >= 2")
+    if not 2 <= r <= 255:
+        raise ValueError(f"r must be in 2..255, the color bytes (got {r})")
     _check_length(n)
     alpha_q5 = Q5.coerce(alpha)
     P, U, L = alpha_q5.as_integer_triple()

@@ -5,13 +5,14 @@ A ``GapSetSpec`` is a rule denoting a set of positive integers; a
 complete: no member of the denoted set below the bound is missing, and a view
 carries its rule's period when the rule has one.
 
-The sieved kinds (nonmultiples, primes), and every transform or union with a
-sieved part, are membership bytes over a window of [0..bound] that one
-C-level ``compress`` reads out; a shift moves the window, so a set shifted far
-up holds only its inner bytes, and a union's listed elements below the window
-stay a sorted list. The listed kinds (fibonacci, even_fibonacci,
-pell, geometric, polynomial, explicit) and their transforms and unions build
-their elements directly, since their bounds may reach 10**40.
+Every rule enumerates through one path: membership bytes over a window of
+[0..bound] that one C-level ``compress`` reads out, after a sorted list of
+the elements below the window. The sieved kinds (nonmultiples, primes) fill
+the window; the listed kinds (fibonacci, even_fibonacci, pell, geometric,
+polynomial, explicit) leave it empty and list their elements, since their
+bounds may reach 10**40. The transforms and unions act on windows alone: a
+shift moves the window, so a set shifted far up holds only its inner bytes,
+and a union's listed elements below the window stay a sorted list.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, groupby, islice
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .certs import Certificate
 from .exactnum import rational_str, to_rational
@@ -35,6 +36,10 @@ MAX_SIEVE = 10**8
 
 # the polynomial kind evaluates p(n) once per n until p passes the bound
 MAX_POLY_STEPS = 10**7
+
+# the recurrence kinds as (a_0, a_1, x, y) with a_{i+2} = x*a_{i+1} + y*a_i;
+# geometric(base) is (1, base, base, 0)
+_RECURRENCES = {"fibonacci": (1, 2, 1, 1), "even_fibonacci": (2, 8, 4, 1), "pell": (1, 2, 2, 1)}
 
 
 class SpecValidationError(ValueError):
@@ -230,13 +235,9 @@ class GapSetSpec:
             found = chain(compress((2,), sieve[2:3]), compress(range(3, bound + 1, 2), sieve[3::2]))
             del sieve
         else:
-            members = self._members(bound)
-            if members is None:
-                found = self._elements(bound)
-            else:
-                lo, flags, below = members
-                found = chain(below, compress(range(lo, lo + len(flags)), flags))
-                del members, flags
+            lo, flags, below = self._members(bound)
+            found = chain(below, compress(range(lo, lo + len(flags)), flags))
+            del flags, below
         elements = tuple(found)
         del found  # no membership bytes are held while the view validates
         return GapSetView(elements, bound, self._period())
@@ -270,22 +271,22 @@ class GapSetSpec:
             return math.lcm(m, self.d)
         return m if self.shift <= 0 else None
 
-    def _members(self, bound: int) -> Optional[tuple[int, bytearray, list[int]]]:
+    def _members(self, bound: int) -> tuple[int, bytearray, list[int]]:
         """The elements <= bound as ``(lo, flags, below)``: ``flags[i]`` is 1
         exactly when lo + i is an element, ``below`` lists the elements
         under lo in increasing order, and no element lies at or above
-        lo + len(flags). None when no part of the rule is sieved.
+        lo + len(flags).
 
         The sieved kinds (nonmultiples, primes) check their bound against
-        ``MAX_SIEVE`` and start at lo = 0. A transform reads its inner bytes
-        at the bound it needs (bound * d for a divided kind) and only moves,
-        cuts or strides them, so a shift moves lo and builds no zeros. Every
-        window is empty or ends at bound + 1, so a union ORs its sieved
-        parts' bytes over the widest part's window and sets the listed
-        elements that fall inside it; the rest join ``below``, and no part
-        is held at more than its own size. The listed kinds return None at
-        any bound, which may reach 10**40, so the choice follows the kinds
-        alone.
+        ``MAX_SIEVE`` and start at lo = 0. The listed kinds give the empty
+        window at lo = bound + 1 with every element in ``below``, so no
+        bytes are built at bounds up to 10**40. A transform reads its inner
+        bytes at the bound it needs (bound * d for a divided kind) and only
+        moves, cuts or strides them, so a shift moves lo and builds no zeros.
+        Every window is empty or ends at bound + 1, so a union ORs its parts'
+        bytes over the widest part's window and sets the loose elements that
+        fall inside it; the rest join ``below``, and no part is held at more
+        than its own size.
         """
         kind = self.kind
         if kind == "nonmultiples":
@@ -299,38 +300,29 @@ class GapSetSpec:
             return 0, _primes_upto(bound), []
         if kind == "union":
             members = [p._members(bound) for p in self.parts]
-            if members.count(None) == len(members):
-                return None
-            # the listed parts' elements and the sieved parts' elements below
-            # their windows; a window that holds no position (a shift past
+            # a window that holds no position (a listed part, or a shift past
             # the bound) sets no lo
-            loose = list(chain.from_iterable(
-                p._elements(bound) if m is None else m[2] for p, m in zip(self.parts, members)
-            ))
-            windows = [m[:2] for m in members if m is not None and m[1]]
+            windows = [m[:2] for m in members if m[1]]
             lo = min((at for at, _ in windows), default=bound + 1)
             bits = 0
             for at, flags in windows:
                 bits |= int.from_bytes(flags, "little") << 8 * (at - lo)
             out = bytearray(bits.to_bytes(bound + 1 - lo, "little"))
-            for a in loose:
-                if a >= lo:
-                    out[a - lo] = 1
-            return lo, out, sorted({a for a in loose if a < lo})
+            # sorted() merges the parts' increasing runs in C; groupby drops repeats
+            loose = sorted(chain.from_iterable(m[2] for m in members))
+            cut = bisect.bisect_left(loose, lo)
+            for a in islice(loose, cut, None):
+                out[a - lo] = 1
+            del loose[cut:]
+            return lo, out, [a for a, _ in groupby(loose)]
         if kind == "divided":
-            members = self.inner._members(bound * self.d)
-            if members is None:
-                return None
             # x is an element when x*d is one; the first x with x*d >= lo
-            lo, flags, below = members
+            lo, flags, below = self.inner._members(bound * self.d)
             d = self.d
             first = -(-lo // d)
             return first, flags[first * d - lo :: d], [a // d for a in below if a % d == 0]
         if kind == "multiples_filtered":
-            members = self.inner._members(bound)
-            if members is None:
-                return None
-            lo, flags, below = members
+            lo, flags, below = self.inner._members(bound)
             d = self.d
             out = bytearray(len(flags))
             at = -lo % d  # the index of the first multiple of d
@@ -338,10 +330,7 @@ class GapSetSpec:
             return lo, out, [a for a in below if a % d == 0]
         if kind == "shifted":
             c = self.shift
-            members = self.inner._members(max(bound - c, 1))
-            if members is None:
-                return None
-            lo, flags, below = members
+            lo, flags, below = self.inner._members(max(bound - c, 1))
             lo += c
             if lo < 1:
                 # positions below 1 hold no element
@@ -350,56 +339,21 @@ class GapSetSpec:
             # a shift past the bound moves the inner bytes at bound 1 above it
             del flags[max(bound + 1 - lo, 0) :]
             return lo, flags, [a + c for a in below if 1 <= a + c <= bound]
-        return None
+        return bound + 1, bytearray(), self._listed(bound)
 
-    def _elements(self, bound: int) -> Iterable[int]:
-        """The elements <= bound of a rule with no sieved part, in increasing
-        order. A union holds one sorted list of its parts' elements; the
-        transforms walk their inner elements."""
+    def _listed(self, bound: int) -> list[int]:
+        """The elements <= bound of a listed kind, in increasing order."""
         kind = self.kind
-        if kind == "fibonacci":
-            out, a, b = [], 1, 2
-            while a <= bound:
-                out.append(a)
-                a, b = b, a + b
-            return out
-        if kind == "even_fibonacci":
-            out, a, b = [], 2, 8
-            while a <= bound:
-                out.append(a)
-                a, b = b, 4 * b + a
-            return out
-        if kind == "pell":
-            out, a, b = [], 1, 2
-            while a <= bound:
-                out.append(a)
-                a, b = b, 2 * b + a
-            return out
-        if kind == "geometric":
-            out, v = [], 1
-            while v <= bound:
-                out.append(v)
-                v *= self.base
-            return out
         if kind == "polynomial":
             return self._poly_elements(bound)
         if kind == "explicit":
             return [e for e in self.elements if e <= bound]
-        if kind == "union":
-            # sorted() merges the parts' increasing runs in C; groupby drops repeats
-            merged = sorted(chain.from_iterable(p._elements(bound) for p in self.parts))
-            return map(operator.itemgetter(0), groupby(merged))
-        if kind == "divided":
-            d = self.d
-            return (a // d for a in self.inner._elements(bound * d) if a % d == 0)
-        if kind == "multiples_filtered":
-            d = self.d
-            return (a for a in self.inner._elements(bound) if a % d == 0)
-        if kind == "shifted":
-            c = self.shift
-            inner = self.inner._elements(max(bound - c, 1)) if c >= 0 else self.inner._elements(bound - c)
-            return (a + c for a in inner if 1 <= a + c <= bound)
-        raise SpecValidationError(f"unknown gap set kind: {kind}")
+        a, b, x, y = (1, self.base, self.base, 0) if kind == "geometric" else _RECURRENCES[kind]
+        out = []
+        while a <= bound:
+            out.append(a)
+            a, b = b, x * b + y * a
+        return out
 
     def _poly_elements(self, bound: int) -> list[int]:
         # Horner's rule on integers: with scale = lcm of the denominators,
@@ -467,20 +421,14 @@ class GapSetSpec:
             raise SpecValidationError("set definition must be an object with a 'kind'")
         kind = obj["kind"]
         try:
-            if kind == "fibonacci":
-                return GapSetSpec.fibonacci()
-            if kind == "even_fibonacci":
-                return GapSetSpec.even_fibonacci()
-            if kind == "pell":
-                return GapSetSpec.pell()
+            if kind in ("fibonacci", "even_fibonacci", "pell", "primes"):
+                return GapSetSpec(kind)
             if kind == "geometric":
                 return GapSetSpec.geometric(obj["base"])
             if kind == "polynomial":
                 return GapSetSpec.polynomial(_array(obj, "coeffs"))
             if kind == "nonmultiples":
                 return GapSetSpec.nonmultiples(obj["m"])
-            if kind == "primes":
-                return GapSetSpec.primes()
             if kind == "explicit":
                 return GapSetSpec.explicit(_array(obj, "elements"))
             if kind == "union":

@@ -168,12 +168,18 @@ def test_delta_one_term_chains_are_validated(capsys):
     assert "r >= 2" in err
 
 
-def test_search_lengths_past_the_coloring_cap_exit_2(capsys):
+def test_search_lengths_past_the_coloring_cap_exit_2(monkeypatch, capsys):
+    # the length is refused before the set is enumerated at it
+    def enumerate(self, bound):
+        raise AssertionError(f"enumerated at {bound}")
+
+    monkeypatch.setattr(gapsets.GapSetSpec, "enumerate", enumerate)
     one = '{"kind":"explicit","elements":[1]}'
     too_long = str(MAX_LENGTH + 1)
     for argv in (
         ["delta", "--set-json", one, "-k", "3", "-r", "2", "--budget", too_long],
         ["chromatic", "--set-json", one, "-N", too_long],
+        ["pipeline", "--set-json", one, "--delta", "1/1000", "--steps", "2", "-N", too_long],
     ):
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (2, "")
@@ -230,6 +236,25 @@ def test_scan_rejects_rle_that_is_not_a_list(tmp_path, capsys):
     code, out, err = _scan_file(tmp_path, capsys, {"r": 2, "n": 1, "rle": 5})
     assert code == 2 and out == ""
     assert err == _BAD_RLE
+
+
+def test_deeply_nested_input_exits_2(tmp_path, capsys):
+    # the json decoder raises RecursionError well below this depth
+    depth = 2000
+    spec = '{"kind":"shifted","c":1,"of":' * depth + '{"kind":"fibonacci"}' + "}" * depth
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(spec)
+    coloring_file = tmp_path / "coloring.json"
+    coloring_file.write_text('{"r":2,"n":1,"rle":' + "[" * depth + "]" * depth + "}")
+    fib = '{"kind":"fibonacci"}'
+    for argv, what in (
+        (["set", "--set", str(spec_file), "-N", "10"], "set definition"),
+        (["set", "--set-json", spec, "-N", "10"], "set definition"),
+        (["scan", "--coloring", str(coloring_file), "--set-json", fib], "coloring file"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {what} is nested too deeply to parse\n"
 
 
 def test_set_rejects_fractional_geometric_base(capsys):

@@ -23,6 +23,10 @@ def test_frac_coloring_examples():
     assert frac_coloring(sqrt5_over_8, 2, 1).colors[0] == 1  # frac 0.2795 < 1/2
     assert list(frac_coloring(F(1, 3), 3, 6).colors) == [2, 3, 1, 2, 3, 1]
     assert list(frac_coloring(0, 2, 5).colors) == [1, 1, 1, 1, 1]
+    # r names the color bytes, 1..255
+    for r in (1, 256):
+        with pytest.raises(ValueError, match=rf"^r must be in 2\.\.255.*\(got {r}\)$"):
+            frac_coloring(F(1, 3), r, 5)
 
 
 def test_frac_coloring_boundary_goes_up():

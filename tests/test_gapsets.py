@@ -171,7 +171,8 @@ def test_composed_enumeration_holds_no_intermediate_list():
 
 def _reference_elements(spec, bound):
     """The per-element generators that enumerated the sieved kinds and their
-    transforms before membership bytes; the listed leaves are unchanged."""
+    transforms before membership bytes, over independent lists of the
+    listed kinds."""
     kind = spec.kind
     if kind == "nonmultiples":
         keep = cycle([1] * (min(spec.m, bound + 1) - 1) + [0])
@@ -198,10 +199,29 @@ def _reference_elements(spec, bound):
         c = spec.shift
         inner = _reference_elements(spec.inner, max(bound - c, 1) if c >= 0 else bound - c)
         return (a + c for a in inner if 1 <= a + c <= bound)
-    return spec._elements(bound)
+    if kind in ("fibonacci", "even_fibonacci"):
+        # f_{2k+2} >= 2^k, so the values run past the bound
+        vals = fib_values(2 * bound.bit_length() + 3)
+        return [v for v in (vals[2:] if kind == "fibonacci" else vals[3::3]) if v <= bound]
+    if kind == "pell":
+        vals = [0, 1]
+        while vals[-1] <= bound:
+            vals.append(2 * vals[-1] + vals[-2])
+        return vals[1:-1]
+    if kind == "geometric":
+        return [spec.base**i for i in range(bound.bit_length()) if spec.base**i <= bound]
+    if kind == "polynomial":
+        return _fraction_poly_elements(spec.coeffs, bound)
+    return [e for e in spec.elements if e <= bound]
 
 
 def _matches_reference(spec, bound):
+    # every window is empty or ends at bound + 1, after the increasing
+    # positive elements below it
+    lo, flags, below = spec._members(bound)
+    assert not flags or lo + len(flags) == bound + 1
+    assert all(map(operator.lt, below, below[1:]))
+    assert not below or 1 <= below[0] and below[-1] < lo
     return spec.enumerate(bound).elements == tuple(_reference_elements(spec, bound))
 
 
@@ -267,7 +287,7 @@ def test_random_compositions_match_the_reference(spec, bound):
 def test_listed_kinds_build_no_bound_sized_bytes():
     # bytes over [0..10**40] could never be allocated: only the lists are built
     spec = GapSetSpec.union([GapSetSpec.geometric(2), GapSetSpec.fibonacci()]).shifted(3)
-    assert spec._members(10**40) is None
+    assert spec._members(10**40)[:2] == (10**40 + 1, bytearray())
     view = spec.enumerate(10**40)
     assert view.elements[:12] == (4, 5, 6, 7, 8, 11, 16, 19, 24, 35, 37, 58)
     assert len(view) == 322  # 2^0..2^132 and F_2..F_193, with 1, 2 and 8 in both
