@@ -1,8 +1,8 @@
 """Machine-checkable pass/fail records shared by all verification layers.
 
 A certificate never claims more than what was checked: ``verified_range``
-states the finite scope (or names the periodicity argument that upgrades a
-finite check to a universal one).
+states the finite scope (or names the periodicity or induction argument that
+upgrades a finite check to a universal one).
 """
 
 from __future__ import annotations

@@ -187,20 +187,10 @@ def certify_fracs(alpha: NumberLike, view: GapSetView, eps, r: int) -> Certifica
     }
     scope = f"all {len(view)} enumerated elements up to {view.bound}"
     miss = _first_outside(alpha_q5, view, eps, window_hi, closed=True)
+    counterexample = None
     if miss is not None:
-        return Certificate(
-            claim="fractional-parts-in-window",
-            params=params,
-            verified_range=scope,
-            passed=False,
-            counterexample={"d": miss, "frac": (alpha_q5 * miss).frac().to_json()},
-        )
-    return Certificate(
-        claim="fractional-parts-in-window",
-        params=params,
-        verified_range=scope,
-        passed=True,
-    )
+        counterexample = {"d": miss, "frac": (alpha_q5 * miss).frac().to_json()}
+    return Certificate("fractional-parts-in-window", params, scope, miss is None, counterexample)
 
 
 def diffseq_bound_from_eps(r: int, eps) -> int:

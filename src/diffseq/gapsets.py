@@ -283,6 +283,8 @@ class GapSetSpec:
         bytes are built at bounds up to 10**40. A transform reads its inner
         bytes at the bound it needs (bound * d for a divided kind) and only
         moves, cuts or strides them, so a shift moves lo and builds no zeros.
+        Every call builds its own ``below``, so a transform filters, divides
+        or shifts the inner list in place and no level holds two lists.
         Every window is empty or ends at bound + 1, so a union ORs its parts'
         bytes over the widest part's window and sets the loose elements that
         fall inside it; the rest join ``below``, and no part is held at more
@@ -320,14 +322,14 @@ class GapSetSpec:
             lo, flags, below = self.inner._members(bound * self.d)
             d = self.d
             first = -(-lo // d)
-            return first, flags[first * d - lo :: d], [a // d for a in below if a % d == 0]
+            return first, flags[first * d - lo :: d], _keep_multiples(below, d, d)
         if kind == "multiples_filtered":
             lo, flags, below = self.inner._members(bound)
             d = self.d
             out = bytearray(len(flags))
             at = -lo % d  # the index of the first multiple of d
             out[at::d] = flags[at::d]
-            return lo, out, [a for a in below if a % d == 0]
+            return lo, out, _keep_multiples(below, d, 1)
         if kind == "shifted":
             c = self.shift
             lo, flags, below = self.inner._members(max(bound - c, 1))
@@ -338,7 +340,12 @@ class GapSetSpec:
                 lo = 1
             # a shift past the bound moves the inner bytes at bound 1 above it
             del flags[max(bound + 1 - lo, 0) :]
-            return lo, flags, [a + c for a in below if 1 <= a + c <= bound]
+            # the inner list is sorted: cut it to the elements landing in 1..bound
+            del below[bisect.bisect_right(below, bound - c) :]
+            del below[: bisect.bisect_left(below, 1 - c)]
+            for i, a in enumerate(below):
+                below[i] = a + c
+            return lo, flags, below
         return bound + 1, bytearray(), self._listed(bound)
 
     def _listed(self, bound: int) -> list[int]:
@@ -462,6 +469,18 @@ def _primes_upto(n: int) -> bytearray:
     return sieve
 
 
+def _keep_multiples(items: list[int], d: int, scale: int) -> list[int]:
+    """The multiples of d in ``items``, each divided by ``scale``, compacted
+    in place by a write index so that no second list is held."""
+    kept = 0
+    for a in items:
+        if a % d == 0:
+            items[kept] = a if scale == 1 else a // scale
+            kept += 1
+    del items[kept:]
+    return items
+
+
 def growth_certificate(view: GapSetView, rho, start: int = 0) -> Certificate:
     """Check d[i+1] >= rho * d[i] for every consecutive pair from index ``start``.
 
@@ -482,16 +501,8 @@ def growth_certificate(view: GapSetView, rho, start: int = 0) -> Certificate:
         )
     params = {"rho": rational_str(rho), "start": start, "elements": len(els)}
     scope = f"pairs (d[i], d[i+1]) for i in [{start}, {len(els) - 2}]"
-    for i in range(start, len(els) - 1):
-        if els[i + 1] < rho * els[i]:
-            return Certificate(
-                claim="gap-growth-ratio",
-                params=params,
-                verified_range=scope,
-                passed=False,
-                counterexample={"index": i, "pair": [els[i], els[i + 1]]},
-            )
-    return Certificate(
-        claim="gap-growth-ratio", params=params, verified_range=scope, passed=True
-    )
-
+    miss = next((i for i in range(start, len(els) - 1) if els[i + 1] < rho * els[i]), None)
+    counterexample = None
+    if miss is not None:
+        counterexample = {"index": miss, "pair": [els[miss], els[miss + 1]]}
+    return Certificate("gap-growth-ratio", params, scope, miss is None, counterexample)

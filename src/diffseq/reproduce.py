@@ -120,26 +120,26 @@ def _claim_evenfib_diffseq(params: dict) -> tuple[bool, str]:
 
 def _claim_residue_periods(params: dict) -> tuple[bool, str]:
     period = verify.pisano_period(8)
-    c1 = verify.check_fib_fact("mod8_nonzero", params["bound"])
-    c2 = verify.check_fib_fact("mod4_one", params["bound"])
+    c1 = verify.check_fib_fact("mod8_nonzero")
+    c2 = verify.check_fib_fact("mod4_one")
     ok = period == 12 and c1.passed and c2.passed
-    return ok, f"period mod 8 = {period}; both residue facts periodicity-complete"
+    return ok, f"period mod 8 = {period}; both residue facts hold for every n by periodicity"
 
 
 def _claim_quadratic_identities(params: dict) -> tuple[bool, str]:
-    c1 = verify.check_fib_fact("binet_sqrt5", params["bound"])
-    c2 = verify.check_fib_fact("binet_oneplusphi", params["bound"])
-    return c1.passed and c2.passed, f"both identities exact to n = {params['bound']}"
+    c1 = verify.check_fib_fact("binet_sqrt5")
+    c2 = verify.check_fib_fact("binet_oneplusphi")
+    return c1.passed and c2.passed, "both identities exact for every n by induction"
 
 
 def _claim_evenfib_recurrence(params: dict) -> tuple[bool, str]:
-    cert = verify.check_fib_fact("even_fib_recurrence", params["terms"])
+    cert = verify.check_fib_fact("even_fib_recurrence")
     bound = params["filter_bound"]
     filtered = gapsets.GapSetSpec.fibonacci().filter_multiples(2).enumerate(bound)
     direct = gapsets.GapSetSpec.even_fibonacci().enumerate(bound)
     same = filtered.elements == direct.elements
     return cert.passed and same, (
-        f"recurrence on {params['terms']} terms; filtered view matches to {bound}"
+        f"recurrence for every n by induction; filtered view matches to {bound}"
     )
 
 
@@ -190,20 +190,20 @@ CLAIMS: tuple[Claim, ...] = (
     ),
     Claim(
         "fib-residue-periods",
-        "Fibonacci residues mod 8 have period 12; the two modular facts hold for every index",
-        lambda scale: {"bound": 200 if scale == "quick" else 1000},
+        "Fibonacci residues mod 8 have period 12; the two modular facts hold for every n",
+        lambda scale: {},
         _claim_residue_periods,
     ),
     Claim(
         "quadratic-identities",
-        "the sqrt5 and (1+phi) multiplier identities hold exactly in Q(sqrt5)",
-        lambda scale: {"bound": 200},
+        "the sqrt5 and (1+phi) multiplier identities hold exactly in Q(sqrt5) for every n",
+        lambda scale: {},
         _claim_quadratic_identities,
     ),
     Claim(
         "evenfib-recurrence-and-filter",
-        "even Fibonacci numbers satisfy e(n) = 4e(n-1) + e(n-2) and equal the even-filtered Fibonacci set",
-        lambda scale: {"terms": 100, "filter_bound": 1_000_000},
+        "even Fibonacci numbers satisfy e(n) = 4e(n-1) + e(n-2) for every n and equal the even-filtered Fibonacci set",
+        lambda scale: {"filter_bound": 1_000_000},
         _claim_evenfib_recurrence,
     ),
     Claim(

@@ -375,6 +375,8 @@ def delta(view: GapSetView, k: int, r: int, budget: int, threads: int = 1) -> De
         raise ValueError(f"budget must be in 1..{MAX_LENGTH} (got {budget})")
     if k < 1 or r < 2:
         raise ValueError("need k >= 1 and r >= 2")
+    if r > 255:
+        raise ValueError(f"r must be in 2..255, the color bytes (got {r})")
     gaps = list(_usable_gaps(view, budget))
     threads = min(threads, os.cpu_count() or 1)
     started = time.perf_counter()

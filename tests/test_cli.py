@@ -168,6 +168,19 @@ def test_delta_one_term_chains_are_validated(capsys):
     assert "r >= 2" in err
 
 
+def test_delta_with_too_many_colors_exits_2_before_searching(monkeypatch, capsys):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(cli.search, "_dfs_deepest", no_search)
+    code, _, err = _run(
+        capsys, "delta", "--set-json", '{"kind":"nonmultiples","m":2}',
+        "-k", "2", "-r", "256", "--budget", "100000",
+    )
+    assert code == 2
+    assert "r must be in 2..255" in err and "256" in err
+
+
 def test_search_lengths_past_the_coloring_cap_exit_2(monkeypatch, capsys):
     # the length is refused before the set is enumerated at it
     def enumerate(self, bound):

@@ -345,6 +345,23 @@ def test_far_apart_union_parts_keep_their_own_size(monkeypatch):
     assert len(views[0]) == 26 and len(views[1]) == 58
 
 
+def test_chained_transforms_over_a_listed_kind_hold_one_list():
+    # a shift and a division rework the inner list in place. A new list per
+    # level, built while the inner one was alive, read a tracemalloc peak of
+    # 3.03 times the final view here; in place it reads 2.21 on Python 3.11
+    spec = GapSetSpec.explicit(range(1, 10**5 + 6)).shifted(-5).divide(2)
+    bound = 5 * 10**4
+    tracemalloc.start()
+    try:
+        view = spec.enumerate(bound)
+        final, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.6 * final
+    assert view.elements == tuple(_reference_elements(spec, bound))
+    assert view.elements == tuple(range(1, bound + 1))
+
+
 @pytest.mark.parametrize(
     "spec, bound, limit",
     [

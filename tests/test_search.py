@@ -234,6 +234,18 @@ def test_budget_validation():
             delta(view, k, 1, 5)
 
 
+def test_delta_refuses_more_colors_than_bytes_before_searching(monkeypatch):
+    # the witness holds one byte per color; r = 256 is refused up front, not
+    # after the whole search when the witness is built
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(search, "_dfs_deepest", no_search)
+    view = GapSetSpec.nonmultiples(2).enumerate(50)
+    with pytest.raises(ValueError, match=r"r must be in 2\.\.255.*got 256"):
+        delta(view, 2, 256, 50)
+
+
 def test_search_lengths_past_the_coloring_cap_are_refused():
     # the witness is a coloring, so a budget (or n) above MAX_LENGTH is
     # refused before the search allocates its per-position state

@@ -19,13 +19,14 @@ from diffseq.colorings import (
     residue_coloring,
 )
 from diffseq.construct import certify_fracs, diffseq_bound_from_eps
-from diffseq.exactnum import Q5
+from diffseq.exactnum import PHI, PHI_CONJ, Q5, SQRT5
 from diffseq.gapsets import GapSetSpec, GapSetView, fib_values
 from diffseq import verify as verify_module
 from diffseq.verify import (
     AP,
     DIFFSEQUENCE,
     DIST_NEAREST,
+    FIB_FACTS,
     FRAC_WINDOW,
     ScanResult,
     check_fib_fact,
@@ -567,6 +568,15 @@ def test_pisano_periods():
     assert pisano_period(10) == 60
     with pytest.raises(ValueError):
         pisano_period(1)
+    # against a plain first return of the pair (f_0, f_1) = (0, 1)
+    for m in range(2, 201):
+        a, b, period = 0, 1, 0
+        while True:
+            a, b = b, (a + b) % m
+            period += 1
+            if (a, b) == (0, 1):
+                break
+        assert pisano_period(m) == period, m
 
 
 def test_fib_fact_certificates():
@@ -578,6 +588,65 @@ def test_fib_fact_certificates():
     assert check_fib_fact("even_fib_recurrence", 100).passed
     with pytest.raises(ValueError):
         check_fib_fact("fib_is_even", 10)
+    for fact in FIB_FACTS:
+        cert = check_fib_fact(fact)
+        assert cert.passed and cert.counterexample is None
+        assert cert.verified_range.startswith("every n >= ")
+        # the bound is read by nothing
+        assert check_fib_fact(fact, 1).to_json() == cert.to_json()
+    assert check_fib_fact("mod8_nonzero").params["steps"] == 12
+    assert check_fib_fact("mod4_one").params["steps"] == 2
+
+
+def test_walk_fails_false_facts_at_their_first_index():
+    walk, step = verify_module._walk, verify_module._fib_step
+    # f_n mod 8 != 0 from (f_1, f_2) = (1, 1) fails at offset 5: f_6 = 8
+    assert walk((1, 1), step(8), lambda x: x != 0, 64) == (5, 5)
+    # f_(3n+2) = 2 mod 4 from (f_2, f_3) = (1, 2) fails at n = 0
+    assert walk((1, 2), step(4, 3), lambda x: x == 2, 16) == (0, 0)
+    # sqrt5 f_n = L_n - psi^n: the difference is -psi^n, nonzero at n = 1
+    psi = PHI_CONJ
+    start = (SQRT5 - (1 - psi), SQRT5 - (3 - psi * psi))
+    assert walk(start, step(), lambda x: not x, 2) == (0, 0)
+    # a start (0, c) with c != 0 fails at its second index; (0, 0) is fixed
+    for c in (1, -3, SQRT5):
+        assert walk((0, c), step(), lambda x: not x, 2) == (1, 1)
+    assert walk((0, 0), step(), lambda x: not x, 2) == (None, 1)
+    # a walk that has not come back within its cap proves nothing
+    with pytest.raises(ArithmeticError):
+        walk((1, 3), step(8), lambda x: True, 11)
+
+
+def test_fib_facts_hold_index_by_index():
+    # the per-index loops the walk replaced, kept as the reference for the
+    # facts that test_fib_fact_certificates proves for every n
+    f = fib_values(3 * 1000 + 6)
+    assert all((f[n - 1] + f[n + 1]) % 8 != 0 for n in range(1, 1001))
+    assert all((f[3 * n] + f[3 * n + 1]) % 4 == 1 for n in range(0, 1001))
+    evens = [f[3 * n] for n in range(1, 1001)]
+    assert all(evens[i] == 4 * evens[i - 1] + evens[i - 2] for i in range(2, len(evens)))
+    conj_pow = Q5(1)
+    for n in range(1, 201):
+        conj_pow = conj_pow * PHI_CONJ
+        assert SQRT5 * f[n] == Q5(f[n - 1] + f[n + 1]) - conj_pow * 2
+        assert (Q5(1) + PHI) * f[n] == Q5(f[n] + f[n + 1]) - conj_pow
+
+
+def test_fib_fact_certificates_fail_on_a_false_premise_or_start(monkeypatch):
+    shape = set(check_fib_fact("binet_sqrt5").params)
+    # phi also satisfies x^2 = x + 1, so the premise holds and n = 1 fails
+    monkeypatch.setattr(verify_module, "PHI_CONJ", PHI)
+    for fact in ("binet_sqrt5", "binet_oneplusphi"):
+        cert = check_fib_fact(fact)
+        assert not cert.passed and cert.counterexample == {"n": 1}
+        assert set(cert.params) == shape
+    # 2^2 != 2 + 1: the differences need not obey the recurrence
+    monkeypatch.setattr(verify_module, "PHI_CONJ", Q5(2))
+    cert = check_fib_fact("binet_oneplusphi")
+    assert not cert.passed and cert.counterexample == {"premise": "psi^2 = psi + 1"}
+    # the facts over the integers do not rest on psi
+    for fact in ("mod8_nonzero", "mod4_one", "even_fib_recurrence"):
+        assert check_fib_fact(fact).passed
 
 
 def test_frac_bound_scan_examples():
