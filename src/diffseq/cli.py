@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -21,26 +22,21 @@ from . import colorings, construct, gapsets, reproduce, search, verify
 from .exactnum import Q5, to_rational
 
 
-class InputError(ValueError):
-    pass
-
-
 # the largest enumeration bound tried when a command needs more elements
 _MAX_BOUND = 10**40
 
 
-def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+def _write(path: Optional[str], text: str) -> None:
+    """Write text and a final newline to path, or print it when path is None."""
+    if path:
+        with open(path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
 
 
-def _add_set_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--set", metavar="FILE", help="JSON set definition file")
-    parser.add_argument("--set-json", metavar="JSON", help="inline JSON set definition")
+def _emit(path: Optional[str], payload: dict) -> None:
+    _write(path, json.dumps(payload, indent=2))
 
 
 @contextlib.contextmanager
@@ -49,14 +45,14 @@ def _parsing(what: str):
     try:
         yield
     except RecursionError:
-        raise InputError(f"{what} is nested too deeply to parse") from None
+        raise ValueError(f"{what} is nested too deeply to parse") from None
 
 
 def _load_spec(args) -> gapsets.GapSetSpec:
     if args.set and args.set_json:
-        raise InputError("give either --set or --set-json, not both")
+        raise ValueError("give either --set or --set-json, not both")
     if not (args.set or args.set_json):
-        raise InputError("a set definition is required (--set FILE or --set-json JSON)")
+        raise ValueError("a set definition is required (--set FILE or --set-json JSON)")
     with _parsing("set definition"):
         if args.set:
             with open(args.set) as fh:
@@ -69,7 +65,7 @@ def _load_spec(args) -> gapsets.GapSetSpec:
 def _length(n: int, flag: str) -> int:
     # refused before the set is enumerated at n: no coloring or witness is longer
     if not 1 <= n <= colorings.MAX_LENGTH:
-        raise InputError(f"{flag} must be in 1..{colorings.MAX_LENGTH} (got {n})")
+        raise ValueError(f"{flag} must be in 1..{colorings.MAX_LENGTH} (got {n})")
     return n
 
 
@@ -87,13 +83,13 @@ def _widened_view(
     """The view of spec at the first of bound, 16*bound, 256*bound, ... that
     holds the elements with 0-based indices start .. start + steps - 1."""
     if start < 0:
-        raise InputError(f"--start must be >= 0 (got {start})")
+        raise ValueError(f"--start must be >= 0 (got {start})")
     need = start + steps
     view = spec.enumerate(bound)
     while len(view) < need:
         bound *= 16
         if bound > _MAX_BOUND:
-            raise InputError(
+            raise ValueError(
                 f"set has only {len(view)} elements up to {view.bound:.3g}; need {need}"
             )
         view = spec.enumerate(bound)
@@ -105,7 +101,7 @@ def _load_coloring(args) -> colorings.Coloring:
     if source.startswith("preset:"):
         name = source.split(":", 1)[1]
         if args.n is None:
-            raise InputError("presets need a length: -N")
+            raise ValueError("presets need a length: -N")
         return colorings.preset_coloring(name, args.n)
     with open(source) as fh, _parsing("coloring file"):
         return colorings.Coloring.from_json(json.load(fh))
@@ -117,7 +113,7 @@ def _load_coloring(args) -> colorings.Coloring:
 def _cmd_set(args) -> int:
     spec = _load_spec(args)
     view = spec.enumerate(args.n)
-    _emit(args, {"spec": spec.to_json(), **view.to_json()})
+    _emit(args.out, {"spec": spec.to_json(), **view.to_json()})
     return 0
 
 
@@ -129,7 +125,7 @@ def _cmd_alpha(args) -> int:
     cert = construct.build_alpha(
         q, args.r, delta, steps=args.steps, first_gap=elements[0]
     )
-    _emit(args, cert.to_json())
+    _emit(args.out, cert.to_json())
     return 0
 
 
@@ -140,7 +136,7 @@ def _cmd_color(args) -> int:
         alpha = _parse_number(args.alpha, args.alpha_root5)
         coloring = colorings.frac_coloring(alpha, args.r, args.n)
     elif args.kind in ("block", "residue") and args.m is None:
-        raise InputError(f"--kind {args.kind} needs -m")
+        raise ValueError(f"--kind {args.kind} needs -m")
     elif args.kind == "block":
         coloring = colorings.block_coloring(args.m, args.n)
     elif args.kind == "residue":
@@ -151,16 +147,11 @@ def _cmd_color(args) -> int:
         cut = _parse_number(args.cut, args.cut_root5)
         coloring = colorings.rotation_word(alpha, x0, cut, args.n)
     else:
-        raise InputError("choose --preset or --kind {frac,block,residue,rotation}")
+        raise ValueError("choose --preset or --kind {frac,block,residue,rotation}")
     if args.format == "text":
-        text = coloring.to_text()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write(args.out, coloring.to_text())
     else:
-        _emit(args, coloring.to_json())
+        _emit(args.out, coloring.to_json())
     return 0
 
 
@@ -174,7 +165,7 @@ def _cmd_scan(args) -> int:
         result = verify.longest_mono_ap(coloring, view)
     else:
         result = verify.chromatically_intersective_check(coloring, view)
-    _emit(args, result.to_json())
+    _emit(args.out, result.to_json())
     if args.max_k is not None and result.length > args.max_k:
         return 1
     return 0
@@ -184,11 +175,9 @@ def _cmd_delta(args) -> int:
     spec = _load_spec(args)
     view = spec.enumerate(_length(args.budget, "--budget"))
     result = search.delta(view, args.k, args.r, args.budget, threads=args.threads)
-    _emit(args, {"set": spec.to_json(), **result.to_json()})
+    _emit(args.out, {"set": spec.to_json(), **result.to_json()})
     if args.emit_witness and result.witness is not None:
-        with open(args.emit_witness, "w") as fh:
-            json.dump(result.witness.to_json(), fh, indent=2)
-            fh.write("\n")
+        _emit(args.emit_witness, result.witness.to_json())
     return 0
 
 
@@ -196,19 +185,19 @@ def _cmd_chromatic(args) -> int:
     spec = _load_spec(args)
     view = spec.enumerate(_length(args.n, "-N"))
     result = search.chromatic_number_prefix(view, args.n)
-    _emit(args, {"set": spec.to_json(), **result.to_json()})
+    _emit(args.out, {"set": spec.to_json(), **result.to_json()})
     return 0
 
 
 def _cmd_complexity(args) -> int:
     coloring = _load_coloring(args)
     if args.max_n is None and args.factor_len is None:
-        raise InputError("give a factor length (-n) or a range (--max-n)")
+        raise ValueError("give a factor length (-n) or a range (--max-n)")
     if args.max_n is not None and args.max_n < 1:
-        raise InputError(f"--max-n must be >= 1 (got {args.max_n})")
+        raise ValueError(f"--max-n must be >= 1 (got {args.max_n})")
     lengths = range(1, args.max_n + 1) if args.max_n is not None else [args.factor_len]
     counts = {str(n): colorings.complexity(coloring, n) for n in lengths}
-    _emit(args, {"n": coloring.n, "complexity": counts})
+    _emit(args.out, {"n": coloring.n, "complexity": counts})
     return 0
 
 
@@ -217,7 +206,7 @@ def _cmd_pipeline(args) -> int:
     delta = to_rational(args.delta)
     factor = construct.growth_factor(args.r, delta)
     if args.steps < 2:
-        raise InputError("pipeline needs --steps >= 2 to check gap growth")
+        raise ValueError("pipeline needs --steps >= 2 to check gap growth")
     view = _widened_view(spec, args.start, args.steps, _length(args.n, "-N"))
     need = args.start + args.steps
     elements = view.elements
@@ -226,7 +215,7 @@ def _cmd_pipeline(args) -> int:
     )
     if not growth.passed:
         pair = growth.counterexample["pair"]
-        raise InputError(
+        raise ValueError(
             f"growth {factor} not satisfied at index {growth.counterexample['index']}: "
             f"{pair[1]} < {factor} * {pair[0]}"
         )
@@ -242,7 +231,7 @@ def _cmd_pipeline(args) -> int:
         "alpha": alpha_cert.to_json(),
         "evidence": evidence.to_json(),
     }
-    _emit(args, payload)
+    _emit(args.out, payload)
     return 0 if evidence.passed else 1
 
 
@@ -250,9 +239,7 @@ def _cmd_reproduce(args) -> int:
     report = reproduce.run_reproduce(args.scale)
     print(report.to_table())
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(report.to_json(), fh, indent=2)
-            fh.write("\n")
+        _emit(args.json_out, report.to_json())
     return 0 if report.overall else 1
 
 
@@ -262,23 +249,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact Ramsey-type computations over gap sets of integers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared by subcommands, listed first in their --help
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the output here instead of stdout")
+    gap_set = argparse.ArgumentParser(add_help=False)
+    gap_set.add_argument("--set", metavar="FILE", help="JSON set definition file")
+    gap_set.add_argument("--set-json", metavar="JSON", help="inline JSON set definition")
+    with_set = functools.partial(sub.add_parser, parents=[gap_set, out])
 
-    p = sub.add_parser("set", help="enumerate a gap set up to a bound")
-    _add_set_flags(p)
+    p = with_set("set", help="enumerate a gap set up to a bound")
     p.add_argument("-N", dest="n", type=int, required=True, help="enumeration bound")
-    p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_set)
 
-    p = sub.add_parser("alpha", help="run the nested-interval constructor over a set")
-    _add_set_flags(p)
+    p = with_set("alpha", help="run the nested-interval constructor over a set")
     p.add_argument("-r", type=int, default=2, help="number of color classes")
     p.add_argument("--delta", required=True, help="growth slack, exact rational")
     p.add_argument("--steps", type=int, required=True, help="construction steps")
     p.add_argument("--start", type=int, default=0, help="0-based index of the first gap used")
-    p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_alpha)
 
-    p = sub.add_parser("color", help="generate and export a coloring")
+    p = sub.add_parser("color", parents=[out], help="generate and export a coloring")
     p.add_argument("--preset", help=f"one of: {', '.join(colorings.PRESETS)}")
     p.add_argument("--kind", choices=["frac", "block", "residue", "rotation"])
     p.add_argument("--alpha", help="rational part of the rotation/frac angle")
@@ -291,53 +281,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=int, help="block width / residue modulus")
     p.add_argument("-N", dest="n", type=int, required=True)
     p.add_argument("--format", choices=["rle", "text"], default="rle")
-    p.add_argument("--out", help="write output here instead of stdout")
     p.set_defaults(func=_cmd_color)
 
-    p = sub.add_parser("scan", help="longest monochromatic structure in a coloring")
+    p = with_set("scan", help="longest monochromatic structure in a coloring")
     p.add_argument("--coloring", required=True, help="preset:NAME or a run-length JSON file")
     p.add_argument("-N", dest="n", type=int, help="length when using a preset")
-    _add_set_flags(p)
     p.add_argument(
         "--structure", choices=["diffseq", "ap", "pair"], default="diffseq",
         help="chain with gaps in the set, fixed-gap progression, or 2-term check",
     )
     p.add_argument("--max-k", type=int, help="exit 1 if the longest length exceeds this")
-    p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("delta", help="least prefix length forcing a monochromatic chain")
-    _add_set_flags(p)
+    p = with_set("delta", help="least prefix length forcing a monochromatic chain")
     p.add_argument("-k", type=int, required=True, help="chain length to force")
     p.add_argument("-r", type=int, required=True, help="number of colors")
     p.add_argument("--budget", type=int, required=True, help="largest prefix to search")
     p.add_argument("--threads", type=int, default=1, help="worker processes, capped at the CPU count")
     p.add_argument("--emit-witness", metavar="FILE", help="write the avoider coloring here")
-    p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_delta)
 
-    p = sub.add_parser("chromatic", help="chromatic bounds of the prefix distance graph")
-    _add_set_flags(p)
+    p = with_set("chromatic", help="chromatic bounds of the prefix distance graph")
     p.add_argument("-N", dest="n", type=int, required=True)
-    p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_chromatic)
 
-    p = sub.add_parser("complexity", help="number of distinct length-n factors")
+    p = sub.add_parser("complexity", parents=[out], help="number of distinct length-n factors")
     p.add_argument("--coloring", required=True, help="preset:NAME or a run-length JSON file")
     p.add_argument("-N", dest="n", type=int, help="length when using a preset")
     p.add_argument("-n", dest="factor_len", type=int, help="factor length")
     p.add_argument("--max-n", type=int, help="report all factor lengths 1..MAX_N")
-    p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_complexity)
 
-    p = sub.add_parser("pipeline", help="growth check, constructor, window certificate, scan")
-    _add_set_flags(p)
+    p = with_set("pipeline", help="growth check, constructor, window certificate, scan")
     p.add_argument("-r", type=int, default=2)
     p.add_argument("--delta", required=True, help="growth slack, exact rational")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--start", type=int, default=0)
     p.add_argument("-N", dest="n", type=int, required=True, help="scan length")
-    p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("reproduce", help="run the registered claim suite")
@@ -353,7 +333,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

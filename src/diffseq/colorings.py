@@ -31,6 +31,7 @@ from math import gcd
 from .exactnum import NumberLike, Q5, floor5, integer_triples, sign5
 
 MAX_LENGTH = 10_000_000  # one byte per position: 10 MB of word at the cap
+MAX_FACTOR_BYTES = 10**8  # complexity(n) slices n bytes at each of N - n + 1 positions
 
 _BYTE = [bytes((c,)) for c in range(256)]
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
@@ -265,6 +266,9 @@ def complexity(coloring: Coloring, n: int) -> int:
     """Number of distinct contiguous length-n factors of the word."""
     if not 1 <= n <= coloring.n:
         raise ValueError("factor length must be in 1..N")
+    size = n * (coloring.n - n + 1)
+    if size > MAX_FACTOR_BYTES:
+        raise ValueError(f"factor length {n} slices {size} bytes, above the cap {MAX_FACTOR_BYTES}")
     w = coloring.colors
     return len({w[i : i + n] for i in range(coloring.n - n + 1)})
 

@@ -22,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, groupby, islice
+from itertools import chain, compress, islice
 from typing import Optional, Sequence
 
 from .certs import Certificate
@@ -51,6 +51,12 @@ def _int(value, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise SpecValidationError(f"{what} must be an integer (got {value!r})")
     return value
+
+
+def _divisor(d) -> int:
+    if _int(d, "divisor") < 1:
+        raise SpecValidationError("divisor must be >= 1")
+    return d
 
 
 def _array(obj: dict, key: str) -> list:
@@ -111,8 +117,8 @@ class GapSetView:
 class GapSetSpec:
     """A rule denoting a set of positive integers.
 
-    Build instances through the classmethod constructors; they validate the
-    structural hypotheses (e.g. a polynomial rule needs a positive leading
+    Build instances through the classmethod constructors and the transforms;
+    they validate the structural hypotheses (e.g. a polynomial rule needs a positive leading
     coefficient and zero constant term).
     """
 
@@ -187,40 +193,21 @@ class GapSetSpec:
     def union(cls, parts: Sequence["GapSetSpec"]) -> "GapSetSpec":
         return cls("union", parts=tuple(parts))
 
-    @classmethod
-    def divided_by(cls, inner: "GapSetSpec", d: int) -> "GapSetSpec":
-        if _int(d, "divisor") < 1:
-            raise SpecValidationError("divisor must be >= 1")
-        return cls("divided", inner=inner, d=d)
-
-    @classmethod
-    def filtered_multiples(cls, inner: "GapSetSpec", d: int) -> "GapSetSpec":
-        if _int(d, "divisor") < 1:
-            raise SpecValidationError("divisor must be >= 1")
-        return cls("multiples_filtered", inner=inner, d=d)
-
-    @classmethod
-    def shifted_by(cls, inner: "GapSetSpec", c: int) -> "GapSetSpec":
-        return cls("shifted", inner=inner, shift=_int(c, "shift"))
-
     # -- transforms ------------------------------------------------------------
 
     def divide(self, d: int) -> "GapSetSpec":
         """The set {a/d : a in A, d | a}."""
-        if d == 1:
-            return self
-        return GapSetSpec.divided_by(self, d)
+        d = _divisor(d)
+        return self if d == 1 else GapSetSpec("divided", inner=self, d=d)
 
     def filter_multiples(self, d: int) -> "GapSetSpec":
         """The subset {a in A : d | a}."""
-        if d == 1:
-            return self
-        return GapSetSpec.filtered_multiples(self, d)
+        d = _divisor(d)
+        return self if d == 1 else GapSetSpec("multiples_filtered", inner=self, d=d)
 
     def shifted(self, c: int) -> "GapSetSpec":
-        if c == 0:
-            return self
-        return GapSetSpec.shifted_by(self, c)
+        c = _int(c, "shift")
+        return self if c == 0 else GapSetSpec("shifted", inner=self, shift=c)
 
     # -- enumeration -----------------------------------------------------------
 
@@ -310,13 +297,19 @@ class GapSetSpec:
             for at, flags in windows:
                 bits |= int.from_bytes(flags, "little") << 8 * (at - lo)
             out = bytearray(bits.to_bytes(bound + 1 - lo, "little"))
-            # sorted() merges the parts' increasing runs in C; groupby drops repeats
+            # sorted() merges the parts' increasing runs in C; the loose elements
+            # in the window are set in its bytes, and the rest are compacted in
+            # place by a write index with repeats dropped, so no second list is held
             loose = sorted(chain.from_iterable(m[2] for m in members))
-            cut = bisect.bisect_left(loose, lo)
-            for a in islice(loose, cut, None):
-                out[a - lo] = 1
-            del loose[cut:]
-            return lo, out, [a for a, _ in groupby(loose)]
+            kept = 0
+            for a in loose:
+                if a >= lo:
+                    out[a - lo] = 1
+                elif not kept or loose[kept - 1] != a:
+                    loose[kept] = a
+                    kept += 1
+            del loose[kept:]
+            return lo, out, loose
         if kind == "divided":
             # x is an element when x*d is one; the first x with x*d >= lo
             lo, flags, below = self.inner._members(bound * self.d)
@@ -440,12 +433,12 @@ class GapSetSpec:
                 return GapSetSpec.explicit(_array(obj, "elements"))
             if kind == "union":
                 return GapSetSpec.union([GapSetSpec.from_json(p) for p in _array(obj, "of")])
-            if kind == "divided":
-                return GapSetSpec.divided_by(GapSetSpec.from_json(obj["of"]), obj["d"])
-            if kind == "multiples_filtered":
-                return GapSetSpec.filtered_multiples(GapSetSpec.from_json(obj["of"]), obj["d"])
-            if kind == "shifted":
-                return GapSetSpec.shifted_by(GapSetSpec.from_json(obj["of"]), obj["c"])
+            # the nodes are built as given, so a d of 1 or a c of 0 round-trips
+            if kind in ("divided", "multiples_filtered", "shifted"):
+                inner = GapSetSpec.from_json(obj["of"])
+                if kind == "shifted":
+                    return GapSetSpec(kind, inner=inner, shift=_int(obj["c"], "shift"))
+                return GapSetSpec(kind, inner=inner, d=_divisor(obj["d"]))
         except KeyError as exc:
             raise SpecValidationError(f"set definition {kind!r} is missing field {exc}") from exc
         raise SpecValidationError(f"unknown gap set kind: {kind!r}")

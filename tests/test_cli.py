@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -148,8 +149,25 @@ COMPOSED_JSON = json.dumps({"kind": "union", "of": [
             10_000,
             "a3017461e2819cd8819e1af50ab37c3fad1ec6c2f4de41f027faaedc67422abf",
         ),
+        # identity nodes (d = 1, c = 0) are echoed as given, as the
+        # transforms' classmethod twins built them
+        (
+            '{"kind":"divided","of":{"kind":"nonmultiples","m":6},"d":1}',
+            1000,
+            "e59ff9cbdf5d64a4f0da0adf518b74eb8eb9cf373c7a2168221c8388a1a5a138",
+        ),
+        (
+            '{"kind":"multiples_filtered","of":{"kind":"primes"},"d":1}',
+            1000,
+            "dc67aadda6e17928271eee194b0fc27dca095d8a2b44c700280428158a63accd",
+        ),
+        (
+            '{"kind":"shifted","of":{"kind":"fibonacci"},"c":0}',
+            1000,
+            "8cc97aea7db2a8b44aeca3f152b52c275622b5c65e066deac64e455611611356",
+        ),
     ],
-    ids=["composed", "divided"],
+    ids=["composed", "divided", "divided_d1", "filtered_d1", "shifted_c0"],
 )
 def test_set_output_is_pinned(capsys, spec, n, digest):
     # SHA-256 of the stdout of `diffseq set` as the per-element generators
@@ -432,6 +450,22 @@ def test_complexity_range_must_be_positive(capsys):
         assert err.strip() == f"error: --max-n must be >= 1 (got {max_n})"
 
 
+def test_complexity_above_the_factor_cap_exits_2(capsys):
+    # 10**10 bytes of factors would be sliced; the refusal comes first
+    tracemalloc.start()
+    try:
+        code, out, err = _run(
+            capsys, "complexity", "--coloring", "preset:goldenrotation", "-N", "200000",
+            "-n", "100000",
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == "error: factor length 100000 slices 10000100000 bytes, above the cap 100000000\n"
+    assert peak < 5_000_000
+
+
 def test_pipeline_command_pass_and_growth_error(capsys):
     code, out, _ = _run(
         capsys, "pipeline", "--set-json", '{"kind":"geometric","base":4}',
@@ -498,6 +532,40 @@ def test_reproduce_quick_and_negative_control(tmp_path, capsys):
     report = reproduce.run_reproduce("quick", claims=(broken,))
     assert not report.overall
     assert "FAIL" in report.to_table()
+
+
+WRITERS = [
+    (["set", "--set-json", '{"kind":"fibonacci"}', "-N", "100"], "--out"),
+    (["color", "--kind", "block", "-m", "3", "-N", "20", "--format", "text"], "--out"),
+    (["color", "--preset", "sqrt5over8", "-N", "50"], "--out"),
+    (
+        ["delta", "--set-json", '{"kind":"nonmultiples","m":3}', "-k", "2", "-r", "2",
+         "--budget", "10"],
+        "--emit-witness",
+    ),
+    (["reproduce", "--scale", "quick"], "--json-out"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag", WRITERS, ids=["set", "color_text", "color_json", "witness", "report"]
+)
+def test_file_outputs_hold_what_stdout_would_print(tmp_path, capsys, monkeypatch, argv, flag):
+    # one fixed report: the JSON of a fresh run would differ in its elapsed times
+    report = reproduce.ReproReport(
+        "quick", [reproduce.ClaimOutcome("claim", "a claim", {"n": 3}, True, 0.25, "ok")]
+    )
+    monkeypatch.setattr(reproduce, "run_reproduce", lambda scale: report)
+    code, printed, _ = _run(capsys, *argv)
+    assert code == 0
+    if flag == "--emit-witness":
+        printed = json.dumps(json.loads(printed)["witness"], indent=2) + "\n"
+    elif flag == "--json-out":
+        printed = json.dumps(report.to_json(), indent=2) + "\n"
+    path = tmp_path / "written"
+    assert _run(capsys, *argv, flag, str(path))[0] == 0
+    assert printed.endswith("\n") and not printed.endswith("\n\n")
+    assert path.read_text() == printed
 
 
 def test_invalid_set_json(capsys):

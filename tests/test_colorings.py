@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from diffseq import colorings
 from diffseq.colorings import (
     Coloring,
     block_coloring,
@@ -97,6 +98,18 @@ def test_complexity_examples():
     assert complexity(Coloring(1, bytes([1] * 10)), 5) == 1
     with pytest.raises(ValueError):
         complexity(alternating, 0)
+
+
+def test_complexity_refuses_factor_bytes_above_the_cap(monkeypatch):
+    # n * (N - n + 1) bytes of factors are sliced; the cap is reached, not passed
+    monkeypatch.setattr(colorings, "MAX_FACTOR_BYTES", 12)
+    word = Coloring(2, bytes([1, 2] * 3 + [1]))  # N = 7
+    assert complexity(word, 2) == 2  # 2 * 6 = 12 bytes
+    assert complexity(word, 6) == 2  # 6 * 2 = 12 bytes
+    for n in (3, 4, 5):  # 15, 16 and 15 bytes
+        with pytest.raises(ValueError) as info:
+            complexity(word, n)
+        assert str(info.value) == f"factor length {n} slices {n * (8 - n)} bytes, above the cap 12"
 
 
 def test_periodic_word_has_low_complexity_somewhere():

@@ -169,6 +169,63 @@ def test_composed_enumeration_holds_no_intermediate_list():
     assert peak < 2 * final
 
 
+def test_union_of_listed_parts_holds_one_list():
+    # the union's repeats are dropped in place, so the sorted merge of its
+    # parts' lists is the one list it holds besides the view (a second,
+    # deduplicated list would read 3.1 times the view)
+    spec = GapSetSpec.union(
+        [GapSetSpec.explicit(range(1, 10**5, 2)), GapSetSpec.explicit(range(2, 10**5, 2))]
+    )
+    tracemalloc.start()
+    try:
+        view = spec.enumerate(10**5 + 3)
+        final, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert view.elements == tuple(range(1, 10**5))
+    assert peak < 2.8 * final
+
+
+def test_transforms_validate_through_one_check():
+    # the methods and the parser refuse a bad divisor or shift with the same messages
+    spec = GapSetSpec.primes()
+    of = spec.to_json()
+    refused = [
+        (lambda: spec.divide(0), "divisor must be >= 1"),
+        (lambda: spec.filter_multiples(-2), "divisor must be >= 1"),
+        (lambda: spec.divide(2.0), "divisor must be an integer (got 2.0)"),
+        (lambda: spec.shifted("3"), "shift must be an integer (got '3')"),
+        # no value that only compares equal to 1 or 0 is taken as the identity
+        (lambda: spec.divide(True), "divisor must be an integer (got True)"),
+        (lambda: spec.shifted(0.0), "shift must be an integer (got 0.0)"),
+        (
+            lambda: GapSetSpec.from_json({"kind": "divided", "of": of, "d": 0}),
+            "divisor must be >= 1",
+        ),
+        (
+            lambda: GapSetSpec.from_json({"kind": "multiples_filtered", "of": of, "d": 0}),
+            "divisor must be >= 1",
+        ),
+        (
+            lambda: GapSetSpec.from_json({"kind": "shifted", "of": of, "c": 1.5}),
+            "shift must be an integer (got 1.5)",
+        ),
+    ]
+    for build, message in refused:
+        with pytest.raises(SpecValidationError) as info:
+            build()
+        assert str(info.value) == message
+    # the methods return the set itself at d = 1 and c = 0, while the parser
+    # keeps the node it is given
+    assert spec.divide(1) is spec and spec.filter_multiples(1) is spec and spec.shifted(0) is spec
+    for node in (
+        {"kind": "divided", "of": of, "d": 1},
+        {"kind": "multiples_filtered", "of": of, "d": 1},
+        {"kind": "shifted", "of": of, "c": 0},
+    ):
+        assert GapSetSpec.from_json(node).to_json() == node
+
+
 def _reference_elements(spec, bound):
     """The per-element generators that enumerated the sieved kinds and their
     transforms before membership bytes, over independent lists of the
@@ -264,11 +321,16 @@ _leaves = st.one_of(
 )
 
 
+def _node(kind, key):
+    # through the parser, so that d = 1 and c = 0 still give a validated node
+    return lambda t: GapSetSpec.from_json({"kind": kind, "of": t[0].to_json(), key: t[1]})
+
+
 def _composed(inner):
     return st.one_of(
-        st.tuples(inner, st.integers(1, 6)).map(lambda t: GapSetSpec.divided_by(*t)),
-        st.tuples(inner, st.integers(1, 6)).map(lambda t: GapSetSpec.filtered_multiples(*t)),
-        st.tuples(inner, st.integers(-50, 50)).map(lambda t: GapSetSpec.shifted_by(*t)),
+        st.tuples(inner, st.integers(1, 6)).map(_node("divided", "d")),
+        st.tuples(inner, st.integers(1, 6)).map(_node("multiples_filtered", "d")),
+        st.tuples(inner, st.integers(-50, 50)).map(_node("shifted", "c")),
         st.lists(inner, min_size=1, max_size=3).map(GapSetSpec.union),
     )
 
@@ -515,7 +577,7 @@ def test_period_from_the_rule():
         (linear([3, 0]).filter_multiples(2), 6),
         (nonmult(4).shifted(-1), 4),
         (nonmult(4).shifted(-5).divide(3), 4),
-        (GapSetSpec.shifted_by(nonmult(3), 0), 3),
+        (GapSetSpec.from_json({"kind": "shifted", "of": nonmult(3).to_json(), "c": 0}), 3),
         (union([nonmult(3), nonmult(5).divide(2)]).shifted(-7).filter_multiples(2), 30),
     ]
     for spec, m in periodic:
