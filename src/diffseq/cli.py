@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -37,6 +38,16 @@ def _write(path: Optional[str], text: str) -> None:
 
 def _emit(path: Optional[str], payload: dict) -> None:
     _write(path, json.dumps(payload, indent=2))
+
+
+def _check_outputs(args) -> None:
+    """Refuse, before any work, an output path that is a directory or lies in a missing one."""
+    for flag in ("out", "emit_witness", "json_out"):
+        path = getattr(args, flag, None)
+        if path and os.path.isdir(path):
+            raise ValueError(f"--{flag.replace('_', '-')} {path} is a directory")
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"--{flag.replace('_', '-')} {path}: no such directory")
 
 
 @contextlib.contextmanager
@@ -332,6 +343,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -242,9 +242,9 @@ def rotation_word(alpha: NumberLike, x0: NumberLike, cut: NumberLike, n: int) ->
     alpha_q5 = Q5.coerce(alpha)
     x0_q5 = Q5.coerce(x0)
     cut_q5 = Q5.coerce(cut)
-    if not (Q5(0) < cut_q5 < Q5(1)):
-        raise ValueError("cut must satisfy 0 < cut < 1")
     L, ((AP, AU), (P, U), (CP, CU)) = integer_triples(alpha_q5, x0_q5, cut_q5)
+    if not (sign5(CP, CU) > 0 and sign5(CP - L, CU) < 0):
+        raise ValueError("cut must satisfy 0 < cut < 1")
     word = bytearray(b"\x02") * n
     for pos in range(n):
         P += AP

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .certs import Certificate
 from .colorings import frac_coloring
-from .exactnum import NumberLike, Q5, RatInterval, _first_outside, frac, rational_str, to_rational
+from .exactnum import NumberLike, Q5, RatInterval, _first_outside, rational_str, to_rational
 from .gapsets import GapSetView
 from .verify import longest_mono_diffseq
 
@@ -140,7 +140,7 @@ def build_alpha(
     window_hi = Fraction(r - 1, r)
     verdicts = []
     for n in range(steps):
-        f = frac(alpha * q[n])
+        f = alpha * q[n] % 1
         verdicts.append(
             {
                 "n": n + 1,
@@ -170,7 +170,7 @@ def certify_fracs(alpha: NumberLike, view: GapSetView, eps, r: int) -> Certifica
     """Exact check that {alpha * d} lies in [eps, (r-1)/r] for every enumerated d.
 
     The certificate scopes its claim to the enumerated range; it says nothing
-    about elements beyond the view's bound.
+    about elements beyond the view's bound, and it refuses an empty view.
     """
     eps = to_rational(eps)
     if r < 2:
@@ -178,6 +178,8 @@ def certify_fracs(alpha: NumberLike, view: GapSetView, eps, r: int) -> Certifica
     window_hi = Fraction(r - 1, r)
     if not 0 < eps <= window_hi:
         raise ValueError("need 0 < eps <= (r-1)/r")
+    if not view:
+        raise ValueError("empty view")
     alpha_q5 = Q5.coerce(alpha)
     params = {
         "alpha": alpha_q5.to_json(),
@@ -189,7 +191,7 @@ def certify_fracs(alpha: NumberLike, view: GapSetView, eps, r: int) -> Certifica
     miss = _first_outside(alpha_q5, view, eps, window_hi, closed=True)
     counterexample = None
     if miss is not None:
-        counterexample = {"d": miss, "frac": (alpha_q5 * miss).frac().to_json()}
+        counterexample = {"d": miss[0], "frac": miss[1].to_json()}
     return Certificate("fractional-parts-in-window", params, scope, miss is None, counterexample)
 
 
@@ -219,13 +221,12 @@ def doa_evidence(
     window_cert = certify_fracs(alpha, view, eps, r)
     bound = diffseq_bound_from_eps(r, eps)
     coloring = frac_coloring(alpha, r, n)
-    scan = longest_mono_diffseq(coloring, view.restrict(n) if view.bound > n else view)
+    scan = longest_mono_diffseq(coloring, view)
     passed = window_cert.passed and scan.length < bound
-    alpha_q5 = Q5.coerce(alpha)
     return Certificate(
         claim="accessibility-upper-evidence",
         params={
-            "alpha": alpha_q5.to_json(),
+            "alpha": Q5.coerce(alpha).to_json(),
             "eps": rational_str(eps),
             "r": r,
             "chain_length_bound": bound,

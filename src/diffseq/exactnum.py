@@ -1,11 +1,11 @@
 """Exact arithmetic over the rationals and the real quadratic field Q(sqrt5).
 
-Every comparison that feeds a certificate is decided by integer arithmetic.
-One integer kernel decides them all: ``sign5(A, B)`` is the sign of
-A + B*sqrt5 and ``floor5(P, U, L)`` is floor((P + U*sqrt5)/L), both for
-integers. Loops over positions or elements put their values over one common
-denominator (``integer_triples``) and call the kernel on integers, building
-no ``Q5`` object per step.
+Every order, floor and fractional-part decision is made by one integer
+kernel: ``sign5(A, B)`` is the sign of A + B*sqrt5 and ``floor5(P, U, L)``
+is floor((P + U*sqrt5)/L), both for integers; ``Q5.sign()`` is the only
+order on a value. Loops put their values over one common denominator
+(``integer_triples``) and call the kernel on integers, building no ``Q5``
+object per step; the window routine returns the fractional part it tested.
 
 Rationals are stdlib ``fractions.Fraction`` values, which stay in reduced
 canonical form (positive denominator, gcd 1) after every operation.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -84,8 +85,8 @@ class Q5:
     """An element a + b*sqrt(5) of Q(sqrt5) with rational a, b.
 
     The representation is unique (Fraction is canonical), so equality is
-    componentwise and values are hashable. All predicates (sign, order,
-    floor) are exact; no floating point enters any decision.
+    componentwise and values are hashable. ``sign()`` is the one order
+    primitive and is exact; no floating point enters any decision.
     """
 
     __slots__ = ("a", "b")
@@ -150,30 +151,8 @@ class Q5:
     def __hash__(self):
         return hash((self.a, self.b))
 
-    def __lt__(self, other: NumberLike) -> bool:
-        return (self - other).sign() < 0
-
-    def __le__(self, other: NumberLike) -> bool:
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other: NumberLike) -> bool:
-        return (self - other).sign() > 0
-
-    def __ge__(self, other: NumberLike) -> bool:
-        return (self - other).sign() >= 0
-
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
-
-    # -- floor / fractional part ---------------------------------------------
-
-    def floor(self) -> int:
-        """The unique integer n with n <= x < n+1."""
-        return floor5(*self.as_integer_triple())
-
-    def frac(self) -> "Q5":
-        """Fractional part in [0, 1); x == x.floor() + x.frac() exactly."""
-        return self - self.floor()
 
     # -- conversion / display ------------------------------------------------
 
@@ -204,11 +183,12 @@ def integer_triples(*values: NumberLike) -> tuple[int, list[tuple[int, int]]]:
 
 def _first_outside(
     alpha: NumberLike, seq: Iterable[int], lo: NumberLike, hi: NumberLike, closed: bool
-) -> Optional[int]:
-    """The first s in seq whose {alpha*s} lies outside the window, or None.
+) -> Optional[tuple[int, Q5]]:
+    """(s, {alpha*s}) for the first s in seq with {alpha*s} outside the window, or None.
 
     The window is [lo, hi] when ``closed`` and (lo, hi) otherwise. Each
-    element costs one floor and two sign calls of the integer kernel.
+    element costs one floor and two sign calls of the integer kernel, and
+    the fractional part returned is the one they tested.
     """
     L, ((P, U), (lp, lu), (hp, hu)) = integer_triples(alpha, lo, hi)
     # inside iff sign({alpha*s} - lo) >= least and sign({alpha*s} - hi) <= most
@@ -217,58 +197,29 @@ def _first_outside(
         A, B = P * s, U * s
         A -= floor5(A, B, L) * L  # {alpha*s} = (A + B*sqrt5)/L
         if sign5(A - lp, B - lu) < least or sign5(A - hp, B - hu) > most:
-            return s
+            return s, Q5(Fraction(A, L), Fraction(B, L))
     return None
 
 
-def frac(x: NumberLike):
-    """Fractional part {x} = x - floor(x), preserving the input's number type."""
-    if isinstance(x, Q5):
-        return x.frac()
-    q = to_rational(x)
-    return q - (q.numerator // q.denominator)
-
-
-def dist_nearest_int(x: NumberLike):
-    """Distance to the nearest integer: min({x}, 1 - {x}), in [0, 1/2]."""
-    f = frac(x)
-    g = 1 - f
-    if isinstance(f, Q5):
-        return f if (f - g).sign() <= 0 else g
-    return min(f, g)
-
-
+@dataclass(frozen=True)
 class RatInterval:
     """A closed interval [lo, hi] with exact rational endpoints."""
 
-    __slots__ = ("lo", "hi")
+    lo: Fraction
+    hi: Fraction
 
-    def __init__(self, lo: RationalLike, hi: RationalLike):
-        lo, hi = to_rational(lo), to_rational(hi)
+    def __post_init__(self):
+        lo, hi = to_rational(self.lo), to_rational(self.hi)
         if lo > hi:
             raise ValueError(f"empty interval: {lo} > {hi}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatInterval values are immutable")
 
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
     def contains_interval(self, other: "RatInterval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RatInterval):
-            return self.lo == other.lo and self.hi == other.hi
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
-
-    def __repr__(self) -> str:
-        return f"RatInterval({self.lo!r}, {self.hi!r})"
 
     def to_json(self) -> dict:
         return {"lo": rational_str(self.lo), "hi": rational_str(self.hi)}

@@ -23,7 +23,7 @@ pair check tests the first |D| positions one at a time against a gap mask,
 so an early pair costs one shift per position tested after an O(N + |D|)
 set-up, and sweeps the gaps only when no pair starts that early.
 Both fractional-part bound scans run on the window routine of ``exactnum``
-(integer kernel, no ``Q5`` object per element).
+(integer kernel, no ``Q5`` per element), which also gives the counterexample.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ from .exactnum import (
     Q5,
     SQRT5,
     _first_outside,
-    dist_nearest_int,
-    frac,
     rational_str,
     to_rational,
 )
@@ -509,18 +507,21 @@ def frac_bound_scan(
     if mode == DIST_NEAREST:
         lo = to_rational(bound)
         hi = 1 - lo
-        claim, key, measure = "dist-to-nearest-exceeds", "dist", dist_nearest_int
+        claim, key = "dist-to-nearest-exceeds", "dist"
         params["bound"] = rational_str(lo)
     elif mode == FRAC_WINDOW:
         lo, hi = to_rational(window[0]), to_rational(window[1])
-        claim, key, measure = "frac-in-open-window", "frac", frac
+        claim, key = "frac-in-open-window", "frac"
         params["window"] = [rational_str(lo), rational_str(hi)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     miss = _first_outside(alpha_q5, seq, lo, hi, closed=False)
     counterexample = None
     if miss is not None:
-        counterexample = {"element": miss, key: measure(alpha_q5 * miss).to_json()}
+        s, f = miss
+        if mode == DIST_NEAREST and (2 * f - 1).sign() > 0:
+            f = 1 - f  # the distance to the nearest integer is min(f, 1 - f)
+        counterexample = {"element": s, key: f.to_json()}
     return Certificate(
         claim, params, f"all {len(seq)} sequence elements", miss is None, counterexample
     )

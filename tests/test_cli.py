@@ -568,6 +568,41 @@ def test_file_outputs_hold_what_stdout_would_print(tmp_path, capsys, monkeypatch
     assert path.read_text() == printed
 
 
+def _refused_before_work(capsys, argv, path):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+    return err
+
+
+def test_reproduce_refuses_its_report_path_before_running(tmp_path, capsys, monkeypatch):
+    def run_reproduce(scale):
+        raise AssertionError("the suite ran before the output path was checked")
+
+    monkeypatch.setattr(reproduce, "run_reproduce", run_reproduce)
+    path = tmp_path / "missing" / "r.json"
+    err = _refused_before_work(capsys, ["reproduce", "--json-out", str(path)], path)
+    assert "no such directory" in err
+    assert not path.parent.exists()
+
+
+def test_delta_refuses_a_witness_path_in_a_missing_directory(tmp_path, capsys):
+    path = tmp_path / "missing" / "w.json"
+    argv = ["delta", "--set-json", '{"kind":"nonmultiples","m":3}', "-k", "2", "-r", "2",
+            "--budget", "10", "--emit-witness", str(path)]
+    _refused_before_work(capsys, argv, path)
+    assert not path.parent.exists()
+
+
+def test_set_refuses_an_out_path_that_is_a_directory(tmp_path, capsys):
+    argv = ["set", "--set-json", '{"kind":"fibonacci"}', "-N", "100", "--out", str(tmp_path)]
+    err = _refused_before_work(capsys, argv, tmp_path)
+    assert "is a directory" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_invalid_set_json(capsys):
     code, _, err = _run(capsys, "set", "--set-json", '{"kind":"mystery"}', "-N", "5")
     assert code == 2

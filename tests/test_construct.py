@@ -9,10 +9,11 @@ from diffseq.construct import (
     build_alpha,
     certify_fracs,
     diffseq_bound_from_eps,
+    doa_evidence,
     epsilon_of,
     growth_factor,
 )
-from diffseq.exactnum import Q5, frac
+from diffseq.exactnum import Q5
 from diffseq.gapsets import GapSetSpec, GapSetView
 
 
@@ -57,7 +58,7 @@ def test_worked_trace_powers_of_four():
     assert cert.enclosure.lo == F(169, 512) and cert.enclosure.hi == F(43, 128)
     assert cert.alpha == F(341, 1024)
     assert [ (iv.lo, iv.hi) for iv in cert.intervals ] == trace
-    fracs = [frac(cert.alpha * qq) for qq in q]
+    fracs = [cert.alpha * qq % 1 for qq in q]
     assert fracs == [F(341, 1024), F(85, 256), F(21, 64), F(5, 16)]
     assert all(F(1, 8) <= fv <= F(1, 2) for fv in fracs)
     assert all(v["in_window"] for v in cert.verdicts)
@@ -137,6 +138,15 @@ def test_certify_fracs_validation():
         certify_fracs(F(1, 3), view, F(0), 2)
     with pytest.raises(ValueError):
         certify_fracs(F(1, 3), view, F(3, 4), 2)  # above (r-1)/r
+
+
+def test_empty_view_is_refused():
+    # a window certificate over no element would pass with nothing checked
+    empty = GapSetSpec.explicit([]).enumerate(10)
+    with pytest.raises(ValueError, match="empty view"):
+        certify_fracs(F(1, 3), empty, F(1, 8), 2)
+    with pytest.raises(ValueError, match="empty view"):
+        doa_evidence(empty, F(1, 3), F(1, 8), 2, 10)
 
 
 def test_diffseq_bound_examples():

@@ -1,4 +1,5 @@
-"""Exact field arithmetic: identities, certified floor, and the sign oracle."""
+"""Exact field arithmetic: identities, the integer kernel, the window routine
+and the fractional parts it reports, and the sign oracle."""
 
 import decimal
 import math
@@ -7,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from diffseq.construct import certify_fracs
 from diffseq.exactnum import (
     PHI,
     PHI_CONJ,
@@ -14,15 +16,14 @@ from diffseq.exactnum import (
     Q5,
     RatInterval,
     _first_outside,
-    dist_nearest_int,
     floor5,
-    frac,
     integer_triples,
     rational_str,
     sign5,
     to_rational,
 )
-from diffseq.gapsets import fib_values
+from diffseq.gapsets import GapSetView, fib_values
+from diffseq.verify import DIST_NEAREST, FRAC_WINDOW, frac_bound_scan
 
 
 def test_golden_ratio_identities():
@@ -39,26 +40,55 @@ def test_sign_examples():
 
 
 def test_floor_examples():
-    assert SQRT5.floor() == 2
-    assert (-SQRT5).floor() == -3
-    assert Q5(F(21, 64)).floor() == 0
-    assert (PHI * 100).floor() == 161
+    assert floor5(0, 1, 1) == 2  # sqrt5
+    assert floor5(0, -1, 1) == -3
+    assert floor5(21, 0, 64) == 0
+    assert floor5(*(PHI * 100).as_integer_triple()) == 161
+
+
+def _tested_frac(x):
+    # the open window (0, 0) holds nothing, so the routine reports {x * 1}
+    return _first_outside(x, [1], 0, 0, closed=False)[1]
 
 
 def test_frac_examples():
-    assert Q5(0, F(1, 8)) == Q5(0, F(1, 8)).frac()  # sqrt5/8 is already in [0, 1)
+    assert _tested_frac(Q5(0, F(1, 8))) == Q5(0, F(1, 8))  # sqrt5/8 is already in [0, 1)
     # 2 * (1 + phi) = 3 + sqrt5 ; floor 5 ; frac = sqrt5 - 2
-    assert (Q5(2) * (Q5(1) + PHI)).frac() == Q5(-2, 1)
-    assert frac(F(7, 3)) == F(1, 3)
-    assert frac(F(-7, 3)) == F(2, 3)
+    assert _tested_frac(Q5(2) * (Q5(1) + PHI)) == Q5(-2, 1)
+    assert _tested_frac(F(-7, 3)) == Q5(F(2, 3))
+    assert F(7, 3) % 1 == F(1, 3)
+    assert F(-7, 3) % 1 == F(2, 3)
+
+
+def _q5(obj: dict) -> Q5:
+    return Q5(to_rational(obj["a"]), to_rational(obj["b"]))
+
+
+def _scan_dist(x):
+    # the open window (1/2, 1/2) holds nothing, so the scan reports the distance of x * 1
+    return _q5(frac_bound_scan(x, [1], DIST_NEAREST, bound=F(1, 2)).counterexample["dist"])
+
+
+def _ref_frac(x: Q5) -> Q5:
+    return x - _ref_floor(*x.as_integer_triple())
+
+
+def _ref_dist(x: Q5) -> Q5:
+    # the distance to the nearest integer, min({x}, 1 - {x}), on the reference floor
+    f = _ref_frac(x)
+    g = 1 - f
+    return f if (f - g).sign() <= 0 else g
 
 
 def test_dist_nearest_examples():
-    d = dist_nearest_int(SQRT5 * F(3, 8))
-    assert d == Q5(1, F(-3, 8))  # 1 - 3*sqrt5/8
-    assert d > F(16, 100)  # the tight margin: 0.16147... vs 0.16
-    assert dist_nearest_int(F(1, 2)) == F(1, 2)
-    assert dist_nearest_int(F(5, 1)) == 0
+    x = SQRT5 * F(3, 8)
+    d = _scan_dist(x)
+    assert d == Q5(1, F(-3, 8)) == _ref_dist(x)  # 1 - 3*sqrt5/8
+    assert (d - F(16, 100)).sign() > 0  # the tight margin: 0.16147... vs 0.16
+    assert frac_bound_scan(x, [1], DIST_NEAREST, bound=F(16, 100)).passed
+    assert not frac_bound_scan(x, [1], DIST_NEAREST, bound=F(17, 100)).passed
+    assert _scan_dist(F(1, 2)) == F(1, 2)
+    assert _scan_dist(F(5, 1)) == 0
 
 
 def _random_q5(rng, span=50):
@@ -82,20 +112,19 @@ def test_floor_and_frac_contract_random():
     rng = random.Random(13)
     for _ in range(400):
         x = _random_q5(rng, span=10**6)
-        n = x.floor()
-        assert (x - n).sign() >= 0
-        assert (x - (n + 1)).sign() < 0
-        f = x.frac()
-        assert x - f == Q5(n)  # the integer part is exact
+        P, U, L = x.as_integer_triple()
+        n = floor5(P, U, L)
+        assert sign5(P - n * L, U) >= 0 > sign5(P - (n + 1) * L, U)
+        assert x - _tested_frac(x) == Q5(n)  # the integer part is exact
 
 
 def test_dist_nearest_properties_random():
     rng = random.Random(17)
     for _ in range(300):
         x = _random_q5(rng)
-        d = dist_nearest_int(x)
-        assert d == dist_nearest_int(-x)
-        assert Q5(0) <= d <= Q5(F(1, 2))
+        d = _scan_dist(x)
+        assert d == _scan_dist(-x) == _ref_dist(x)
+        assert d.sign() >= 0 and (d - F(1, 2)).sign() <= 0
 
 
 # 100-digit interval brackets of sqrt5; the oracle never enters the decision path
@@ -149,6 +178,10 @@ def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         x.a = F(2)
     assert len({Q5(1, 2), Q5(1, 2), Q5(2, 1)}) == 2
+    box = RatInterval(F(1, 8), F(1, 2))
+    with pytest.raises(AttributeError):
+        box.lo = F(0)
+    assert len({box, RatInterval("1/8", "1/2"), RatInterval(0, 1)}) == 2
 
 
 def test_rat_interval():
@@ -156,6 +189,8 @@ def test_rat_interval():
     assert box.hi - box.lo == F(3, 8)
     assert box.midpoint() == F(5, 16)
     assert box.contains_interval(RatInterval(F(9, 32), F(3, 8)))
+    assert RatInterval("1/8", 1) == RatInterval(F(1, 8), F(1))  # endpoints are coerced
+    assert box != (F(1, 8), F(1, 2))
     with pytest.raises(ValueError):
         RatInterval(F(1, 2), F(1, 8))
 
@@ -238,17 +273,54 @@ def test_first_outside_matches_q5_loop_and_endpoints():
         lo = F(rng.randint(0, 12), 12)
         hi = lo + F(rng.randint(0, 12), 12)
         seq = [rng.randint(1, 10**6) for _ in range(30)]
+        fracs = [_ref_frac(alpha * s) for s in seq]
         for closed in (True, False):
             expected = None
-            for s in seq:
-                f = (alpha * s).frac()
+            for s, f in zip(seq, fracs):
                 below, above = _ref_sign(f.a - lo, f.b), _ref_sign(f.a - hi, f.b)
                 outside = below < 0 or above > 0 if closed else below <= 0 or above >= 0
                 if outside:
-                    expected = s
+                    expected = s, f
                     break
             assert _first_outside(alpha, seq, lo, hi, closed) == expected
     # exact hits on both endpoints: 1/8 * (1, 4) is 1/8 and 1/2
     assert _first_outside(F(1, 8), [1, 4, 3], F(1, 8), F(1, 2), closed=True) is None
-    assert _first_outside(F(1, 8), [3, 1], F(1, 8), F(1, 2), closed=False) == 1
-    assert _first_outside(F(1, 8), [3, 4], F(1, 8), F(1, 2), closed=False) == 4
+    assert _first_outside(F(1, 8), [3, 1], F(1, 8), F(1, 2), closed=False) == (1, Q5(F(1, 8)))
+    assert _first_outside(F(1, 8), [3, 4], F(1, 8), F(1, 2), closed=False) == (4, Q5(F(1, 2)))
+
+
+def test_counterexamples_carry_the_tested_frac():
+    # every failing window certificate reports a fractional part f of alpha*s
+    # (or, for the distance bound, min(f, 1 - f)) that lies outside its window
+    rng = random.Random(41)
+    failures = [0, 0, 0]  # per certificate kind, so none is skipped
+    for _ in range(300):
+        alpha = _random_q5(rng, span=10**3)
+        seq = sorted({rng.randint(1, 10**6) for _ in range(8)})
+        r = rng.randint(2, 4)
+        eps = F(rng.randint(1, 12 * (r - 1)), 12 * r)
+        lo = F(rng.randint(0, 11), 12)
+        hi = lo + F(rng.randint(1, 12 - 12 * lo.numerator // lo.denominator), 12)
+        bound = F(rng.randint(0, 6), 12)
+        cases = [
+            ("d", "frac", certify_fracs(alpha, GapSetView(tuple(seq), seq[-1]), eps, r), True, eps, F(r - 1, r)),
+            ("element", "frac", frac_bound_scan(alpha, seq, FRAC_WINDOW, window=(lo, hi)), False, lo, hi),
+            ("element", "dist", frac_bound_scan(alpha, seq, DIST_NEAREST, bound=bound), False, bound, 1 - bound),
+        ]
+        for i, (at, key, cert, closed, wlo, whi) in enumerate(cases):
+            if cert.passed:
+                continue
+            failures[i] += 1
+            s, value = cert.counterexample[at], _q5(cert.counterexample[key])
+            f = _ref_frac(alpha * s)
+            if key == "dist":
+                assert value == _ref_dist(alpha * s)  # min(f, 1 - f)
+                assert (value - bound).sign() <= 0  # the distance is not above the bound
+                continue
+            whole = alpha * s - value
+            assert whole.b == 0 and whole.a.denominator == 1
+            assert value.sign() >= 0 and (value - 1).sign() < 0
+            below, above = (value - wlo).sign(), (value - whi).sign()
+            assert (below < 0 or above > 0) if closed else (below <= 0 or above >= 0)
+            assert value == f
+    assert min(failures) > 150, failures

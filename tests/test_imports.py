@@ -1,11 +1,14 @@
-"""Every import in the package is used: a name left behind by a deletion fails here."""
+"""Every import in the package is used, and every top-level definition is
+named somewhere else: a name left behind by a deletion fails here."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "diffseq"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "diffseq"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -34,3 +37,49 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _dead_definitions(source: str, elsewhere: str) -> list[str]:
+    """The top-level functions, classes and constants of ``source`` whose name
+    no word outside their own definition repeats, in ``source`` or in
+    ``elsewhere``. Dunder names such as ``__version__`` are exempt."""
+    lines = source.splitlines()
+    dead = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        rest = "\n".join(lines[: node.lineno - 1] + lines[node.end_lineno :]) + "\n" + elsewhere
+        dead += [
+            name for name in names
+            if not (name.startswith("__") and name.endswith("__"))
+            and not re.search(rf"\b{re.escape(name)}\b", rest)
+        ]
+    return dead
+
+
+def test_the_check_finds_a_dead_definition():
+    source = (
+        "LIMIT = 3\n"
+        "def used(x):\n    return x < LIMIT\n"
+        "def helper(n):\n    return helper(n - 1) if n else 0\n"
+        "class Left:\n    pass\n"
+        "__version__ = '1'\n"
+        "WIDTH: int = 4\n"
+    )
+    assert _dead_definitions(source, "used(2)  # WIDTH") == ["helper", "Left"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_dead_definitions(path):
+    elsewhere = "\n".join(
+        other.read_text()
+        for top in ("src", "tests", "perfbench")
+        for other in sorted((ROOT / top).rglob("*.py"))
+        if other != path
+    )
+    assert _dead_definitions(path.read_text(), elsewhere) == []
