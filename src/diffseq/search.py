@@ -24,11 +24,19 @@ to U_c or T_c (only at chain length k-2 or more), and those above the
 parent's window top when best grew after the parent was closed. When there
 are none, no closure runs and the depth keeps the parent's lists. Otherwise
 the closure's first round reads only those positions (at k = 3 the whole
-window, see ``_close``), and later rounds the whole window. At r = 2 the
-first round runs inline: a dead position cuts the branch there, and the
-closure is called only when that round finds an expansion. Everywhere else
-the bits, and so the verdicts, are the parent's, so every expansion, prune
-and count is the one a closure over the whole window gives.
+window, see ``_close``), and later rounds the whole window. Everywhere
+else the bits, and so the verdicts, are the parent's, so every expansion,
+prune and count is the one a closure over the whole window gives.
+
+Two kernels run this loop, and r alone picks one. At r = 2 the two-color
+kernel keeps each depth's state as one tuple of ints (T_1, T_2, U_1, U_2,
+the two expanded sets and the depth it was closed at) and runs the closure
+inline on local variables, in ``_close``'s order, so no list is copied and
+``_close`` is never called. At r >= 3 the list kernel keeps T and U as
+per-color lists, copies a list only when a placement or the closure changes
+it, and calls ``_close``. Both make the same expansions, prunes and counts,
+and the tests run the list kernel at r = 2 as the two-color kernel's
+reference.
 
 Rejections only remove colorings that contain a k-term chain and the bound
 only cuts subtrees that cannot beat the deepest avoider found so far, so the
@@ -57,7 +65,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
@@ -154,11 +161,6 @@ def _spread(gapmask: int, positions: int, width: int) -> int:
 def _forced(T: list[int], window: int, r: int) -> Optional[list[int]]:
     """Per color c, the window positions threatened in every color but c;
     None when some window position is threatened in every color."""
-    if r == 2:
-        t1, t2 = T[1], T[2]
-        if t1 & t2 & window:
-            return None
-        return [0, t2 & ~t1 & window, t1 & ~t2 & window]
     suffix = [window] * (r + 2)
     for c in range(r, 0, -1):
         suffix[c] = suffix[c + 1] & T[c]
@@ -243,20 +245,191 @@ def _dfs_deepest(
     of descending past it (used to split work). Exits early on a full-budget
     hit. With ``max_nodes`` it also stops at the first backtrack after the
     node count exceeds it, so a returned count above ``max_nodes`` without a
-    full-budget hit leaves the tree undecided.
+    full-budget hit leaves the tree undecided. Two colors run on the
+    two-color kernel, more on the list kernel; both give the same result.
     """
-    gapmask = _gap_mask(gaps)
-    # no bit above budget + 1 (the top of the widest window) is ever read
-    width = (1 << (budget + 2)) - 1
+    if r == 2:
+        return _dfs_two_color(gaps, k, budget, prefix, stop_depth, max_nodes)
+    return _dfs_lists(gaps, k, r, budget, prefix, stop_depth, max_nodes)
+
+
+def _position_arrays(
+    budget: int, prefix: bytes, r: int
+) -> tuple[bytearray, list[int], list[int], list[int]]:
+    """The per-position arrays of a search extending ``prefix``: colors,
+    chain lengths (of the chain ending at each colored position), canonical
+    caps (the largest color a position may take) and the next color to try.
+
+    A prefix position allows its own color only, so backtracking into the
+    prefix unwinds to the end; past it the cap is 1 + the largest prefix
+    color, and the kernels set the caps further on.
+    """
     color = bytearray(budget + 2)
-    chain = [0] * (budget + 2)  # length of the chain ending at each colored position
-    allowed = [1] * (budget + 2)  # largest color a position may take (canonical order)
+    chain = [0] * (budget + 2)
+    allowed = [1] * (budget + 2)
     nxt = [1] * (budget + 2)
-    # a prefix position allows its own color only, so backtracking into the
-    # prefix unwinds to the end; past it the cap is 1 + the largest prefix color
     fixed = len(prefix)
     nxt[1 : fixed + 1] = allowed[1 : fixed + 1] = prefix
     allowed[fixed + 1] = min(max(prefix, default=0) + 1, r)
+    return color, chain, allowed, nxt
+
+
+def _dfs_two_color(
+    gaps: list[int],
+    k: int,
+    budget: int,
+    prefix: bytes,
+    stop_depth: Optional[int],
+    max_nodes: Optional[int],
+) -> tuple[int, bytes, SearchStats, list[bytes]]:
+    """``_dfs_deepest`` at r = 2, with every mask a local int.
+
+    The state at depth p is one tuple (T1, T2, U1, U2, done_u, done_t,
+    closed_at), and the closure runs inline in ``_close``'s order: per
+    round, color 1's forced positions expand before color 2's, each into U
+    (k = 3) before T, from the forced sets read at the start of the round.
+    """
+    gapmask = _gap_mask(gaps)
+    width = (1 << (budget + 2)) - 1
+    color, chain, allowed, nxt = _position_arrays(budget, prefix, 2)
+    # a canonical 2-coloring may use color 2 from the second position after
+    # the prefix on, so the caps past the prefix never change
+    fixed = len(prefix)
+    allowed[fixed + 2 :] = [2] * (budget - fixed)
+    states: list = [None] * (budget + 2)
+    threat = (1 << (budget + 1)) - 2 if k == 1 else 0
+    states[0] = (threat, threat, 0, 0, 0, 0, budget)
+
+    best_depth = 0
+    best_word = b""
+    frontier: list[bytes] = []
+    nodes = rejected = pruned = forced = 0
+    pos = 1
+    while pos:
+        if pos > budget:
+            stats = SearchStats(nodes, rejected, pruned, forced)
+            return budget, bytes(color[1 : budget + 1]), stats, frontier
+        if stop_depth is not None and pos > stop_depth:
+            frontier.append(bytes(color[1:pos]))
+            pos -= 1
+            continue
+        c = nxt[pos]
+        if c > allowed[pos]:
+            if max_nodes is not None and nodes > max_nodes:
+                break
+            nxt[pos] = 1
+            pos -= 1
+            continue
+        nxt[pos] = c + 1
+        nodes += 1
+        T1, T2, U1, U2, done_u, done_t, closed_at = states[pos - 1]
+        if (T1 if c == 1 else T2) >> pos & 1:
+            rejected += 1
+            continue
+        if k == 2 or (U1 if c == 1 else U2) >> pos & 1:
+            length = k - 1
+        else:
+            length = 1
+            if k > 3:
+                for d in gaps:
+                    if d >= pos:
+                        break
+                    y = pos - d
+                    if color[y] == c and chain[y] >= length:
+                        length = chain[y] + 1
+                        if length == k - 2:
+                            break
+        color[pos] = c
+        chain[pos] = length
+        changed = 0
+        if length >= k - 2:
+            changed = (gapmask << pos) & width
+            if c == 1:
+                if k > 2:
+                    U1 |= changed
+                if length == k - 1:
+                    T1 |= changed
+            else:
+                if k > 2:
+                    U2 |= changed
+                if length == k - 1:
+                    T2 |= changed
+        if pos > best_depth:
+            best_depth = pos
+            best_word = bytes(color[1 : pos + 1])
+        if pos < budget:
+            window = (4 << best_depth) - (2 << pos)
+            if best_depth > closed_at:
+                changed |= (4 << best_depth) - (4 << closed_at)
+            changed &= window
+            if changed:
+                scope = window if k == 3 else changed
+                # rounds run until a fixpoint (break) or a position of the
+                # scope threatened in both colors (the else: a dead branch)
+                while not T1 & T2 & scope:
+                    f1 = T2 & ~T1 & scope
+                    f2 = T1 & ~T2 & scope
+                    grew = False
+                    if f1:
+                        if k == 3:
+                            new = f1 & ~done_u
+                            if new:
+                                done_u |= new
+                                U1 |= _spread(gapmask, new, width)
+                                forced += new.bit_count()
+                        new = (f1 if k == 2 else f1 & U1) & ~done_t
+                        if new:
+                            done_t |= new
+                            add = _spread(gapmask, new, width)
+                            T1 |= add
+                            if k > 3:
+                                U1 |= add
+                            forced += new.bit_count()
+                            grew = True
+                    if f2:
+                        if k == 3:
+                            new = f2 & ~done_u
+                            if new:
+                                done_u |= new
+                                U2 |= _spread(gapmask, new, width)
+                                forced += new.bit_count()
+                        new = (f2 if k == 2 else f2 & U2) & ~done_t
+                        if new:
+                            done_t |= new
+                            add = _spread(gapmask, new, width)
+                            T2 |= add
+                            if k > 3:
+                                U2 |= add
+                            forced += new.bit_count()
+                            grew = True
+                    if not grew:
+                        break
+                    scope = window
+                else:
+                    pruned += 1
+                    continue
+        states[pos] = (T1, T2, U1, U2, done_u, done_t, best_depth)
+        pos += 1
+    return best_depth, best_word, SearchStats(nodes, rejected, pruned, forced), frontier
+
+
+def _dfs_lists(
+    gaps: list[int],
+    k: int,
+    r: int,
+    budget: int,
+    prefix: bytes,
+    stop_depth: Optional[int],
+    max_nodes: Optional[int],
+) -> tuple[int, bytes, SearchStats, list[bytes]]:
+    """``_dfs_deepest`` with the masks of each depth in per-color lists,
+    closed by ``_close``; it runs at r >= 3, and the tests run it at r = 2
+    as the two-color kernel's reference."""
+    gapmask = _gap_mask(gaps)
+    # no bit above budget + 1 (the top of the widest window) is ever read
+    width = (1 << (budget + 2)) - 1
+    color, chain, allowed, nxt = _position_arrays(budget, prefix, r)
+    fixed = len(prefix)
     # states[p]: threat masks T, U and expanded sets after positions 1..p are
     # colored, and the deepest avoider's depth when they were closed (the
     # empty state has nothing to close, so it counts as closed to the budget)
@@ -326,24 +499,6 @@ def _dfs_deepest(
             if best_depth > closed_at:  # the window grew since the parent was closed
                 changed |= (4 << best_depth) - (4 << closed_at)
             changed &= window
-            if changed and r == 2:
-                # the closure's first round inline: a changed position
-                # threatened in both colors is dead, and one threatened in
-                # one color is forced to the other, where it expands unless
-                # done: into T (at k > 2 only where that color's U hits
-                # it), and at k = 3 into U
-                t1, t2 = T[1], T[2]
-                if changed & t1 & t2:
-                    pruned += 1
-                    continue
-                if k == 2:
-                    fresh = changed & (t1 | t2) & ~done[1]
-                else:
-                    fresh = ((changed & t1 & U[2]) | (changed & t2 & U[1])) & ~done[1]
-                    if k == 3:
-                        fresh |= changed & (t1 | t2) & ~done[0]
-                if not fresh:
-                    changed = 0
             if changed:
                 if length < k - 1:  # _close updates the lists in place
                     T = T[:]
@@ -368,8 +523,9 @@ def delta(view: GapSetView, k: int, r: int, budget: int, threads: int = 1) -> De
     n is below the budget, no avoider of [1..n+1] exists, so the least
     forcing length is exactly n+1 (verdict "delta"). Otherwise the verdict
     is "unknown" at the budget. A single position is a 1-term chain, so
-    k = 1 gives 1. The worker count is capped at the number of CPUs. The
-    budget is at most ``MAX_LENGTH``, the longest witness a coloring holds.
+    k = 1 gives 1. The worker count must be at least 1 and is capped at
+    the number of CPUs. The budget is at most ``MAX_LENGTH``, the longest
+    witness a coloring holds.
     """
     if not 1 <= budget <= MAX_LENGTH:
         raise ValueError(f"budget must be in 1..{MAX_LENGTH} (got {budget})")
@@ -377,6 +533,8 @@ def delta(view: GapSetView, k: int, r: int, budget: int, threads: int = 1) -> De
         raise ValueError("need k >= 1 and r >= 2")
     if r > 255:
         raise ValueError(f"r must be in 2..255, the color bytes (got {r})")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1 (got {threads})")
     gaps = list(_usable_gaps(view, budget))
     threads = min(threads, os.cpu_count() or 1)
     started = time.perf_counter()
@@ -410,7 +568,10 @@ def _parallel_search(
         return best_depth, best_word, stats
     stats.split_depth, stats.frontier = depth, len(frontier)
     # each subtree starts from the split depth; results merge in subtree order,
-    # so the first-deepest avoider is the one a single worker finds
+    # so the first-deepest avoider is the one a single worker finds. The pool
+    # module loads only here, so a search that does not split never imports it.
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(max_workers=threads)
     try:
         futures = [

@@ -199,6 +199,15 @@ def test_delta_with_too_many_colors_exits_2_before_searching(monkeypatch, capsys
     assert "r must be in 2..255" in err and "256" in err
 
 
+def test_delta_refuses_threads_below_one(capsys):
+    code, out, err = _run(
+        capsys, "delta", "--set-json", '{"kind":"primes"}',
+        "-k", "3", "-r", "2", "--budget", "20", "--threads", "-3",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: threads must be >= 1 (got -3)\n"
+
+
 def test_search_lengths_past_the_coloring_cap_exit_2(monkeypatch, capsys):
     # the length is refused before the set is enumerated at it
     def enumerate(self, bound):

@@ -1,9 +1,12 @@
 """Every import in the package is used, and every top-level definition is
-named somewhere else: a name left behind by a deletion fails here."""
+named somewhere else: a name left behind by a deletion fails here. Importing
+the search loads no process pool."""
 
 import ast
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -83,3 +86,15 @@ def test_no_dead_definitions(path):
         if other != path
     )
     assert _dead_definitions(path.read_text(), elsewhere) == []
+
+
+def test_importing_the_search_loads_no_process_pool():
+    # a fresh interpreter: this one may have loaded the pool for other tests
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import diffseq.search; "
+        "print('concurrent.futures.process' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], stdout=subprocess.PIPE, check=True, timeout=60
+    )
+    assert proc.stdout == b"False\n"

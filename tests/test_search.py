@@ -1,5 +1,6 @@
 """Avoider search against full-enumeration oracles; chromatic bounds; evidence."""
 
+import concurrent.futures
 import hashlib
 import itertools
 import random
@@ -178,7 +179,8 @@ class _LazyPool:
 @pytest.fixture
 def lazy_pool(monkeypatch):
     _LazyPool.instances = []
-    monkeypatch.setattr(search, "ProcessPoolExecutor", _LazyPool)
+    # the search imports the pool class from here only when it splits
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _LazyPool)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
     return _LazyPool
 
@@ -320,6 +322,47 @@ def test_kernel_matches_reference_loop_below_a_prefix():
             depth, word, _, _ = _dfs_deepest(gaps, k, r, budget, prefix=prefix)
             ref_depth, ref_word = _reference_deepest(gaps, k, r, budget, prefix=prefix)
             assert (depth, word) == (ref_depth, ref_word)
+
+
+def test_two_color_kernel_matches_the_list_kernel():
+    # the list kernel at r = 2 is the reference: every count and the frontier
+    # must agree, below prefixes and when a node budget cuts the search short
+    rng = random.Random(401)
+    cut = 0
+    for _ in range(300):
+        k = rng.randint(1, 6)
+        budget = rng.randint(5, 40)
+        gaps = [d for d in sorted(rng.sample(range(1, 16), rng.randint(1, 7))) if d < budget]
+        nodes = _dfs_deepest(gaps, k, 2, budget)[2].nodes
+        args = [(b"", None, None), (b"", 4, None), (b"", None, rng.randrange(nodes))]
+        frontier = _dfs_deepest(gaps, k, 2, budget, stop_depth=4)[3]
+        args += [(prefix, None, None) for prefix in frontier[:2]]
+        for prefix, stop_depth, max_nodes in args:
+            runs = [
+                kernel(gaps, k, 2, budget, prefix, stop_depth, max_nodes)
+                for kernel in (_dfs_deepest, search._dfs_lists)
+            ]
+            got, want = (
+                (depth, word, (stats.nodes, stats.rejected, stats.pruned, stats.forced), tops)
+                for depth, word, stats, tops in runs
+            )
+            assert got == want, (gaps, k, budget, prefix, stop_depth, max_nodes)
+            if max_nodes is not None and got[2][0] > max_nodes and got[0] < budget:
+                cut += 1
+    assert cut > 100
+
+
+def test_the_kernel_is_chosen_from_r(monkeypatch):
+    # two colors never reach _close; three colors do
+    def refuse(*args):
+        raise AssertionError("_close called")
+
+    monkeypatch.setattr(search, "_close", refuse)
+    nonmult4 = GapSetSpec.nonmultiples(4).enumerate(40)
+    res = delta(nonmult4, 5, 2, 40)
+    assert res.stats.forced > 0
+    with pytest.raises(AssertionError, match="_close called"):
+        delta(nonmult4, 3, 3, 40)
 
 
 def test_one_term_chains_through_max_avoidable():
@@ -593,6 +636,13 @@ def test_parallel_unknown_on_real_workers():
     par = delta(even, 5, 2, 400, threads=2)
     assert (seq.verdict, par.verdict) == (UNKNOWN, UNKNOWN)
     assert seq.witness.colors == par.witness.colors
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_are_refused(threads):
+    view = GapSetSpec.primes().enumerate(20)
+    with pytest.raises(ValueError, match=f"threads must be >= 1 \\(got {threads}\\)"):
+        delta(view, 3, 2, 20, threads=threads)
 
 
 def test_threads_clamped_to_cpu_count(lazy_pool):
