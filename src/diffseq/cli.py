@@ -184,7 +184,9 @@ def _cmd_scan(args) -> int:
 
 def _cmd_delta(args) -> int:
     spec = _load_spec(args)
-    view = spec.enumerate(_length(args.budget, "--budget"))
+    # the arguments are refused before the set is enumerated at the budget
+    search.check_delta_args(args.k, args.r, args.budget, args.threads)
+    view = spec.enumerate(args.budget)
     result = search.delta(view, args.k, args.r, args.budget, threads=args.threads)
     _emit(args.out, {"set": spec.to_json(), **result.to_json()})
     if args.emit_witness and result.witness is not None:

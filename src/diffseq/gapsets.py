@@ -13,6 +13,15 @@ polynomial, explicit) leave it empty and list their elements, since their
 bounds may reach 10**40. The transforms and unions act on windows alone: a
 shift moves the window, so a set shifted far up holds only its inner bytes,
 and a union's listed elements below the window stay a sorted list.
+
+Enumeration makes an int only for the candidates it must test. The one
+prime sieve holds the odd numbers alone; the primes themselves are read
+through a wheel mod 30, so 8 of every 30 positions become ints, and the
+window of a transformed or united primes rule spreads the odd bytes over
+[0..bound]. A polynomial's values come from finite differences: d nested
+C-level running sums from an n past which p increases, with the integer
+values kept by a cycled divisibility mask, and only the few n below it
+evaluated one by one.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, islice
+from itertools import accumulate, chain, compress, cycle, islice, repeat
 from typing import Optional, Sequence
 
 from .certs import Certificate
@@ -34,8 +43,14 @@ from .exactnum import rational_str, to_rational
 # scan at that cap
 MAX_SIEVE = 10**8
 
-# the polynomial kind evaluates p(n) once per n until p passes the bound
+# the polynomial kind walks p(n) once per n until p passes the bound
 MAX_POLY_STEPS = 10**7
+
+# the primes below 31, then the wheel mod 30: the residues 1, 7, 11, 13, 17,
+# 19, 23, 29 prime to 30, read from 31 by the steps between them
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+_WHEEL = (1, 7, 11, 13, 17, 19, 23, 29)
+_WHEEL_STEPS = (6, 4, 2, 4, 2, 4, 6, 2)
 
 # the recurrence kinds as (a_0, a_1, x, y) with a_{i+2} = x*a_{i+1} + y*a_i;
 # geometric(base) is (1, base, base, 0)
@@ -216,11 +231,25 @@ class GapSetSpec:
         if bound < 1:
             raise ValueError("enumeration bound must be >= 1")
         if self.kind == "primes":
-            # 2 is the one even prime: compress it and the odd positions from
-            # 3, with the full sieve dropped before the tuple is built
-            sieve = _primes_upto(bound)
-            found = chain(compress((2,), sieve[2:3]), compress(range(3, bound + 1, 2), sieve[3::2]))
-            del sieve
+            # the primes below 31, then the candidates prime to 30 through the
+            # wheel, then the odd positions past its last full block: block
+            # j >= 1 of 30j+1..30j+29 holds 8 candidates, and sel[8(j-1)+a] is
+            # the odd sieve byte of 30j + _WHEEL[a]. No int is made for a
+            # position off the wheel, and only the selector, 8 bytes per 30
+            # integers, is held while the tuple is built
+            odd = _odd_sieve(bound)
+            blocks = max((bound + 1) // 30 - 1, 0)
+            sel = bytearray(8 * blocks)
+            for a, res in enumerate(_WHEEL):
+                at = (30 + res) // 2
+                sel[a::8] = odd[at : at + 15 * blocks : 15]
+            tail = 30 * blocks + 31
+            found = chain(
+                _SMALL_PRIMES[: bisect.bisect_right(_SMALL_PRIMES, bound)],
+                compress(accumulate(cycle(_WHEEL_STEPS), initial=31), sel),
+                compress(range(tail, bound + 1, 2), odd[tail // 2 :]),
+            )
+            del odd
         else:
             lo, flags, below = self._members(bound)
             found = chain(below, compress(range(lo, lo + len(flags)), flags))
@@ -375,7 +404,7 @@ class GapSetSpec:
         # the walk ends at the least n >= n0 with p(n) > bound; that n lies in
         # [n0, hi] and is found by bisection before any value is walked
         lead, rest = cs[0], sum(abs(c) for c in cs[1:-1])
-        lo = math.ceil((rest + 1) / lead + 1)
+        n0 = lo = math.ceil((rest + 1) / lead + 1)
         hi = max(lo, math.floor((bound + rest) / lead) + 1)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -388,12 +417,39 @@ class GapSetSpec:
                 f"polynomial needs {lo} values of n to pass bound {bound}, "
                 f"above the cap {MAX_POLY_STEPS}"
             )
-        out = set()
-        for n in range(1, lo):
+        # below n0, p may dip and repeat values: each n is evaluated alone
+        low = set()
+        for n in range(1, n0):
             val = scaled(n)
             if scale <= val <= top and val % scale == 0:
-                out.add(val // scale)
-        return sorted(out)
+                low.add(val // scale)
+
+        # on [n0, lo), scale*p(n) increases inside (scale, top]: by finite
+        # differences, d running sums nested over the constant d-th difference,
+        # each started at its difference at n0, give the values with no
+        # Python-level step per n
+        firsts, diffs = [], [scaled(n) for n in range(n0, n0 + len(ints))]
+        while diffs:
+            firsts.append(diffs[0])
+            diffs = list(map(operator.sub, diffs[1:], diffs))
+
+        def walk():
+            vals = repeat(firsts[-1])
+            for first in reversed(firsts[:-1]):
+                vals = accumulate(vals, initial=first)
+            return islice(vals, lo - n0)
+
+        # scale*p(n) mod scale has period scale in n, so one period of
+        # divisibility bytes, cycled, keeps the integer values of p
+        period = min(scale, lo - n0)
+        hits = bytes(map(operator.not_, map(operator.mod, islice(walk(), period), repeat(scale))))
+        out = list(map(operator.floordiv, compress(walk(), cycle(hits)), repeat(scale)))
+        # every value below n0 lies below the walk: for 1 <= a < n0, with
+        # S_i = n0^(i-1) + n0^(i-2)*a + ... + a^(i-1), which grows with i,
+        # p(n0) - p(a) >= (n0 - a)(lead*S_d - rest*S_(d-1)) > 0, since
+        # S_d >= n0*S_(d-1) and lead*n0 > rest
+        out[:0] = sorted(low)
+        return out
 
     # -- serialization -----------------------------------------------------------
 
@@ -449,16 +505,28 @@ def _check_sieve(bound: int) -> None:
         raise ValueError(f"enumeration bound {bound} exceeds the sieve cap {MAX_SIEVE}")
 
 
+def _odd_sieve(n: int) -> bytearray:
+    """The sieve of the odd numbers up to n, n >= 1: ``flags[i]`` is 1
+    exactly when 2i + 1 is prime."""
+    _check_sieve(n)
+    flags = bytearray([1]) * ((n + 1) // 2)
+    flags[0] = 0
+    for p in range(3, math.isqrt(n) + 1, 2):
+        if flags[p // 2]:
+            # the odd multiples of p from p*p sit p positions apart; a
+            # bytearray of zeros, as assigning bytes would copy them into one first
+            start = p * p // 2
+            flags[start::p] = bytearray(len(range(start, len(flags), p)))
+    return flags
+
+
 def _primes_upto(n: int) -> bytearray:
     """The prime sieve over [0..n], n >= 1: 1 at each prime, 0 elsewhere."""
-    _check_sieve(n)
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            start = p * p
-            # a bytearray of zeros: assigning bytes would copy them into one first
-            sieve[start :: p] = bytearray(len(range(start, n + 1, p)))
+    odd = _odd_sieve(n)
+    sieve = bytearray(n + 1)
+    sieve[1::2] = odd
+    if n >= 2:
+        sieve[2] = 1
     return sieve
 
 

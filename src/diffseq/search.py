@@ -514,6 +514,19 @@ def _dfs_lists(
     return best_depth, best_word, SearchStats(nodes, rejected, pruned, forced), frontier
 
 
+def check_delta_args(k: int, r: int, budget: int, threads: int) -> None:
+    """Refuse the arguments of ``delta`` that no set makes valid, so that a
+    caller can check them before it enumerates the set at the budget."""
+    if not 1 <= budget <= MAX_LENGTH:
+        raise ValueError(f"budget must be in 1..{MAX_LENGTH} (got {budget})")
+    if k < 1 or r < 2:
+        raise ValueError("need k >= 1 and r >= 2")
+    if r > 255:
+        raise ValueError(f"r must be in 2..255, the color bytes (got {r})")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1 (got {threads})")
+
+
 def delta(view: GapSetView, k: int, r: int, budget: int, threads: int = 1) -> DeltaResult:
     """Least n such that every r-coloring of [1..n] has a monochromatic
     k-term chain with gaps in the view, searched up to ``budget``, with the
@@ -527,14 +540,7 @@ def delta(view: GapSetView, k: int, r: int, budget: int, threads: int = 1) -> De
     the number of CPUs. The budget is at most ``MAX_LENGTH``, the longest
     witness a coloring holds.
     """
-    if not 1 <= budget <= MAX_LENGTH:
-        raise ValueError(f"budget must be in 1..{MAX_LENGTH} (got {budget})")
-    if k < 1 or r < 2:
-        raise ValueError("need k >= 1 and r >= 2")
-    if r > 255:
-        raise ValueError(f"r must be in 2..255, the color bytes (got {r})")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1 (got {threads})")
+    check_delta_args(k, r, budget, threads)
     gaps = list(_usable_gaps(view, budget))
     threads = min(threads, os.cpu_count() or 1)
     started = time.perf_counter()

@@ -208,6 +208,27 @@ def test_delta_refuses_threads_below_one(capsys):
     assert err == "error: threads must be >= 1 (got -3)\n"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--threads", "0"], "threads must be >= 1 (got 0)"),
+        (["-r", "1"], "need k >= 1 and r >= 2"),
+        (["-r", "256"], "r must be in 2..255, the color bytes (got 256)"),
+        (["-k", "0"], "need k >= 1 and r >= 2"),
+    ],
+)
+def test_delta_arguments_are_refused_before_the_set_is_enumerated(monkeypatch, capsys, flags, message):
+    def enumerate(self, bound):
+        raise AssertionError(f"enumerated at {bound}")
+
+    monkeypatch.setattr(gapsets.GapSetSpec, "enumerate", enumerate)
+    argv = ["delta", "--set-json", '{"kind":"nonmultiples","m":3}', "-k", "3", "-r", "2",
+            "--budget", "5000000", *flags]
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_search_lengths_past_the_coloring_cap_exit_2(monkeypatch, capsys):
     # the length is refused before the set is enumerated at it
     def enumerate(self, bound):

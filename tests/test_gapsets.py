@@ -97,6 +97,74 @@ def test_sieved_families_match_definitions():
             assert list(GapSetSpec.nonmultiples(m).enumerate(bound)) == expected
 
 
+def _plain_sieve(n):
+    """The full sieve over [0..n]: a byte per integer, 1 at each prime."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = 0
+    if n >= 1:
+        sieve[1] = 0
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return sieve
+
+
+def test_primes_match_a_plain_full_sieve():
+    # every n to 3000, then the wheel's edges: the last position of a block
+    # of 30, its first, the one after it and the block's last candidate
+    edges = {b for j in range(1, 401) for b in (30 * j - 1, 30 * j, 30 * j + 1, 30 * j + 29)}
+    plain = _plain_sieve(max(edges))
+    for n in sorted(set(range(1, 3001)) | edges):
+        expected = tuple(compress(range(n + 1), plain[: n + 1]))
+        assert GapSetSpec.primes().enumerate(n).elements == expected, n
+        # unions, shifts and divides read these bytes
+        assert gapsets._primes_upto(n) == plain[: n + 1], n
+    plain = _plain_sieve(10**6)
+    assert GapSetSpec.primes().enumerate(10**6).elements == tuple(compress(range(10**6 + 1), plain))
+    assert gapsets._primes_upto(10**6) == plain
+
+
+def _horner_poly_elements(coeffs, bound):
+    """Positive integer values <= bound of the polynomial: Horner's rule on
+    scale * p(n) for each n from 1 until p increases past the bound."""
+    cs = [Fraction(c) for c in coeffs]
+    scale = math.lcm(*(c.denominator for c in cs))
+    ints = [c.numerator * (scale // c.denominator) for c in cs]
+    n0 = (sum(abs(c) for c in cs[1:-1]) + 1) / cs[0] + 1
+    out, n = set(), 1
+    while True:
+        val = 0
+        for c in ints:
+            val = val * n + c
+        if scale <= val <= bound * scale and val % scale == 0:
+            out.add(val // scale)
+        if n >= n0 and val > bound * scale:
+            return sorted(out)
+        n += 1
+
+
+@st.composite
+def _polynomials(draw):
+    degree = draw(st.integers(1, 4))
+    lead = Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 6)))
+    lower = draw(st.lists(
+        st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)),
+        min_size=degree - 1, max_size=degree - 1,
+    ))
+    # a linear rule walks up to 6 * bound values of n, one Python step each
+    # in the reference
+    bound = draw(st.integers(1, 10**6 if degree > 1 else 10**5))
+    return [lead, *lower, Fraction(0)], bound
+
+
+@given(_polynomials())
+@settings(max_examples=60, deadline=None)
+def test_polynomial_walk_matches_per_n_horner(case):
+    coeffs, bound = case
+    view = GapSetSpec.polynomial(coeffs).enumerate(bound)
+    assert list(view) == _horner_poly_elements(coeffs, bound)
+
+
 def test_polynomial_validation():
     with pytest.raises(SpecValidationError):
         GapSetSpec.polynomial(["1", "2"])  # nonzero constant term
@@ -235,14 +303,7 @@ def _reference_elements(spec, bound):
         keep = cycle([1] * (min(spec.m, bound + 1) - 1) + [0])
         return compress(range(1, bound + 1), keep)
     if kind == "primes":
-        if bound < 2:
-            return []
-        sieve = bytearray([1]) * (bound + 1)
-        sieve[0] = sieve[1] = 0
-        for p in range(2, math.isqrt(bound) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytearray(len(range(p * p, bound + 1, p)))
-        return compress(range(bound + 1), sieve)
+        return compress(range(bound + 1), _plain_sieve(bound))
     if kind == "union":
         merged = sorted(chain.from_iterable(_reference_elements(p, bound) for p in spec.parts))
         return map(operator.itemgetter(0), groupby(merged))
@@ -427,7 +488,7 @@ def test_chained_transforms_over_a_listed_kind_hold_one_list():
 @pytest.mark.parametrize(
     "spec, bound, limit",
     [
-        (GapSetSpec.primes(), 5 * 10**6, 1.19),
+        (GapSetSpec.primes(), 5 * 10**6, 1.14),
         (
             GapSetSpec.union([
                 GapSetSpec.primes().shifted(-1),
@@ -446,9 +507,11 @@ def test_enumeration_peak_memory(spec, bound, limit):
     # (composed) with the per-element generators, which held the full sieve
     # while the tuple grew; 1.200 for both through membership bytes, all of
     # it a validation slice of the view. The validation reads the view in
-    # place now: 1.183 (primes, the odd-position bytes while the tuple grows)
-    # and 1.046 (composed) on Python 3.11. The limits fail if that slice
-    # comes back (1.200) or the sieve outlives the tuple (1.36)
+    # place now. The primes hold only the wheel's selector, 8 bytes per 30
+    # integers, while the tuple grows: 1.099, against 1.183 with the odd
+    # sieve bytes held; composed 1.046, on Python 3.11. The limits fail if
+    # the odd bytes are held again (1.18), that slice comes back (1.200)
+    # or the sieve outlives the tuple (1.36)
     tracemalloc.start()
     try:
         view = spec.enumerate(bound)
