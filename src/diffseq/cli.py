@@ -27,17 +27,40 @@ from .exactnum import Q5, to_rational
 _MAX_BOUND = 10**40
 
 
+@contextlib.contextmanager
+def _output(path: Optional[str]):
+    """Yield path opened for writing, or stdout when path is None.
+
+    A write that raises leaves no partial file at path. Opening already
+    truncated it, so the file is removed, but only a regular file: never a
+    symlink, such as /dev/stdout, or a device. An open that fails truncated
+    nothing, so it removes nothing.
+    """
+    if not path:
+        yield sys.stdout
+        return
+    fh = open(path, "w")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if os.path.isfile(path) and not os.path.islink(path):
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def _write(path: Optional[str], text: str) -> None:
-    """Write text and a final newline to path, or print it when path is None."""
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    """Write text and a final newline to path, or to stdout when path is None."""
+    with _output(path) as fh:
+        fh.write(text + "\n")
 
 
 def _emit(path: Optional[str], payload: dict) -> None:
-    _write(path, json.dumps(payload, indent=2))
+    """Stream payload as indented JSON, so the document is never one string."""
+    with _output(path) as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def _check_outputs(args) -> None:

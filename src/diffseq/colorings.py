@@ -59,16 +59,23 @@ class Coloring:
     # -- export ----------------------------------------------------------------
 
     def to_json(self) -> dict:
-        rle, prev, count = [], None, 0
-        for c in self.colors:
-            if c == prev:
-                count += 1
-            else:
-                if prev is not None:
-                    rle.append([prev, count])
-                prev, count = c, 1
-        if prev is not None:
-            rle.append([prev, count])
+        """The run-length form; ``json`` writes each ``(color, count)`` run as an array.
+
+        Runs repeat (the sqrt5/8 coloring at the 10^7 cap has 5.59M runs,
+        4 of them distinct), so each distinct run is one shared tuple and
+        the list holds no object of its own per run.
+        """
+        rle, seen = [], {}
+        if self.colors:
+            prev, count = self.colors[0], 0
+            # 0 is no color, so the appended 0 ends the last run
+            for c in self.colors + b"\0":
+                if c == prev:
+                    count += 1
+                else:
+                    run = (prev, count)
+                    rle.append(seen.setdefault(run, run))
+                    prev, count = c, 1
         return {"r": self.r, "n": self.n, "rle": rle, "provenance": self.provenance}
 
     @staticmethod

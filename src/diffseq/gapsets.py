@@ -252,7 +252,11 @@ class GapSetSpec:
             del odd
         else:
             lo, flags, below = self._members(bound)
-            found = chain(below, compress(range(lo, lo + len(flags)), flags))
+            # a listed kind's window is empty: tuple() of the list itself
+            # allocates once, where a chain has no length to size it by
+            found = (
+                chain(below, compress(range(lo, lo + len(flags)), flags)) if flags else below
+            )
             del flags, below
         elements = tuple(found)
         del found  # no membership bytes are held while the view validates

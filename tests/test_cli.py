@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffseq import cli, gapsets, reproduce
-from diffseq.colorings import MAX_LENGTH, Coloring
+from diffseq import cli, gapsets, reproduce, search
+from diffseq.colorings import MAX_LENGTH, Coloring, preset_coloring
 from test_json_properties import specs
 
 
@@ -433,6 +433,81 @@ def test_delta_command_with_witness(tmp_path, capsys):
     assert payload["verdict"] == "delta" and payload["value"] == 3
     avoider = Coloring.from_json(json.loads(witness.read_text()))
     assert list(avoider.colors) == [1, 2]
+
+
+_SET_ARGV = ("set", "--set-json", '{"kind":"primes"}', "-N", "5000")
+_COLOR_ARGV = ("color", "--preset", "sqrt5over8", "-N", "5000")
+_DELTA_ARGV = (
+    "delta", "--set-json", '{"kind":"nonmultiples","m":3}', "-k", "3", "-r", "2", "--budget", "40"
+)
+
+
+def _document(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_outputs_are_the_indented_json_document(tmp_path, capsys):
+    spec = gapsets.GapSetSpec.primes()
+    expected = {
+        _SET_ARGV: _document({"spec": spec.to_json(), **spec.enumerate(5000).to_json()}),
+        _COLOR_ARGV: _document(preset_coloring("sqrt5over8", 5000).to_json()),
+    }
+    for argv, text in expected.items():
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0 and out == text, argv[0]
+        path = tmp_path / f"{argv[0]}.json"
+        code, out, _ = _run(capsys, *argv, "--out", str(path))
+        assert code == 0 and out == "" and path.read_text() == text, argv[0]
+
+    view = gapsets.GapSetSpec.nonmultiples(3).enumerate(40)
+    witness = _document(search.delta(view, 3, 2, 40).witness.to_json())
+    out_path, witness_path = tmp_path / "delta.json", tmp_path / "witness.json"
+    for extra in ((), ("--out", str(out_path))):
+        code, out, _ = _run(capsys, *_DELTA_ARGV, "--emit-witness", str(witness_path), *extra)
+        assert code == 0
+        # the search's elapsed time differs between runs, so the result is
+        # compared with the indented form of what it says
+        text = out_path.read_text() if extra else out
+        assert text == _document(json.loads(text))
+        assert json.loads(text)["witness"] == json.loads(witness)
+        assert witness_path.read_text() == witness
+
+
+def test_a_failed_write_leaves_no_partial_out_file(tmp_path, capsys, monkeypatch):
+    real = Coloring.to_json
+
+    def unencodable(self):
+        payload = real(self)
+        payload["rle"].append(object())  # json.dump raises after the runs before it
+        return payload
+
+    monkeypatch.setattr(Coloring, "to_json", unencodable)
+    path = tmp_path / "coloring.json"
+    path.write_text("an earlier file\n")
+    with pytest.raises(TypeError):
+        cli.main([*_COLOR_ARGV, "--out", str(path)])
+    assert not path.exists()
+    # a symlink is left in place: the file it names is not removed through it
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("")
+    link.symlink_to(target)
+    with pytest.raises(TypeError):
+        cli.main([*_COLOR_ARGV, "--out", str(link)])
+    assert link.is_symlink() and target.exists()
+
+
+def test_a_failed_open_keeps_the_existing_out_file(tmp_path, capsys, monkeypatch):
+    # an open that fails has truncated nothing, so the file there survives;
+    # open is patched because a read-only mode does not stop a root user
+    def refused(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    path = tmp_path / "coloring.json"
+    path.write_text("an earlier file\n")
+    monkeypatch.setattr(cli, "open", refused, raising=False)
+    code, out, err = _run(capsys, *_COLOR_ARGV, "--out", str(path))
+    assert code == 2 and out == "" and "Permission denied" in err
+    assert path.read_text() == "an earlier file\n"
 
 
 def test_chromatic_command(capsys):

@@ -1,6 +1,7 @@
 """Coloring generators and the subword complexity counter."""
 
 import decimal
+import json
 import random
 from fractions import Fraction as F
 
@@ -149,6 +150,56 @@ def test_exports_round_trip():
     again = Coloring.from_json(word.to_json())
     assert again.colors == word.colors and again.r == word.r
     assert word.to_text() == "".join(str(c) for c in word.colors)
+
+
+def _ref_rle(colors: bytes) -> list:
+    """The run-length list as the export built it, one [color, count] list per run."""
+    rle, prev, count = [], None, 0
+    for c in colors:
+        if c == prev:
+            count += 1
+        else:
+            if prev is not None:
+                rle.append([prev, count])
+            prev, count = c, 1
+    if prev is not None:
+        rle.append([prev, count])
+    return rle
+
+
+def _export_cases():
+    cases = [preset_coloring(name, 3000) for name in colorings.PRESETS]
+    cases += [
+        frac_coloring(Q5(0, F(1, 8)), 3, 2000),
+        block_coloring(7, 1000),
+        residue_coloring(5, 1000),
+        rotation_word(Q5(F(-1, 2), F(1, 2)), 0, F(1, 3), 1000),
+        Coloring(2, b""),
+        Coloring(3, b"\x02" * 50),
+        Coloring(255, b"\xff"),
+    ]
+    rng = random.Random(22)
+    for _ in range(60):
+        r = rng.choice((2, 3, 9, 255))
+        runs = [(rng.randint(1, r), rng.choice((1, 1, 2, 3, 300))) for _ in range(rng.randint(1, 40))]
+        cases.append(Coloring(r, b"".join(bytes((c,)) * k for c, k in runs)))
+    return cases
+
+
+def test_to_json_writes_the_list_reference_text():
+    for word in _export_cases():
+        ref = {"r": word.r, "n": word.n, "rle": _ref_rle(word.colors), "provenance": word.provenance}
+        assert json.dumps(word.to_json(), indent=2) == json.dumps(ref, indent=2), word
+
+
+def test_to_json_holds_one_object_per_distinct_run():
+    for word in _export_cases():
+        rle = word.to_json()["rle"]
+        assert type(rle) is list and all(type(run) is tuple for run in rle)
+        assert len({id(run) for run in rle}) == len(set(rle))
+    # a frac coloring repeats a handful of runs
+    rle = preset_coloring("sqrt5over8", 20000).to_json()["rle"]
+    assert len(rle) > 10000 and len({id(run) for run in rle}) <= 4
 
 
 def test_length_cap_and_validation():

@@ -32,8 +32,11 @@ SCHEMAS, REGISTRY = _load()
 
 
 def _validate(schema_id: str, payload: dict):
+    # validate the document the CLI writes: json writes a tuple as an array,
+    # but jsonschema's "array" type accepts only a Python list
+    document = json.loads(json.dumps(payload))
     validator_cls = jsonschema.validators.validator_for(SCHEMAS[schema_id])
-    validator_cls(SCHEMAS[schema_id], registry=REGISTRY).validate(payload)
+    validator_cls(SCHEMAS[schema_id], registry=REGISTRY).validate(document)
 
 
 def test_gapset_spec_schema():
