@@ -192,7 +192,8 @@ def _cmd_color(args) -> int:
 def _cmd_scan(args) -> int:
     coloring = _load_coloring(args)
     spec = _load_spec(args)
-    view = spec.enumerate(coloring.n)
+    # an empty coloring scans no gap, but a set is enumerated to at least 1
+    view = spec.enumerate(max(coloring.n, 1))
     if args.structure == "diffseq":
         result = verify.longest_mono_diffseq(coloring, view)
     elif args.structure == "ap":
@@ -212,7 +213,7 @@ def _cmd_delta(args) -> int:
     view = spec.enumerate(args.budget)
     result = search.delta(view, args.k, args.r, args.budget, threads=args.threads)
     _emit(args.out, {"set": spec.to_json(), **result.to_json()})
-    if args.emit_witness and result.witness is not None:
+    if args.emit_witness:
         _emit(args.emit_witness, result.witness.to_json())
     return 0
 

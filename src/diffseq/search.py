@@ -13,8 +13,10 @@ chain; U_c is the same mask at length k-2. A color is rejected by one bit
 test of T_c. After each placement the masks are closed under forced moves on
 the window (pos, best + 1], best being the deepest avoider found so far: a
 position threatened in every color but c must take c, so it joins U_c (k = 3)
-or, when U_c hits it (or k = 2), T_c, and the closure repeats until nothing
-new is forced. A window position threatened in every color is dead: no
+or, when U_c hits it (or k = 2), T_c. The closure runs in rounds: each reads
+every color's forced set from the masks at its start, then expands colors 1
+to r in order, each into U (k = 3) before T, and the rounds repeat until
+nothing new is forced. A position threatened in every color is dead: no
 extension reaches it, so the subtree cannot go deeper than best and is cut.
 The masks are immutable per depth, so backtracking needs no undo.
 
@@ -24,19 +26,18 @@ to U_c or T_c (only at chain length k-2 or more), and those above the
 parent's window top when best grew after the parent was closed. When there
 are none, no closure runs and the depth keeps the parent's lists. Otherwise
 the closure's first round reads only those positions (at k = 3 the whole
-window, see ``_close``), and later rounds the whole window. Everywhere
-else the bits, and so the verdicts, are the parent's, so every expansion,
-prune and count is the one a closure over the whole window gives.
+window), and later rounds the whole window. Everywhere else the bits, and
+so the verdicts, are the parent's, so every expansion, prune and count is
+the one a closure over the whole window gives.
 
-Two kernels run this loop, and r alone picks one. At r = 2 the two-color
-kernel keeps each depth's state as one tuple of ints (T_1, T_2, U_1, U_2,
-the two expanded sets and the depth it was closed at) and runs the closure
-inline on local variables, in ``_close``'s order, so no list is copied and
-``_close`` is never called. At r >= 3 the list kernel keeps T and U as
-per-color lists, copies a list only when a placement or the closure changes
-it, and calls ``_close``. Both make the same expansions, prunes and counts,
-and the tests run the list kernel at r = 2 as the two-color kernel's
-reference.
+Two kernels run this loop, and r alone picks one. Each keeps a depth's
+state as one tuple (T, U, the two expanded sets and the depth it was closed
+at) and runs the closure inline. At r = 2 the two-color kernel holds T_1,
+T_2, U_1 and U_2 as ints on local variables, so no list is copied. At r >= 3
+the list kernel holds T and U as per-color lists and copies a list only when
+a placement or the closure changes it. Both make the same expansions, prunes
+and counts, and the tests run the list kernel at r = 2 as the two-color
+kernel's reference.
 
 Rejections only remove colorings that contain a k-term chain and the bound
 only cuts subtrees that cannot beat the deepest avoider found so far, so the
@@ -124,7 +125,7 @@ class DeltaResult:
     verdict: str
     value: Optional[int]
     budget: int
-    witness: Optional[Coloring]
+    witness: Coloring
     stats: SearchStats
     elapsed: float
 
@@ -140,7 +141,7 @@ class DeltaResult:
             "verdict": self.verdict,
             "value": self.value,
             "budget": self.budget,
-            "witness": self.witness.to_json() if self.witness else None,
+            "witness": self.witness.to_json(),
             "nodes": self.nodes,
             "stats": self.stats.to_json(),
             "elapsed": round(self.elapsed, 6),
@@ -156,75 +157,6 @@ def _spread(gapmask: int, positions: int, width: int) -> int:
         out |= gapmask << (low.bit_length() - 1)
         positions ^= low
     return out & width
-
-
-def _forced(T: list[int], window: int, r: int) -> Optional[list[int]]:
-    """Per color c, the window positions threatened in every color but c;
-    None when some window position is threatened in every color."""
-    suffix = [window] * (r + 2)
-    for c in range(r, 0, -1):
-        suffix[c] = suffix[c + 1] & T[c]
-    if suffix[1]:
-        return None
-    forced = [0] * (r + 1)
-    prefix = window
-    for c in range(1, r + 1):
-        forced[c] = prefix & suffix[c + 1] & ~T[c]
-        prefix &= T[c]
-    return forced
-
-
-def _close(T, U, done, window, changed, gapmask, width, k, r):
-    """Close the threat masks (updated in place) under forced moves on the
-    window of uncolored positions.
-
-    A window position threatened in every color but c is forced to c in any
-    avoider reaching it, so its chain length in c is known and its gap mask
-    joins U or T. ``done`` holds the positions already expanded at level
-    k-2 and at level k-1. Returns (done, expansions), with done None when
-    some window position is threatened in every color.
-
-    The masks come closed on the parent's window: no position there is
-    dead, and every forced one has expanded. ``changed`` holds the window
-    positions whose T or U bits the last placement set, and those the window
-    gained above the parent's top. Elsewhere a position's bits, and so its
-    verdict, are the parent's, so the first round reads only ``changed`` and
-    finds the same dead positions and expansions as a round over the whole
-    window. At k = 3 it reads the whole window: there a forced position
-    joins U within the round, and U's new bits can reach an unchanged
-    position forced to the same color. Later rounds read the whole window.
-    """
-    done_u, done_t = done
-    expansions = 0
-    scope = window if k == 3 else changed
-    while True:
-        forced = _forced(T, scope, r)
-        if forced is None:
-            return None, expansions
-        grew = False
-        for c in range(1, r + 1):
-            f = forced[c]
-            if not f:
-                continue
-            if k == 3:  # a forced position ends a chain of length >= 1 = k-2
-                new = f & ~done_u
-                if new:
-                    done_u |= new
-                    U[c] |= _spread(gapmask, new, width)
-                    expansions += new.bit_count()
-            # a forced position hit by U ends a chain of length k-1 (any, for k = 2)
-            new = (f if k == 2 else f & U[c]) & ~done_t
-            if new:
-                done_t |= new
-                add = _spread(gapmask, new, width)
-                T[c] |= add
-                if k > 3:
-                    U[c] |= add
-                expansions += new.bit_count()
-                grew = True
-        if not grew:
-            return (done_u, done_t), expansions
-        scope = window
 
 
 def _dfs_deepest(
@@ -285,9 +217,7 @@ def _dfs_two_color(
     """``_dfs_deepest`` at r = 2, with every mask a local int.
 
     The state at depth p is one tuple (T1, T2, U1, U2, done_u, done_t,
-    closed_at), and the closure runs inline in ``_close``'s order: per
-    round, color 1's forced positions expand before color 2's, each into U
-    (k = 3) before T, from the forced sets read at the start of the round.
+    closed_at).
     """
     gapmask = _gap_mask(gaps)
     width = (1 << (budget + 2)) - 1
@@ -422,9 +352,9 @@ def _dfs_lists(
     stop_depth: Optional[int],
     max_nodes: Optional[int],
 ) -> tuple[int, bytes, SearchStats, list[bytes]]:
-    """``_dfs_deepest`` with the masks of each depth in per-color lists,
-    closed by ``_close``; it runs at r >= 3, and the tests run it at r = 2
-    as the two-color kernel's reference."""
+    """``_dfs_deepest`` with the masks of each depth in per-color lists; it
+    runs at r >= 3, and the tests run it at r = 2 as the two-color kernel's
+    reference."""
     gapmask = _gap_mask(gaps)
     # no bit above budget + 1 (the top of the widest window) is ever read
     width = (1 << (budget + 2)) - 1
@@ -435,7 +365,7 @@ def _dfs_lists(
     # empty state has nothing to close, so it counts as closed to the budget)
     states: list = [None] * (budget + 2)
     T = [(1 << (budget + 1)) - 2 if k == 1 else 0] * (r + 1)
-    states[0] = (T, [0] * (r + 1), (0, 0), budget)
+    states[0] = (T, [0] * (r + 1), 0, 0, budget)
 
     best_depth = 0
     best_word = b""
@@ -459,7 +389,7 @@ def _dfs_lists(
             continue
         nxt[pos] = c + 1
         nodes += 1
-        T, U, done, closed_at = states[pos - 1]
+        T, U, done_u, done_t, closed_at = states[pos - 1]
         if T[c] >> pos & 1:
             rejected += 1
             continue
@@ -500,16 +430,52 @@ def _dfs_lists(
                 changed |= (4 << best_depth) - (4 << closed_at)
             changed &= window
             if changed:
-                if length < k - 1:  # _close updates the lists in place
+                if length < k - 1:  # the closure updates the lists in place
                     T = T[:]
                     if length < k - 2:
                         U = U[:]
-                done, expanded = _close(T, U, done, window, changed, gapmask, width, k, r)
-                forced += expanded
-                if done is None:
+                # at k = 3 a forced position joins U within the round, and U's
+                # new bits can reach an unchanged position forced to the same
+                # color, so the first round reads the whole window
+                scope = window if k == 3 else changed
+                while True:
+                    # suffix[c]: the scope positions threatened in colors c..r
+                    suffix = [scope] * (r + 2)
+                    for c in range(r, 0, -1):
+                        suffix[c] = suffix[c + 1] & T[c]
+                    if suffix[1]:  # threatened in every color: a dead branch
+                        break
+                    grew = False
+                    prefix = scope
+                    for c in range(1, r + 1):
+                        t = T[c]
+                        f = prefix & suffix[c + 1] & ~t  # threatened in every color but c
+                        prefix &= t
+                        if not f:
+                            continue
+                        if k == 3:  # a forced position ends a chain of length >= 1 = k-2
+                            new = f & ~done_u
+                            if new:
+                                done_u |= new
+                                U[c] |= _spread(gapmask, new, width)
+                                forced += new.bit_count()
+                        # a forced position hit by U ends a chain of length k-1 (any, for k = 2)
+                        new = (f if k == 2 else f & U[c]) & ~done_t
+                        if new:
+                            done_t |= new
+                            add = _spread(gapmask, new, width)
+                            T[c] |= add
+                            if k > 3:
+                                U[c] |= add
+                            forced += new.bit_count()
+                            grew = True
+                    if not grew:
+                        break
+                    scope = window
+                if suffix[1]:
                     pruned += 1
                     continue
-        states[pos] = (T, U, done, best_depth)
+        states[pos] = (T, U, done_u, done_t, best_depth)
         pos += 1
     return best_depth, best_word, SearchStats(nodes, rejected, pruned, forced), frontier
 
@@ -536,9 +502,9 @@ def delta(view: GapSetView, k: int, r: int, budget: int, threads: int = 1) -> De
     n is below the budget, no avoider of [1..n+1] exists, so the least
     forcing length is exactly n+1 (verdict "delta"). Otherwise the verdict
     is "unknown" at the budget. A single position is a 1-term chain, so
-    k = 1 gives 1. The worker count must be at least 1 and is capped at
-    the number of CPUs. The budget is at most ``MAX_LENGTH``, the longest
-    witness a coloring holds.
+    k = 1 gives 1, with the empty avoider as witness. The worker count must
+    be at least 1 and is capped at the number of CPUs. The budget is at
+    most ``MAX_LENGTH``, the longest witness a coloring holds.
     """
     check_delta_args(k, r, budget, threads)
     gaps = list(_usable_gaps(view, budget))
@@ -551,7 +517,7 @@ def delta(view: GapSetView, k: int, r: int, budget: int, threads: int = 1) -> De
         depth, word, stats = _parallel_search(gaps, k, r, budget, threads)
 
     elapsed = time.perf_counter() - started
-    witness = Coloring(r, word, {"generator": "avoider", "k": k, "gaps": gaps}) if word else None
+    witness = Coloring(r, word, {"generator": "avoider", "k": k, "gaps": gaps})
     if depth >= budget:
         return DeltaResult(gaps, k, r, UNKNOWN, None, budget, witness, stats, elapsed)
     return DeltaResult(gaps, k, r, DELTA, depth + 1, budget, witness, stats, elapsed)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from diffseq import cli, gapsets, reproduce, search
 from diffseq.colorings import MAX_LENGTH, Coloring, preset_coloring
 from test_json_properties import specs
+from test_schemas import _validate
 
 
 def _run(capsys, *argv):
@@ -433,6 +434,37 @@ def test_delta_command_with_witness(tmp_path, capsys):
     assert payload["verdict"] == "delta" and payload["value"] == 3
     avoider = Coloring.from_json(json.loads(witness.read_text()))
     assert list(avoider.colors) == [1, 2]
+
+
+def test_scan_of_an_empty_coloring(tmp_path, capsys):
+    # the coloring format admits n = 0, and every scan of it has length 0
+    path = tmp_path / "empty.json"
+    path.write_text('{"r":2,"n":0,"rle":[]}')
+    for structure in ("diffseq", "ap", "pair"):
+        code, out, err = _run(
+            capsys, "scan", "--coloring", str(path),
+            "--set-json", '{"kind":"fibonacci"}', "--structure", structure, "--max-k", "0",
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        _validate("diffseq/scan-result", payload)
+        assert (payload["length"], payload["scanned"]) == (0, 0)
+
+
+def test_delta_writes_the_empty_avoider_of_one_term_chains(tmp_path, capsys):
+    witness = tmp_path / "avoider.json"
+    code, out, _ = _run(
+        capsys, "delta", "--set-json", '{"kind":"fibonacci"}',
+        "-k", "1", "-r", "2", "--budget", "5", "--emit-witness", str(witness),
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["value"], payload["witness"]["n"]) == (1, 0)
+    assert json.loads(witness.read_text()) == payload["witness"]
+    code, out, _ = _run(
+        capsys, "scan", "--coloring", str(witness), "--set-json", '{"kind":"fibonacci"}',
+    )
+    assert code == 0 and json.loads(out)["length"] == 0
 
 
 _SET_ARGV = ("set", "--set-json", '{"kind":"primes"}', "-N", "5000")
