@@ -137,6 +137,8 @@ def _load_coloring(args) -> colorings.Coloring:
         if args.n is None:
             raise ValueError("presets need a length: -N")
         return colorings.preset_coloring(name, args.n)
+    if args.n is not None:
+        raise ValueError("-N sizes presets only; a coloring file has its own length")
     with open(source) as fh, _parsing("coloring file"):
         return colorings.Coloring.from_json(json.load(fh))
 
@@ -164,6 +166,8 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_color(args) -> int:
+    if args.preset is not None and args.kind is not None:
+        raise ValueError("give either --preset or --kind, not both")
     if args.preset:
         coloring = colorings.preset_coloring(args.preset, args.n)
     elif args.kind == "frac":
@@ -227,11 +231,11 @@ def _cmd_chromatic(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
-    coloring = _load_coloring(args)
-    if args.max_n is None and args.factor_len is None:
-        raise ValueError("give a factor length (-n) or a range (--max-n)")
+    if (args.max_n is None) == (args.factor_len is None):
+        raise ValueError("give either a factor length (-n) or a range (--max-n)")
     if args.max_n is not None and args.max_n < 1:
         raise ValueError(f"--max-n must be >= 1 (got {args.max_n})")
+    coloring = _load_coloring(args)
     lengths = range(1, args.max_n + 1) if args.max_n is not None else [args.factor_len]
     counts = {str(n): colorings.complexity(coloring, n) for n in lengths}
     _emit(args.out, {"n": coloring.n, "complexity": counts})

@@ -20,24 +20,13 @@ nothing new is forced. A position threatened in every color is dead: no
 extension reaches it, so the subtree cannot go deeper than best and is cut.
 The masks are immutable per depth, so backtracking needs no undo.
 
-The parent's masks are already closed on its window, so only two kinds of
-position can be new to the closure: those where the placement added G << pos
-to U_c or T_c (only at chain length k-2 or more), and those above the
-parent's window top when best grew after the parent was closed. When there
-are none, no closure runs and the depth keeps the parent's lists. Otherwise
-the closure's first round reads only those positions (at k = 3 the whole
-window), and later rounds the whole window. Everywhere else the bits, and
-so the verdicts, are the parent's, so every expansion, prune and count is
-the one a closure over the whole window gives.
-
 Two kernels run this loop, and r alone picks one. Each keeps a depth's
-state as one tuple (T, U, the two expanded sets and the depth it was closed
-at) and runs the closure inline. At r = 2 the two-color kernel holds T_1,
-T_2, U_1 and U_2 as ints on local variables, so no list is copied. At r >= 3
-the list kernel holds T and U as per-color lists and copies a list only when
-a placement or the closure changes it. Both make the same expansions, prunes
-and counts, and the tests run the list kernel at r = 2 as the two-color
-kernel's reference.
+state as one tuple (T, U and the two expanded sets) and runs the closure
+inline. At r = 2 the two-color kernel holds T_1, T_2, U_1 and U_2 as ints on
+local variables, so no list is copied. At r >= 3 the list kernel holds T and
+U as per-color lists and copies them once per placement. Both make the same
+expansions, prunes and counts, and the tests run the list kernel at r = 2 as
+the two-color kernel's reference.
 
 Rejections only remove colorings that contain a k-term chain and the bound
 only cuts subtrees that cannot beat the deepest avoider found so far, so the
@@ -216,8 +205,7 @@ def _dfs_two_color(
 ) -> tuple[int, bytes, SearchStats, list[bytes]]:
     """``_dfs_deepest`` at r = 2, with every mask a local int.
 
-    The state at depth p is one tuple (T1, T2, U1, U2, done_u, done_t,
-    closed_at).
+    The state at depth p is one tuple (T1, T2, U1, U2, done_u, done_t).
     """
     gapmask = _gap_mask(gaps)
     width = (1 << (budget + 2)) - 1
@@ -228,7 +216,7 @@ def _dfs_two_color(
     allowed[fixed + 2 :] = [2] * (budget - fixed)
     states: list = [None] * (budget + 2)
     threat = (1 << (budget + 1)) - 2 if k == 1 else 0
-    states[0] = (threat, threat, 0, 0, 0, 0, budget)
+    states[0] = (threat, threat, 0, 0, 0, 0)
 
     best_depth = 0
     best_word = b""
@@ -252,7 +240,7 @@ def _dfs_two_color(
             continue
         nxt[pos] = c + 1
         nodes += 1
-        T1, T2, U1, U2, done_u, done_t, closed_at = states[pos - 1]
+        T1, T2, U1, U2, done_u, done_t = states[pos - 1]
         if (T1 if c == 1 else T2) >> pos & 1:
             rejected += 1
             continue
@@ -271,74 +259,68 @@ def _dfs_two_color(
                             break
         color[pos] = c
         chain[pos] = length
-        changed = 0
         if length >= k - 2:
-            changed = (gapmask << pos) & width
+            add = (gapmask << pos) & width
             if c == 1:
                 if k > 2:
-                    U1 |= changed
+                    U1 |= add
                 if length == k - 1:
-                    T1 |= changed
+                    T1 |= add
             else:
                 if k > 2:
-                    U2 |= changed
+                    U2 |= add
                 if length == k - 1:
-                    T2 |= changed
+                    T2 |= add
         if pos > best_depth:
             best_depth = pos
             best_word = bytes(color[1 : pos + 1])
         if pos < budget:
             window = (4 << best_depth) - (2 << pos)
-            if best_depth > closed_at:
-                changed |= (4 << best_depth) - (4 << closed_at)
-            changed &= window
-            if changed:
-                scope = window if k == 3 else changed
-                # rounds run until a fixpoint (break) or a position of the
-                # scope threatened in both colors (the else: a dead branch)
-                while not T1 & T2 & scope:
-                    f1 = T2 & ~T1 & scope
-                    f2 = T1 & ~T2 & scope
-                    grew = False
-                    if f1:
-                        if k == 3:
-                            new = f1 & ~done_u
-                            if new:
-                                done_u |= new
-                                U1 |= _spread(gapmask, new, width)
-                                forced += new.bit_count()
-                        new = (f1 if k == 2 else f1 & U1) & ~done_t
+            # rounds run until a fixpoint (break) or a window position
+            # threatened in both colors (the else: a dead branch)
+            while not T1 & T2 & window:
+                one = (T1 ^ T2) & window  # threatened in exactly one color
+                f1 = one & T2
+                f2 = one & T1
+                grew = False
+                if f1:
+                    if k == 3:
+                        new = f1 & ~done_u
                         if new:
-                            done_t |= new
-                            add = _spread(gapmask, new, width)
-                            T1 |= add
-                            if k > 3:
-                                U1 |= add
+                            done_u |= new
+                            U1 |= _spread(gapmask, new, width)
                             forced += new.bit_count()
-                            grew = True
-                    if f2:
-                        if k == 3:
-                            new = f2 & ~done_u
-                            if new:
-                                done_u |= new
-                                U2 |= _spread(gapmask, new, width)
-                                forced += new.bit_count()
-                        new = (f2 if k == 2 else f2 & U2) & ~done_t
+                    new = (f1 if k == 2 else f1 & U1) & ~done_t
+                    if new:
+                        done_t |= new
+                        add = _spread(gapmask, new, width)
+                        T1 |= add
+                        if k > 3:
+                            U1 |= add
+                        forced += new.bit_count()
+                        grew = True
+                if f2:
+                    if k == 3:
+                        new = f2 & ~done_u
                         if new:
-                            done_t |= new
-                            add = _spread(gapmask, new, width)
-                            T2 |= add
-                            if k > 3:
-                                U2 |= add
+                            done_u |= new
+                            U2 |= _spread(gapmask, new, width)
                             forced += new.bit_count()
-                            grew = True
-                    if not grew:
-                        break
-                    scope = window
-                else:
-                    pruned += 1
-                    continue
-        states[pos] = (T1, T2, U1, U2, done_u, done_t, best_depth)
+                    new = (f2 if k == 2 else f2 & U2) & ~done_t
+                    if new:
+                        done_t |= new
+                        add = _spread(gapmask, new, width)
+                        T2 |= add
+                        if k > 3:
+                            U2 |= add
+                        forced += new.bit_count()
+                        grew = True
+                if not grew:
+                    break
+            else:
+                pruned += 1
+                continue
+        states[pos] = (T1, T2, U1, U2, done_u, done_t)
         pos += 1
     return best_depth, best_word, SearchStats(nodes, rejected, pruned, forced), frontier
 
@@ -361,11 +343,10 @@ def _dfs_lists(
     color, chain, allowed, nxt = _position_arrays(budget, prefix, r)
     fixed = len(prefix)
     # states[p]: threat masks T, U and expanded sets after positions 1..p are
-    # colored, and the deepest avoider's depth when they were closed (the
-    # empty state has nothing to close, so it counts as closed to the budget)
+    # colored and closed
     states: list = [None] * (budget + 2)
     T = [(1 << (budget + 1)) - 2 if k == 1 else 0] * (r + 1)
-    states[0] = (T, [0] * (r + 1), 0, 0, budget)
+    states[0] = (T, [0] * (r + 1), 0, 0)
 
     best_depth = 0
     best_word = b""
@@ -389,7 +370,7 @@ def _dfs_lists(
             continue
         nxt[pos] = c + 1
         nodes += 1
-        T, U, done_u, done_t, closed_at = states[pos - 1]
+        T, U, done_u, done_t = states[pos - 1]
         if T[c] >> pos & 1:
             rejected += 1
             continue
@@ -410,15 +391,17 @@ def _dfs_lists(
                             break
         color[pos] = c
         chain[pos] = length
-        changed = 0
+        # the placement and the closure update this depth's copies in place
+        # (U is never written at k = 2)
+        T = T[:]
+        if k > 2:
+            U = U[:]
         if length >= k - 2:  # G << pos joins U_c, and at length k-1 T_c too
-            changed = (gapmask << pos) & width
+            add = (gapmask << pos) & width
             if k > 2:
-                U = U[:]
-                U[c] |= changed
+                U[c] |= add
             if length == k - 1:
-                T = T[:]
-                T[c] |= changed
+                T[c] |= add
         if pos > best_depth:
             best_depth = pos
             best_word = bytes(color[1 : pos + 1])
@@ -426,56 +409,43 @@ def _dfs_lists(
             allowed[pos + 1] = c + 1 if c == allowed[pos] and c < r else allowed[pos]
         if pos < budget:  # the bound only matters on (pos, best_depth + 1]
             window = (4 << best_depth) - (2 << pos)
-            if best_depth > closed_at:  # the window grew since the parent was closed
-                changed |= (4 << best_depth) - (4 << closed_at)
-            changed &= window
-            if changed:
-                if length < k - 1:  # the closure updates the lists in place
-                    T = T[:]
-                    if length < k - 2:
-                        U = U[:]
-                # at k = 3 a forced position joins U within the round, and U's
-                # new bits can reach an unchanged position forced to the same
-                # color, so the first round reads the whole window
-                scope = window if k == 3 else changed
-                while True:
-                    # suffix[c]: the scope positions threatened in colors c..r
-                    suffix = [scope] * (r + 2)
-                    for c in range(r, 0, -1):
-                        suffix[c] = suffix[c + 1] & T[c]
-                    if suffix[1]:  # threatened in every color: a dead branch
-                        break
-                    grew = False
-                    prefix = scope
-                    for c in range(1, r + 1):
-                        t = T[c]
-                        f = prefix & suffix[c + 1] & ~t  # threatened in every color but c
-                        prefix &= t
-                        if not f:
-                            continue
-                        if k == 3:  # a forced position ends a chain of length >= 1 = k-2
-                            new = f & ~done_u
-                            if new:
-                                done_u |= new
-                                U[c] |= _spread(gapmask, new, width)
-                                forced += new.bit_count()
-                        # a forced position hit by U ends a chain of length k-1 (any, for k = 2)
-                        new = (f if k == 2 else f & U[c]) & ~done_t
+            while True:
+                # suffix[c]: the window positions threatened in colors c..r
+                suffix = [window] * (r + 2)
+                for c in range(r, 0, -1):
+                    suffix[c] = suffix[c + 1] & T[c]
+                if suffix[1]:  # threatened in every color: a dead branch
+                    break
+                grew = False
+                prefix = window
+                for c in range(1, r + 1):
+                    t = T[c]
+                    f = prefix & suffix[c + 1] & ~t  # threatened in every color but c
+                    prefix &= t
+                    if not f:
+                        continue
+                    if k == 3:  # a forced position ends a chain of length >= 1 = k-2
+                        new = f & ~done_u
                         if new:
-                            done_t |= new
-                            add = _spread(gapmask, new, width)
-                            T[c] |= add
-                            if k > 3:
-                                U[c] |= add
+                            done_u |= new
+                            U[c] |= _spread(gapmask, new, width)
                             forced += new.bit_count()
-                            grew = True
-                    if not grew:
-                        break
-                    scope = window
-                if suffix[1]:
-                    pruned += 1
-                    continue
-        states[pos] = (T, U, done_u, done_t, best_depth)
+                    # a forced position hit by U ends a chain of length k-1 (any, for k = 2)
+                    new = (f if k == 2 else f & U[c]) & ~done_t
+                    if new:
+                        done_t |= new
+                        add = _spread(gapmask, new, width)
+                        T[c] |= add
+                        if k > 3:
+                            U[c] |= add
+                        forced += new.bit_count()
+                        grew = True
+                if not grew:
+                    break
+            if suffix[1]:
+                pruned += 1
+                continue
+        states[pos] = (T, U, done_u, done_t)
         pos += 1
     return best_depth, best_word, SearchStats(nodes, rejected, pruned, forced), frontier
 

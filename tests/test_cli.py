@@ -587,6 +587,30 @@ def test_complexity_range_must_be_positive(capsys):
         assert err.strip() == f"error: --max-n must be >= 1 (got {max_n})"
 
 
+def test_a_second_selector_is_refused(tmp_path, capsys):
+    # each pair names the same thing twice, and neither wins silently
+    coloring = tmp_path / "coloring.json"
+    coloring.write_text(json.dumps(preset_coloring("sqrt5over8", 5).to_json()))
+    fib = '{"kind":"fibonacci"}'
+    for argv, message in (
+        (["color", "--preset", "sqrt5over8", "--kind", "residue", "-m", "3", "-N", "5",
+          "--format", "text"], "give either --preset or --kind, not both"),
+        (["complexity", "--coloring", "preset:goldenrotation", "-N", "100", "-n", "50",
+          "--max-n", "2"], "give either a factor length (-n) or a range (--max-n)"),
+        (["scan", "--coloring", str(coloring), "--set-json", fib, "-N", "5"],
+         "-N sizes presets only; a coloring file has its own length"),
+        (["complexity", "--coloring", str(coloring), "-N", "5", "-n", "2"],
+         "-N sizes presets only; a coloring file has its own length"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+    # without the second selector each command runs
+    code, out, _ = _run(capsys, "scan", "--coloring", str(coloring), "--set-json", fib)
+    assert code == 0 and json.loads(out)["scanned"] == 5
+    code, out, _ = _run(capsys, "complexity", "--coloring", str(coloring), "-n", "2")
+    assert code == 0 and json.loads(out)["n"] == 5
+
+
 def test_complexity_above_the_factor_cap_exits_2(capsys):
     # 10**10 bytes of factors would be sliced; the refusal comes first
     tracemalloc.start()

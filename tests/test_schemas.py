@@ -8,11 +8,11 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
-from diffseq.colorings import preset_coloring
+from diffseq.colorings import MAX_LENGTH, Coloring, preset_coloring
 from diffseq.construct import build_alpha, doa_evidence
 from diffseq.gapsets import GapSetSpec
 from diffseq.reproduce import run_reproduce
-from diffseq.search import chromatic_number_prefix, delta
+from diffseq.search import check_delta_args, chromatic_number_prefix, delta
 from diffseq.verify import longest_mono_ap
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -54,6 +54,26 @@ def test_gapset_spec_schema():
 
 def test_coloring_schema():
     _validate("diffseq/coloring", preset_coloring("sqrt5over8", 500).to_json())
+
+
+def test_schemas_declare_the_caps_the_parsers_enforce():
+    # a color above 255, a length above MAX_LENGTH, r above 255 and a budget
+    # above MAX_LENGTH are refused by the schema and by the parser alike
+    for doc in (
+        {"r": 255, "n": 1, "rle": [[256, 1]]},
+        {"r": 2, "n": MAX_LENGTH + 1, "rle": [[1, MAX_LENGTH + 1]]},
+    ):
+        with pytest.raises(jsonschema.ValidationError):
+            _validate("diffseq/coloring", doc)
+        with pytest.raises(ValueError):
+            Coloring.from_json(doc)
+    payload = delta(GapSetSpec.nonmultiples(3).enumerate(12), 2, 2, 12).to_json()
+    for field, value in (("r", 256), ("budget", MAX_LENGTH + 1)):
+        with pytest.raises(jsonschema.ValidationError):
+            _validate("diffseq/delta-result", dict(payload, **{field: value}))
+        args = {"k": 2, "r": 2, "budget": 12, "threads": 1, field: value}
+        with pytest.raises(ValueError):
+            check_delta_args(**args)
 
 
 def test_scan_result_schema():

@@ -381,8 +381,7 @@ def test_stats_block():
 
 def test_search_counts_are_pinned():
     # k >= 4 runs the chain-length loop at every placement the U mask leaves
-    # open; nodes, prunes and forced moves must not move with its shortcuts,
-    # nor with the closure that re-reads only the changed bits
+    # open; nodes, prunes and forced moves must not move with its shortcuts
     primes = GapSetSpec.primes().enumerate(100)
     squares = GapSetSpec.polynomial([1, 0, 0]).enumerate(100)
     nonmult4 = GapSetSpec.nonmultiples(4).enumerate(100)
