@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import os
 import sys
@@ -21,10 +20,6 @@ from typing import Optional
 
 from . import colorings, construct, gapsets, reproduce, search, verify
 from .exactnum import Q5, to_rational
-
-
-# the largest enumeration bound tried when a command needs more elements
-_MAX_BOUND = 10**40
 
 
 @contextlib.contextmanager
@@ -103,31 +98,29 @@ def _length(n: int, flag: str) -> int:
     return n
 
 
-def _parse_number(rational: Optional[str], root5: Optional[str]):
-    """An exact number from its rational part and optional sqrt5 coefficient."""
+def _number(args, name: str):
+    """The exact number --NAME + (--NAME-root5)*sqrt5, 0 when neither is given."""
+    rational, root5 = getattr(args, name), getattr(args, name + "_root5")
     a = to_rational(rational) if rational is not None else Fraction(0)
-    if root5 is not None:
-        return Q5(a, to_rational(root5))
-    return a
+    return a if root5 is None else Q5(a, to_rational(root5))
 
 
-def _widened_view(
-    spec: gapsets.GapSetSpec, start: int, steps: int, bound: int
-) -> gapsets.GapSetView:
-    """The view of spec at the first of bound, 16*bound, 256*bound, ... that
-    holds the elements with 0-based indices start .. start + steps - 1."""
-    if start < 0:
-        raise ValueError(f"--start must be >= 0 (got {start})")
-    need = start + steps
-    view = spec.enumerate(bound)
-    while len(view) < need:
-        bound *= 16
-        if bound > _MAX_BOUND:
-            raise ValueError(
-                f"set has only {len(view)} elements up to {view.bound:.3g}; need {need}"
-            )
-        view = spec.enumerate(bound)
-    return view
+def _given(args, flag: str) -> bool:
+    return getattr(args, flag.lstrip("-").replace("-", "_")) is not None
+
+
+# per coloring --kind: the flags it reads, and the groups it needs one flag of
+_KIND_FLAGS = {
+    "frac": (("-r", "--alpha", "--alpha-root5"), [("--alpha", "--alpha-root5")]),
+    "block": (("-m",), [("-m",)]),
+    "residue": (("-m",), [("-m",)]),
+    "rotation": (
+        ("--alpha", "--alpha-root5", "--x0", "--x0-root5", "--cut", "--cut-root5"),
+        [("--alpha", "--alpha-root5"), ("--cut", "--cut-root5")],
+    ),
+}
+# every flag some kind reads, in a fixed order
+_COLOR_FLAGS = tuple(dict.fromkeys(flag for reads, _ in _KIND_FLAGS.values() for flag in reads))
 
 
 def _load_coloring(args) -> colorings.Coloring:
@@ -156,11 +149,9 @@ def _cmd_set(args) -> int:
 def _cmd_alpha(args) -> int:
     spec = _load_spec(args)
     delta = to_rational(args.delta)
-    elements = _widened_view(spec, args.start, args.steps, 16).elements
+    elements = construct.widened_view(spec, args.start, args.steps, 16).elements
     q = elements[args.start : args.start + args.steps]
-    cert = construct.build_alpha(
-        q, args.r, delta, steps=args.steps, first_gap=elements[0]
-    )
+    cert = construct.build_alpha(q, args.r, delta, first_gap=elements[0])
     _emit(args.out, cert.to_json())
     return 0
 
@@ -168,24 +159,29 @@ def _cmd_alpha(args) -> int:
 def _cmd_color(args) -> int:
     if args.preset is not None and args.kind is not None:
         raise ValueError("give either --preset or --kind, not both")
+    if not (args.preset or args.kind):
+        raise ValueError("choose --preset or --kind {frac,block,residue,rotation}")
+    # a preset reads none of the kinds' flags
+    selector = f"--kind {args.kind}" if args.kind else "--preset"
+    reads, needs = _KIND_FLAGS.get(args.kind, ((), []))
+    for flag in _COLOR_FLAGS:
+        if flag not in reads and _given(args, flag):
+            raise ValueError(f"{selector} does not read {flag}")
+    for group in needs:
+        if not any(_given(args, flag) for flag in group):
+            raise ValueError(f"{selector} needs {' or '.join(group)}")
     if args.preset:
         coloring = colorings.preset_coloring(args.preset, args.n)
     elif args.kind == "frac":
-        alpha = _parse_number(args.alpha, args.alpha_root5)
-        coloring = colorings.frac_coloring(alpha, args.r, args.n)
-    elif args.kind in ("block", "residue") and args.m is None:
-        raise ValueError(f"--kind {args.kind} needs -m")
+        r = 2 if args.r is None else args.r
+        coloring = colorings.frac_coloring(_number(args, "alpha"), r, args.n)
     elif args.kind == "block":
         coloring = colorings.block_coloring(args.m, args.n)
     elif args.kind == "residue":
         coloring = colorings.residue_coloring(args.m, args.n)
-    elif args.kind == "rotation":
-        alpha = _parse_number(args.alpha, args.alpha_root5)
-        x0 = _parse_number(args.x0, args.x0_root5)
-        cut = _parse_number(args.cut, args.cut_root5)
-        coloring = colorings.rotation_word(alpha, x0, cut, args.n)
     else:
-        raise ValueError("choose --preset or --kind {frac,block,residue,rotation}")
+        x0, cut = _number(args, "x0"), _number(args, "cut")
+        coloring = colorings.rotation_word(_number(args, "alpha"), x0, cut, args.n)
     if args.format == "text":
         _write(args.out, coloring.to_text())
     else:
@@ -194,6 +190,8 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    if args.max_k is not None and args.max_k < 0:
+        raise ValueError(f"--max-k must be >= 0 (got {args.max_k})")
     coloring = _load_coloring(args)
     spec = _load_spec(args)
     # an empty coloring scans no gap, but a set is enumerated to at least 1
@@ -244,28 +242,8 @@ def _cmd_complexity(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     spec = _load_spec(args)
-    delta = to_rational(args.delta)
-    factor = construct.growth_factor(args.r, delta)
-    if args.steps < 2:
-        raise ValueError("pipeline needs --steps >= 2 to check gap growth")
-    view = _widened_view(spec, args.start, args.steps, _length(args.n, "-N"))
-    need = args.start + args.steps
-    elements = view.elements
-    growth = gapsets.growth_certificate(
-        gapsets.GapSetView(elements[: need], elements[need - 1]), factor, start=args.start
-    )
-    if not growth.passed:
-        pair = growth.counterexample["pair"]
-        raise ValueError(
-            f"growth {factor} not satisfied at index {growth.counterexample['index']}: "
-            f"{pair[1]} < {factor} * {pair[0]}"
-        )
-    q = elements[args.start : need]
-    alpha_cert = construct.build_alpha(q, args.r, delta, first_gap=elements[0])
-    # the window covers the constructed elements and the gaps the scan can use,
-    # not whatever lies beyond them in the widened view
-    evidence = construct.doa_evidence(
-        view.restrict(max(args.n, q[-1])), alpha_cert.alpha, alpha_cert.eps1, args.r, args.n
+    growth, alpha_cert, evidence = construct.pipeline(
+        spec, args.r, to_rational(args.delta), args.start, args.steps, args.n
     )
     payload = {
         "growth": growth.to_json(),
@@ -296,37 +274,41 @@ def build_parser() -> argparse.ArgumentParser:
     gap_set = argparse.ArgumentParser(add_help=False)
     gap_set.add_argument("--set", metavar="FILE", help="JSON set definition file")
     gap_set.add_argument("--set-json", metavar="JSON", help="inline JSON set definition")
-    with_set = functools.partial(sub.add_parser, parents=[gap_set, out])
+    build = argparse.ArgumentParser(add_help=False)
+    build.add_argument("-r", type=int, default=2, help="number of color classes")
+    build.add_argument("--delta", required=True, help="growth slack, exact rational")
+    build.add_argument("--steps", type=int, required=True, help="construction steps")
+    build.add_argument("--start", type=int, default=0, help="0-based index of the first gap used")
+    coloring = argparse.ArgumentParser(add_help=False)
+    coloring.add_argument("--coloring", required=True, help="preset:NAME or a run-length JSON file")
+    coloring.add_argument("-N", dest="n", type=int, help="length when using a preset")
+
+    def with_set(name, *parents, **kwargs):
+        return sub.add_parser(name, parents=[gap_set, out, *parents], **kwargs)
 
     p = with_set("set", help="enumerate a gap set up to a bound")
     p.add_argument("-N", dest="n", type=int, required=True, help="enumeration bound")
     p.set_defaults(func=_cmd_set)
 
-    p = with_set("alpha", help="run the nested-interval constructor over a set")
-    p.add_argument("-r", type=int, default=2, help="number of color classes")
-    p.add_argument("--delta", required=True, help="growth slack, exact rational")
-    p.add_argument("--steps", type=int, required=True, help="construction steps")
-    p.add_argument("--start", type=int, default=0, help="0-based index of the first gap used")
+    p = with_set("alpha", build, help="run the nested-interval constructor over a set")
     p.set_defaults(func=_cmd_alpha)
 
     p = sub.add_parser("color", parents=[out], help="generate and export a coloring")
     p.add_argument("--preset", help=f"one of: {', '.join(colorings.PRESETS)}")
-    p.add_argument("--kind", choices=["frac", "block", "residue", "rotation"])
+    p.add_argument("--kind", choices=list(_KIND_FLAGS))
     p.add_argument("--alpha", help="rational part of the rotation/frac angle")
     p.add_argument("--alpha-root5", help="sqrt5 coefficient of the angle")
-    p.add_argument("--x0", help="rotation start point, rational part")
+    p.add_argument("--x0", help="rotation start point, rational part (default 0)")
     p.add_argument("--x0-root5", help="rotation start point, sqrt5 coefficient")
     p.add_argument("--cut", help="rotation cut, rational part")
     p.add_argument("--cut-root5", help="rotation cut, sqrt5 coefficient")
-    p.add_argument("-r", type=int, default=2)
+    p.add_argument("-r", type=int, help="number of frac color classes (default 2)")
     p.add_argument("-m", type=int, help="block width / residue modulus")
     p.add_argument("-N", dest="n", type=int, required=True)
     p.add_argument("--format", choices=["rle", "text"], default="rle")
     p.set_defaults(func=_cmd_color)
 
-    p = with_set("scan", help="longest monochromatic structure in a coloring")
-    p.add_argument("--coloring", required=True, help="preset:NAME or a run-length JSON file")
-    p.add_argument("-N", dest="n", type=int, help="length when using a preset")
+    p = with_set("scan", coloring, help="longest monochromatic structure in a coloring")
     p.add_argument(
         "--structure", choices=["diffseq", "ap", "pair"], default="diffseq",
         help="chain with gaps in the set, fixed-gap progression, or 2-term check",
@@ -346,18 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-N", dest="n", type=int, required=True)
     p.set_defaults(func=_cmd_chromatic)
 
-    p = sub.add_parser("complexity", parents=[out], help="number of distinct length-n factors")
-    p.add_argument("--coloring", required=True, help="preset:NAME or a run-length JSON file")
-    p.add_argument("-N", dest="n", type=int, help="length when using a preset")
+    p = sub.add_parser(
+        "complexity", parents=[out, coloring], help="number of distinct length-n factors"
+    )
     p.add_argument("-n", dest="factor_len", type=int, help="factor length")
     p.add_argument("--max-n", type=int, help="report all factor lengths 1..MAX_N")
     p.set_defaults(func=_cmd_complexity)
 
-    p = with_set("pipeline", help="growth check, constructor, window certificate, scan")
-    p.add_argument("-r", type=int, default=2)
-    p.add_argument("--delta", required=True, help="growth slack, exact rational")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--start", type=int, default=0)
+    p = with_set("pipeline", build, help="growth check, constructor, window certificate, scan")
     p.add_argument("-N", dest="n", type=int, required=True, help="scan length")
     p.set_defaults(func=_cmd_pipeline)
 

@@ -3,7 +3,7 @@
 plus the translation of such a window certificate into an upper bound on
 monochromatic diffsequence length, and the finite-range accessibility
 evidence that joins the certificate with a chain scan of the induced
-fractional-part coloring.
+fractional-part coloring; ``pipeline`` runs that whole chain on a gap set.
 
 Everything here is exact: rational arithmetic for the construction, and the
 integer Q(sqrt5) kernel of ``exactnum`` for the window certificate, which
@@ -19,10 +19,13 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .certs import Certificate
-from .colorings import frac_coloring
+from .colorings import MAX_LENGTH, frac_coloring
 from .exactnum import NumberLike, Q5, RatInterval, _first_outside, rational_str, to_rational
-from .gapsets import GapSetView
+from .gapsets import GapSetSpec, GapSetView, growth_certificate
 from .verify import longest_mono_diffseq
+
+# the largest enumeration bound tried when a construction needs more elements
+_MAX_BOUND = 10**40
 
 
 class GrowthConditionError(ValueError):
@@ -244,3 +247,45 @@ def doa_evidence(
         ),
         components=[window_cert],
     )
+
+
+def widened_view(spec: GapSetSpec, start: int, steps: int, bound: int) -> GapSetView:
+    """The view of spec at the first of bound, 16*bound, 256*bound, ... that
+    holds the elements with 0-based indices start .. start + steps - 1."""
+    if start < 0:
+        raise ValueError(f"--start must be >= 0 (got {start})")
+    need = start + steps
+    view = spec.enumerate(bound)
+    while len(view) < need:
+        bound *= 16
+        if bound > _MAX_BOUND:
+            raise ValueError(
+                f"set has only {len(view)} elements up to {view.bound:.3g}; need {need}"
+            )
+        view = spec.enumerate(bound)
+    return view
+
+
+def pipeline(
+    spec: GapSetSpec, r: int, delta, start: int, steps: int, n: int
+) -> tuple[Certificate, AlphaCertificate, Certificate]:
+    """The growth, alpha and evidence certificates of the paper's chain over
+    the elements start .. start + steps - 1 of ``widened_view(spec, start,
+    steps, n)``, with its chain scan on [1..n]; a growth miss raises ValueError."""
+    factor = growth_factor(r, delta)
+    if steps < 2:
+        raise ValueError("pipeline needs --steps >= 2 to check gap growth")
+    # refused before the set is enumerated at n
+    if not 1 <= n <= MAX_LENGTH:
+        raise ValueError(f"-N must be in 1..{MAX_LENGTH} (got {n})")
+    view = widened_view(spec, start, steps, n)
+    q = view.elements[start : start + steps]
+    growth = growth_certificate(view.restrict(q[-1]), factor, start=start)
+    if not growth.passed:
+        i, (a, b) = growth.counterexample["index"], growth.counterexample["pair"]
+        raise ValueError(f"growth {factor} not satisfied at index {i}: {b} < {factor} * {a}")
+    cert = build_alpha(q, r, delta, first_gap=view.elements[0])
+    # the window covers the constructed elements and the gaps the scan can use,
+    # not whatever lies beyond them in the widened view
+    evidence = doa_evidence(view.restrict(max(n, q[-1])), cert.alpha, cert.eps1, r, n)
+    return growth, cert, evidence

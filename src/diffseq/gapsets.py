@@ -56,6 +56,20 @@ _WHEEL_STEPS = (6, 4, 2, 4, 2, 4, 6, 2)
 # geometric(base) is (1, base, base, 0)
 _RECURRENCES = {"fibonacci": (1, 2, 1, 1), "even_fibonacci": (2, 8, 4, 1), "pell": (1, 2, 2, 1)}
 
+# the fields each kind declares and requires besides "kind", as
+# gapset-spec.schema.json does
+_FIELDS = {
+    **dict.fromkeys(("fibonacci", "even_fibonacci", "pell", "primes"), ()),
+    "geometric": ("base",),
+    "polynomial": ("coeffs",),
+    "nonmultiples": ("m",),
+    "explicit": ("elements",),
+    "union": ("of",),
+    "divided": ("of", "d"),
+    "multiples_filtered": ("of", "d"),
+    "shifted": ("of", "c"),
+}
+
 
 class SpecValidationError(ValueError):
     """A set definition violates its structural hypotheses."""
@@ -480,28 +494,31 @@ class GapSetSpec:
         if not isinstance(obj, dict) or "kind" not in obj:
             raise SpecValidationError("set definition must be an object with a 'kind'")
         kind = obj["kind"]
-        try:
-            if kind in ("fibonacci", "even_fibonacci", "pell", "primes"):
-                return GapSetSpec(kind)
-            if kind == "geometric":
-                return GapSetSpec.geometric(obj["base"])
-            if kind == "polynomial":
-                return GapSetSpec.polynomial(_array(obj, "coeffs"))
-            if kind == "nonmultiples":
-                return GapSetSpec.nonmultiples(obj["m"])
-            if kind == "explicit":
-                return GapSetSpec.explicit(_array(obj, "elements"))
-            if kind == "union":
-                return GapSetSpec.union([GapSetSpec.from_json(p) for p in _array(obj, "of")])
-            # the nodes are built as given, so a d of 1 or a c of 0 round-trips
-            if kind in ("divided", "multiples_filtered", "shifted"):
-                inner = GapSetSpec.from_json(obj["of"])
-                if kind == "shifted":
-                    return GapSetSpec(kind, inner=inner, shift=_int(obj["c"], "shift"))
-                return GapSetSpec(kind, inner=inner, d=_divisor(obj["d"]))
-        except KeyError as exc:
-            raise SpecValidationError(f"set definition {kind!r} is missing field {exc}") from exc
-        raise SpecValidationError(f"unknown gap set kind: {kind!r}")
+        if not isinstance(kind, str) or kind not in _FIELDS:
+            raise SpecValidationError(f"unknown gap set kind: {kind!r}")
+        unknown = sorted(set(obj) - {"kind", *_FIELDS[kind]})
+        if unknown:
+            raise SpecValidationError(f"set definition {kind!r} has no field {unknown[0]!r}")
+        missing = [f for f in _FIELDS[kind] if f not in obj]
+        if missing:
+            raise SpecValidationError(f"set definition {kind!r} is missing field {missing[0]!r}")
+        if not _FIELDS[kind]:
+            return GapSetSpec(kind)
+        if kind == "geometric":
+            return GapSetSpec.geometric(obj["base"])
+        if kind == "polynomial":
+            return GapSetSpec.polynomial(_array(obj, "coeffs"))
+        if kind == "nonmultiples":
+            return GapSetSpec.nonmultiples(obj["m"])
+        if kind == "explicit":
+            return GapSetSpec.explicit(_array(obj, "elements"))
+        if kind == "union":
+            return GapSetSpec.union([GapSetSpec.from_json(p) for p in _array(obj, "of")])
+        # the nodes are built as given, so a d of 1 or a c of 0 round-trips
+        inner = GapSetSpec.from_json(obj["of"])
+        if kind == "shifted":
+            return GapSetSpec(kind, inner=inner, shift=_int(obj["c"], "shift"))
+        return GapSetSpec(kind, inner=inner, d=_divisor(obj["d"]))
 
 
 def _check_sieve(bound: int) -> None:

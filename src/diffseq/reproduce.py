@@ -145,16 +145,13 @@ def _claim_evenfib_recurrence(params: dict) -> tuple[bool, str]:
 
 def _claim_pipeline(params: dict) -> tuple[bool, str]:
     n, steps = params["n"], params["steps"]
-    spec = gapsets.GapSetSpec.geometric(4)
-    q = spec.enumerate(4 ** (steps - 1)).elements
-    cert = construct.build_alpha(q, 2, 1, steps=steps)
+    _, cert, evidence = construct.pipeline(gapsets.GapSetSpec.geometric(4), 2, 1, 0, steps, n)
     trace_ok = (
         cert.z[:4] == [0, 1, 5, 21]
         and cert.intervals[3].lo == Fraction(169, 512)
         and cert.intervals[3].hi == Fraction(43, 128)
         and cert.eps == Fraction(1, 8)
     )
-    evidence = construct.doa_evidence(spec.enumerate(max(n, q[-1])), cert.alpha, cert.eps, 2, n)
     ok = trace_ok and evidence.passed
     scan_len = evidence.params["scan_length"]
     return ok, (

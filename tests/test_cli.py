@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffseq import cli, gapsets, reproduce, search
+from diffseq import cli, construct, gapsets, reproduce, search
 from diffseq.colorings import MAX_LENGTH, Coloring, preset_coloring
 from test_json_properties import specs
 from test_schemas import _validate
@@ -401,6 +401,38 @@ def test_block_and_residue_colorings_need_a_width(capsys):
         assert err.strip() == f"error: --kind {kind} needs -m"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--kind", "frac"], "--kind frac needs --alpha or --alpha-root5"),
+        (["--kind", "rotation", "--cut", "1/2"], "--kind rotation needs --alpha or --alpha-root5"),
+        (["--kind", "rotation", "--alpha", "1/3"], "--kind rotation needs --cut or --cut-root5"),
+        (["--kind", "block", "-m", "2", "--alpha", "1/3"], "--kind block does not read --alpha"),
+        (["--kind", "residue", "-m", "2", "-r", "3"], "--kind residue does not read -r"),
+        (["--kind", "frac", "--alpha", "1/3", "-m", "2"], "--kind frac does not read -m"),
+        (["--kind", "rotation", "--alpha", "1/3", "--cut", "1/2", "-r", "2"],
+         "--kind rotation does not read -r"),
+        (["--preset", "sqrt5over8", "--x0-root5", "1"], "--preset does not read --x0-root5"),
+    ],
+)
+def test_color_refuses_a_missing_or_unread_flag(capsys, flags, message):
+    # a missing angle once read as 0, and a flag the kind does not read was dropped
+    code, out, err = _run(capsys, "color", *flags, "-N", "5", "--format", "text")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_color_kinds_read_their_flags(capsys):
+    for flags, word in (
+        (["--kind", "frac", "--alpha-root5", "1/8"], "12211"),
+        (["--kind", "frac", "--alpha", "1/3", "-r", "3"], "23123"),
+        # --x0 defaults to 0
+        (["--kind", "rotation", "--alpha=-1/2", "--alpha-root5", "1/2", "--cut=-1/2",
+          "--cut-root5", "1/2"], "21211"),
+    ):
+        code, out, _ = _run(capsys, "color", *flags, "-N", "5", "--format", "text")
+        assert (code, out) == (0, word + "\n"), flags
+
+
 def test_color_rotation_flags(capsys):
     code, out, _ = _run(
         capsys, "color", "--kind", "rotation",
@@ -412,6 +444,15 @@ def test_color_rotation_flags(capsys):
     payload = json.loads(out)
     word = list(Coloring.from_json(payload).colors)
     assert word == [2, 1, 2, 1, 1, 2, 1, 2, 1, 1]
+
+
+def test_scan_refuses_a_negative_max_k(capsys):
+    # no length is below 0, so a negative bound would fail every coloring with exit 1
+    code, out, err = _run(
+        capsys, "scan", "--coloring", "preset:sqrt5over8", "-N", "50",
+        "--set-json", '{"kind":"fibonacci"}', "--max-k", "-1",
+    )
+    assert (code, out, err) == (2, "", "error: --max-k must be >= 0 (got -1)\n")
 
 
 def test_scan_pair_structure(capsys):
@@ -668,6 +709,26 @@ def test_pipeline_r3(capsys):
     payload = json.loads(out)
     assert payload["evidence"]["passed"]
     assert payload["evidence"]["params"]["chain_length_bound"] == 3
+
+
+def test_pipeline_command_and_claim_run_construct_pipeline(monkeypatch, capsys):
+    # both follow a failing evidence certificate from the one shipped pipeline
+    real = construct.pipeline
+
+    def failing(*args):
+        growth, alpha_cert, evidence = real(*args)
+        evidence.passed = False
+        return growth, alpha_cert, evidence
+
+    monkeypatch.setattr(construct, "pipeline", failing)
+    code, out, _ = _run(
+        capsys, "pipeline", "--set-json", '{"kind":"geometric","base":4}',
+        "--delta", "1", "--steps", "12", "-N", "2000",
+    )
+    assert code == 1 and json.loads(out)["evidence"]["passed"] is False
+    claim = next(c for c in reproduce.CLAIMS if c.claim_id == "powers-of-4-pipeline")
+    report = reproduce.run_reproduce("quick", claims=(claim,))
+    assert not report.overall and "FAIL" in report.to_table()
 
 
 def test_reproduce_quick_and_negative_control(tmp_path, capsys):

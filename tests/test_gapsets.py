@@ -737,6 +737,9 @@ OUTSIDE_SCHEMA = [
     {"kind": "polynomial", "coeffs": ["\u0663", "0"]},
     {"kind": "polynomial", "coeffs": ["+1", "0"]},
     {"kind": "polynomial", "coeffs": [" 1/2 ", "0"]},
+    # a field the kind does not declare, once ignored
+    {"kind": "primes", "m": 3},
+    {"kind": "shifted", "of": {"kind": "primes"}, "c": 1, "d": 2},
 ]
 
 
