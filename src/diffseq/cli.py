@@ -91,13 +91,6 @@ def _load_spec(args) -> gapsets.GapSetSpec:
         return gapsets.GapSetSpec.from_json(obj)
 
 
-def _length(n: int, flag: str) -> int:
-    # refused before the set is enumerated at n: no coloring or witness is longer
-    if not 1 <= n <= colorings.MAX_LENGTH:
-        raise ValueError(f"{flag} must be in 1..{colorings.MAX_LENGTH} (got {n})")
-    return n
-
-
 def _number(args, name: str):
     """The exact number --NAME + (--NAME-root5)*sqrt5, 0 when neither is given."""
     rational, root5 = getattr(args, name), getattr(args, name + "_root5")
@@ -151,7 +144,10 @@ def _cmd_alpha(args) -> int:
     delta = to_rational(args.delta)
     elements = construct.widened_view(spec, args.start, args.steps, 16).elements
     q = elements[args.start : args.start + args.steps]
-    cert = construct.build_alpha(q, args.r, delta, first_gap=elements[0])
+    try:
+        cert = construct.build_alpha(q, args.r, delta, first_gap=elements[0])
+    except construct.GrowthConditionError as exc:  # name the pair by its index in the set
+        raise construct.GrowthConditionError(args.start + exc.index, exc.pair, exc.threshold)
     _emit(args.out, cert.to_json())
     return 0
 
@@ -222,7 +218,8 @@ def _cmd_delta(args) -> int:
 
 def _cmd_chromatic(args) -> int:
     spec = _load_spec(args)
-    view = spec.enumerate(_length(args.n, "-N"))
+    colorings.check_length(args.n, "-N")  # refused before the set is enumerated at n
+    view = spec.enumerate(args.n)
     result = search.chromatic_number_prefix(view, args.n)
     _emit(args.out, {"set": spec.to_json(), **result.to_json()})
     return 0

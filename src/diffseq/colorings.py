@@ -18,8 +18,11 @@ triples. Each standard word is kept as the bytes of its colors together with
 its step sum mod r, so appending a copy is one ``bytes.translate`` by the
 running sum, and the copies of a power cycle with period r / gcd(sum, r).
 A rational theta has a finite expansion and its word repeats the last
-standard word. ``rotation_word`` keeps a ``floor5``/``sign5`` step per
-position.
+standard word. The residue and block patterns are frac colorings (alpha =
+1/m with m classes; alpha = 1/(2m) with 2 classes, read one position
+earlier) and take their words from this coder. ``rotation_word`` keeps a
+``floor5``/``sign5`` step per position; its word is Sturmian only when the
+cut is aligned to the angle. ``check_length`` is the one bound on a length.
 """
 
 from __future__ import annotations
@@ -122,11 +125,11 @@ class Coloring:
         return self.colors.translate(_DIGITS).decode()
 
 
-def _check_length(n: int):
-    if n < 1:
-        raise ValueError("coloring length must be >= 1")
-    if n > MAX_LENGTH:
-        raise ValueError(f"coloring length capped at {MAX_LENGTH} (1 byte/position)")
+def check_length(n: int, what: str) -> None:
+    """Refuse a length n outside 1..MAX_LENGTH, naming it ``what``: no
+    coloring, and so no witness or scanned prefix, is longer."""
+    if not 1 <= n <= MAX_LENGTH:
+        raise ValueError(f"{what} must be in 1..{MAX_LENGTH} (got {n})")
 
 
 def frac_coloring(alpha: NumberLike, r: int, n: int) -> Coloring:
@@ -143,7 +146,7 @@ def frac_coloring(alpha: NumberLike, r: int, n: int) -> Coloring:
     """
     if not 2 <= r <= 255:
         raise ValueError(f"r must be in 2..255, the color bytes (got {r})")
-    _check_length(n)
+    check_length(n, "coloring length")
     alpha_q5 = Q5.coerce(alpha)
     P, U, L = alpha_q5.as_integer_triple()
     P, U = r * P, r * U
@@ -216,22 +219,21 @@ def _standard_exponents(P: int, U: int, L: int):
 
 
 def block_coloring(m: int, n: int) -> Coloring:
-    """Two colors in blocks of m: color 1 iff x mod 2m lands in {1..m}."""
+    """Two colors in blocks of m: color 1 iff x mod 2m lands in {1..m}: the frac
+    coloring of alpha = 1/(2m) with 2 classes, read one position earlier."""
     if m < 1:
         raise ValueError("block width must be >= 1")
-    _check_length(n)
-    half = min(m, n)  # a block longer than the word is cut to it
-    word = (b"\1" * half + b"\2" * half) * (n // (2 * half) + 1)
-    return Coloring(2, word[:n], {"generator": "block", "m": m, "n": n})
+    word = frac_coloring(Fraction(1, 2 * m), 2, n).colors
+    return Coloring(2, (b"\1" + word)[:n], {"generator": "block", "m": m, "n": n})
 
 
 def residue_coloring(m: int, n: int) -> Coloring:
-    """m colors by residue: position x gets color (x mod m) + 1."""
+    """m colors by residue: position x gets color (x mod m) + 1, the frac
+    coloring of alpha = 1/m with m classes."""
     if not 2 <= m <= 255:
         raise ValueError("residue modulus must be in 2..255")
-    _check_length(n)
-    word = bytes(range(2, m + 1)) + b"\1"  # positions 1..m of each period
-    return Coloring(m, (word * (n // m + 1))[:n], {"generator": "residue", "m": m, "n": n})
+    word = frac_coloring(Fraction(1, m), m, n).colors
+    return Coloring(m, word, {"generator": "residue", "m": m, "n": n})
 
 
 def rotation_word(alpha: NumberLike, x0: NumberLike, cut: NumberLike, n: int) -> Coloring:
@@ -245,7 +247,7 @@ def rotation_word(alpha: NumberLike, x0: NumberLike, cut: NumberLike, n: int) ->
     alpha, x0 and the cut: each step adds alpha, subtracts the floor, and
     tests the cut with one ``sign5`` call.
     """
-    _check_length(n)
+    check_length(n, "coloring length")
     alpha_q5 = Q5.coerce(alpha)
     x0_q5 = Q5.coerce(x0)
     cut_q5 = Q5.coerce(cut)

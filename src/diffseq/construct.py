@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .certs import Certificate
-from .colorings import MAX_LENGTH, frac_coloring
+from .colorings import check_length, frac_coloring
 from .exactnum import NumberLike, Q5, RatInterval, _first_outside, rational_str, to_rational
 from .gapsets import GapSetSpec, GapSetView, growth_certificate
 from .verify import longest_mono_diffseq
@@ -36,8 +36,8 @@ class GrowthConditionError(ValueError):
         self.pair = pair
         self.threshold = threshold
         super().__init__(
-            f"growth hypothesis violated at index {index}: "
-            f"{pair[1]} < {rational_str(threshold)} * {pair[0]}"
+            f"growth {threshold} not satisfied at index {index}: "
+            f"{pair[1]} < {threshold} * {pair[0]}"
         )
 
 
@@ -275,15 +275,13 @@ def pipeline(
     factor = growth_factor(r, delta)
     if steps < 2:
         raise ValueError("pipeline needs --steps >= 2 to check gap growth")
-    # refused before the set is enumerated at n
-    if not 1 <= n <= MAX_LENGTH:
-        raise ValueError(f"-N must be in 1..{MAX_LENGTH} (got {n})")
+    check_length(n, "-N")  # refused before the set is enumerated at n
     view = widened_view(spec, start, steps, n)
     q = view.elements[start : start + steps]
     growth = growth_certificate(view.restrict(q[-1]), factor, start=start)
     if not growth.passed:
         i, (a, b) = growth.counterexample["index"], growth.counterexample["pair"]
-        raise ValueError(f"growth {factor} not satisfied at index {i}: {b} < {factor} * {a}")
+        raise GrowthConditionError(i, (a, b), factor)
     cert = build_alpha(q, r, delta, first_gap=view.elements[0])
     # the window covers the constructed elements and the gaps the scan can use,
     # not whatever lies beyond them in the widened view

@@ -263,9 +263,10 @@ class GapSetSpec:
                 compress(accumulate(cycle(_WHEEL_STEPS), initial=31), sel),
                 compress(range(tail, bound + 1, 2), odd[tail // 2 :]),
             )
+            period = None
             del odd
         else:
-            lo, flags, below = self._members(bound)
+            lo, flags, below, period = self._members(bound)
             # a listed kind's window is empty: tuple() of the list itself
             # allocates once, where a chain has no length to size it by
             found = (
@@ -274,10 +275,14 @@ class GapSetSpec:
             del flags, below
         elements = tuple(found)
         del found  # no membership bytes are held while the view validates
-        return GapSetView(elements, bound, self._period())
+        return GapSetView(elements, bound, period)
 
-    def _period(self) -> Optional[int]:
-        """A period m of the denoted set from its rule alone, or None.
+    def _members(self, bound: int) -> tuple[int, bytearray, list[int], Optional[int]]:
+        """The elements <= bound as ``(lo, flags, below, period)``: ``flags[i]``
+        is 1 exactly when lo + i is an element, ``below`` lists the elements
+        under lo in increasing order, no element lies at or above
+        lo + len(flags), and ``period`` is a period m of the whole denoted
+        set, read from the rule alone, or None.
 
         nonmultiples(m) has period m, and a linear polynomial (p/q) n has p,
         since its values are the multiples of p. A union has the lcm of its
@@ -285,31 +290,6 @@ class GapSetSpec:
         multiples of d gives lcm(m, d). A shift down keeps the inner period;
         a shift up may drop the first members of a class, so it gives None,
         as every other kind does.
-        """
-        kind = self.kind
-        if kind == "nonmultiples":
-            return self.m
-        if kind == "polynomial":
-            return self.coeffs[0].numerator if len(self.coeffs) == 2 else None
-        if kind == "union":
-            periods = [p._period() for p in self.parts]
-            return None if None in periods else math.lcm(*periods)
-        if kind not in ("divided", "multiples_filtered", "shifted"):
-            return None
-        m = self.inner._period()
-        if m is None:
-            return None
-        if kind == "divided":
-            return m // math.gcd(m, self.d)
-        if kind == "multiples_filtered":
-            return math.lcm(m, self.d)
-        return m if self.shift <= 0 else None
-
-    def _members(self, bound: int) -> tuple[int, bytearray, list[int]]:
-        """The elements <= bound as ``(lo, flags, below)``: ``flags[i]`` is 1
-        exactly when lo + i is an element, ``below`` lists the elements
-        under lo in increasing order, and no element lies at or above
-        lo + len(flags).
 
         The sieved kinds (nonmultiples, primes) check their bound against
         ``MAX_SIEVE`` and start at lo = 0. The listed kinds give the empty
@@ -331,11 +311,12 @@ class GapSetSpec:
             # bound zeroes position 0 alone, with no period of m bytes built
             out = bytearray(b"\x01") * (bound + 1)
             out[:: self.m] = bytearray(len(range(0, bound + 1, self.m)))
-            return 0, out, []
+            return 0, out, [], self.m
         if kind == "primes":
-            return 0, _primes_upto(bound), []
+            return 0, _primes_upto(bound), [], None
         if kind == "union":
             members = [p._members(bound) for p in self.parts]
+            periods = [m[3] for m in members]
             # a window that holds no position (a listed part, or a shift past
             # the bound) sets no lo
             windows = [m[:2] for m in members if m[1]]
@@ -356,23 +337,24 @@ class GapSetSpec:
                     loose[kept] = a
                     kept += 1
             del loose[kept:]
-            return lo, out, loose
+            return lo, out, loose, None if None in periods else math.lcm(*periods)
         if kind == "divided":
             # x is an element when x*d is one; the first x with x*d >= lo
-            lo, flags, below = self.inner._members(bound * self.d)
+            lo, flags, below, m = self.inner._members(bound * self.d)
             d = self.d
             first = -(-lo // d)
-            return first, flags[first * d - lo :: d], _keep_multiples(below, d, d)
+            period = None if m is None else m // math.gcd(m, d)
+            return first, flags[first * d - lo :: d], _keep_multiples(below, d, d), period
         if kind == "multiples_filtered":
-            lo, flags, below = self.inner._members(bound)
+            lo, flags, below, m = self.inner._members(bound)
             d = self.d
             out = bytearray(len(flags))
             at = -lo % d  # the index of the first multiple of d
             out[at::d] = flags[at::d]
-            return lo, out, _keep_multiples(below, d, 1)
+            return lo, out, _keep_multiples(below, d, 1), None if m is None else math.lcm(m, d)
         if kind == "shifted":
             c = self.shift
-            lo, flags, below = self.inner._members(max(bound - c, 1))
+            lo, flags, below, m = self.inner._members(max(bound - c, 1))
             lo += c
             if lo < 1:
                 # positions below 1 hold no element
@@ -385,8 +367,10 @@ class GapSetSpec:
             del below[: bisect.bisect_left(below, 1 - c)]
             for i, a in enumerate(below):
                 below[i] = a + c
-            return lo, flags, below
-        return bound + 1, bytearray(), self._listed(bound)
+            return lo, flags, below, m if c <= 0 else None
+        linear = kind == "polynomial" and len(self.coeffs) == 2
+        period = self.coeffs[0].numerator if linear else None
+        return bound + 1, bytearray(), self._listed(bound), period
 
     def _listed(self, bound: int) -> list[int]:
         """The elements <= bound of a listed kind, in increasing order."""

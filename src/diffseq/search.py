@@ -58,7 +58,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
-from .colorings import MAX_LENGTH, Coloring
+from .colorings import Coloring, check_length
 from .gapsets import GapSetView
 from .verify import _gap_mask, _usable_gaps
 
@@ -453,8 +453,7 @@ def _dfs_lists(
 def check_delta_args(k: int, r: int, budget: int, threads: int) -> None:
     """Refuse the arguments of ``delta`` that no set makes valid, so that a
     caller can check them before it enumerates the set at the budget."""
-    if not 1 <= budget <= MAX_LENGTH:
-        raise ValueError(f"budget must be in 1..{MAX_LENGTH} (got {budget})")
+    check_length(budget, "budget")
     if k < 1 or r < 2:
         raise ValueError("need k >= 1 and r >= 2")
     if r > 255:
@@ -673,8 +672,7 @@ def chromatic_number_prefix(view: GapSetView, n: int) -> ChromaticResult:
     smaller r was refuted within ``_CHROMATIC_NODES`` search nodes. n is at
     most ``MAX_LENGTH``, the longest coloring.
     """
-    if not 1 <= n <= MAX_LENGTH:
-        raise ValueError(f"need n in 1..{MAX_LENGTH} (got {n})")
+    check_length(n, "n")
     gaps = list(_usable_gaps(view, n))
     coloring, lower, lower_witness = _prefix_bounds(gaps, n)
     upper = max(coloring, default=1)

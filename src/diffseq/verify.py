@@ -78,13 +78,8 @@ class ScanResult:
     color: Optional[int] = None
 
     def to_json(self) -> dict:
-        return {
-            "structure": self.structure,
-            "length": self.length,
-            "witness": self.witness,
-            "scanned": self.scanned,
-            "color": self.color,
-        }
+        # shallow: asdict would copy the witness, some 30,000 positions long
+        return dict(vars(self))
 
 
 def _usable_gaps(view: GapSetView, n: int) -> tuple[int, ...]:

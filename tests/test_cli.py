@@ -401,6 +401,51 @@ def test_block_and_residue_colorings_need_a_width(capsys):
         assert err.strip() == f"error: --kind {kind} needs -m"
 
 
+# SHA-256 of the stdout of `color --kind residue|block`, pinned when both
+# coders came to take their words from the frac coder: the bytes must not move
+RESIDUE_AND_BLOCK = [
+    (["residue", "-m", "7", "-N", "40"],
+     "da8a041fa8ea51c8f8cc07634938cd2c99011e48813a7c092a7e515a36641013"),
+    (["residue", "-m", "255", "-N", "600"],
+     "8b8fd8a3cb992e3eb209cf6f17c6d58a3c8e975338069efd4bafa18119b74e8a"),
+    (["residue", "-m", "5", "-N", "23", "--format", "text"],
+     "43a20654d1721741f1af4d474d3a1679e1535fdd88ecc698f50fe29c0148157b"),
+    (["block", "-m", "3", "-N", "50"],
+     "c3411c527a01f8250ac448c18f98157732ecf94f924fdbea5c74530058f85371"),
+    (["block", "-m", str(10**18), "-N", "20"],
+     "aa4f37eeca83f48c96d773d8eeec9b90ebfdee343b2858ebd1da9359acd116ee"),
+    (["block", "-m", "4", "-N", "30", "--format", "text"],
+     "563653f871bbbf3927d006f65c7fa7940459a7ef0fbbb1e36c6459018b71249a"),
+]
+
+
+@pytest.mark.parametrize("flags,digest", RESIDUE_AND_BLOCK)
+def test_residue_and_block_output_is_pinned(capsys, flags, digest):
+    code, out, _ = _run(capsys, "color", "--kind", *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_length_refusals_share_one_message(monkeypatch, capsys):
+    # every length is checked against the same bound, and the three that size
+    # an enumeration are refused before the set is enumerated at them
+    def enumerate(self, bound):
+        raise AssertionError(f"enumerated at {bound}")
+
+    monkeypatch.setattr(gapsets.GapSetSpec, "enumerate", enumerate)
+    for argv, n in (
+        (["color", "--kind", "residue", "-m", "3", "-N", "0"], 0),
+        (["chromatic", "--set-json", '{"kind":"primes"}', "-N", "0"], 0),
+        (["pipeline", "--set-json", '{"kind":"fibonacci"}', "--delta", "1", "--steps", "3",
+          "-N", str(MAX_LENGTH + 1)], MAX_LENGTH + 1),
+        (["delta", "--set-json", '{"kind":"primes"}', "-k", "3", "-r", "2", "--budget", "0"], 0),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.endswith(f" must be in 1..{MAX_LENGTH} (got {n})\n"), err
+        assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -684,6 +729,17 @@ def test_pipeline_command_pass_and_growth_error(capsys):
     )
     assert code == 2
     assert "7/2" in err  # growth threshold 2 + 1 + 1/2
+
+
+def test_alpha_and_pipeline_refuse_a_growth_pair_alike(capsys):
+    # the pair (3, 5) sits at index 2 of the set, whatever --start slices it
+    fib = ["--set-json", '{"kind":"fibonacci"}', "--delta", "1", "--steps", "3", "--start", "2"]
+    alpha = _run(capsys, "alpha", *fib)
+    pipeline = _run(capsys, "pipeline", *fib, "-N", "100")
+    assert alpha == pipeline == (2, "", "error: growth 4 not satisfied at index 2: 5 < 4 * 3\n")
+    # one step has no pair to check
+    code, out, _ = _run(capsys, "alpha", *fib[:-3], "1", "--start", "2")
+    assert code == 0 and json.loads(out)["alpha"]
 
 
 def test_pipeline_verdict_ignores_elements_past_the_constructed_steps(capsys):

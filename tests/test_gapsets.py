@@ -336,7 +336,7 @@ def _reference_elements(spec, bound):
 def _matches_reference(spec, bound):
     # every window is empty or ends at bound + 1, after the increasing
     # positive elements below it
-    lo, flags, below = spec._members(bound)
+    lo, flags, below, _ = spec._members(bound)
     assert not flags or lo + len(flags) == bound + 1
     assert all(map(operator.lt, below, below[1:]))
     assert not below or 1 <= below[0] and below[-1] < lo
@@ -644,7 +644,7 @@ def test_period_from_the_rule():
         (union([nonmult(3), nonmult(5).divide(2)]).shifted(-7).filter_multiples(2), 30),
     ]
     for spec, m in periodic:
-        assert spec._period() == m, spec
+        assert spec.enumerate(600).period == m, spec
         _assert_period(spec, m)
     for spec in (
         GapSetSpec.primes(),
@@ -658,7 +658,7 @@ def test_period_from_the_rule():
         union([nonmult(3), GapSetSpec.primes()]),
         nonmult(3).shifted(2).divide(2),
     ):
-        assert spec._period() is None, spec
+        assert spec.enumerate(600).period is None, spec
 
     # the view carries the period through restrict, and no JSON shows it
     view = nonmult(3).enumerate(100)
@@ -688,7 +688,7 @@ _periodic_specs = st.recursive(
 @settings(max_examples=150, deadline=None)
 @given(_periodic_specs)
 def test_period_from_the_rule_holds_on_random_rules(spec):
-    m = spec._period()
+    m = spec.enumerate(600).period
     if m is not None and m <= 300:
         _assert_period(spec, m)
 

@@ -254,7 +254,7 @@ def test_search_lengths_past_the_coloring_cap_are_refused():
     try:
         with pytest.raises(ValueError, match="budget"):
             delta(view, 3, 2, n)
-        with pytest.raises(ValueError, match="need n"):
+        with pytest.raises(ValueError, match=rf"n must be in 1\.\.{MAX_LENGTH} \(got {n}\)"):
             chromatic_number_prefix(view, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
