@@ -122,6 +122,7 @@ def _load_coloring(args) -> colorings.Coloring:
         name = source.split(":", 1)[1]
         if args.n is None:
             raise ValueError("presets need a length: -N")
+        colorings.check_length(args.n, "-N")
         return colorings.preset_coloring(name, args.n)
     if args.n is not None:
         raise ValueError("-N sizes presets only; a coloring file has its own length")
@@ -166,6 +167,7 @@ def _cmd_color(args) -> int:
     for group in needs:
         if not any(_given(args, flag) for flag in group):
             raise ValueError(f"{selector} needs {' or '.join(group)}")
+    colorings.check_length(args.n, "-N")
     if args.preset:
         coloring = colorings.preset_coloring(args.preset, args.n)
     elif args.kind == "frac":

@@ -22,7 +22,8 @@ standard word. The residue and block patterns are frac colorings (alpha =
 1/m with m classes; alpha = 1/(2m) with 2 classes, read one position
 earlier) and take their words from this coder. ``rotation_word`` keeps a
 ``floor5``/``sign5`` step per position; its word is Sturmian only when the
-cut is aligned to the angle. ``check_length`` is the one bound on a length.
+cut is aligned to the angle. ``check_length`` is the one bound on a length
+and ``check_colors`` the one bound on a color count.
 """
 
 from __future__ import annotations
@@ -132,6 +133,12 @@ def check_length(n: int, what: str) -> None:
         raise ValueError(f"{what} must be in 1..{MAX_LENGTH} (got {n})")
 
 
+def check_colors(r: int) -> None:
+    """Refuse a color count r outside 2..255, the colors a byte holds."""
+    if not 2 <= r <= 255:
+        raise ValueError(f"r must be in 2..255, the color bytes (got {r})")
+
+
 def frac_coloring(alpha: NumberLike, r: int, n: int) -> Coloring:
     """Color x by which r-th of the unit interval {alpha*x} falls in.
 
@@ -144,8 +151,7 @@ def frac_coloring(alpha: NumberLike, r: int, n: int) -> Coloring:
     docstring). The word is assembled from the standard words of theta by
     joining byte strings, one round per partial quotient.
     """
-    if not 2 <= r <= 255:
-        raise ValueError(f"r must be in 2..255, the color bytes (got {r})")
+    check_colors(r)
     check_length(n, "coloring length")
     alpha_q5 = Q5.coerce(alpha)
     P, U, L = alpha_q5.as_integer_triple()

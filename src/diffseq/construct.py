@@ -1,9 +1,10 @@
 """Nested-interval construction of a rational alpha whose fractional parts
-{alpha * q_n} stay inside [eps, (r-1)/r] along a fast-growing gap sequence,
-plus the translation of such a window certificate into an upper bound on
-monochromatic diffsequence length, and the finite-range accessibility
-evidence that joins the certificate with a chain scan of the induced
-fractional-part coloring; ``pipeline`` runs that whole chain on a gap set.
+{alpha * q_n} stay inside [eps, (r-1)/r] along a gap sequence that passes
+the growth certificate, plus the translation of such a window certificate
+into an upper bound on monochromatic diffsequence length, and the
+finite-range accessibility evidence that joins the certificate with a chain
+scan of the induced fractional-part coloring; ``pipeline`` runs that whole
+chain on a gap set.
 
 Everything here is exact: rational arithmetic for the construction, and the
 integer Q(sqrt5) kernel of ``exactnum`` for the window certificate, which
@@ -16,13 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .certs import Certificate
-from .colorings import check_length, frac_coloring
-from .exactnum import NumberLike, Q5, RatInterval, _first_outside, rational_str, to_rational
-from .gapsets import GapSetSpec, GapSetView, growth_certificate
-from .verify import longest_mono_diffseq
+from .colorings import check_colors, check_length, frac_coloring
+from .exactnum import NumberLike, Q5, RatInterval, first_outside, rational_str, to_rational
+from .gapsets import GapSetSpec, GapSetView
+from .verify import Certificate, longest_mono_diffseq
 
 # the largest enumeration bound tried when a construction needs more elements
 _MAX_BOUND = 10**40
@@ -49,6 +49,32 @@ def growth_factor(r: int, delta) -> Fraction:
     if delta <= 0:
         raise ValueError("need delta > 0")
     return 2 + Fraction(1, r - 1) + delta
+
+
+def growth_certificate(elements: Iterable[int], rho, start: int = 0) -> Certificate:
+    """Check d[i+1] >= rho * d[i] for every consecutive pair from index ``start``.
+
+    ``elements`` is a sequence or a view, indexed 0-based by ``start``; the
+    first checked pair is (d[start], d[start+1]), so a start outside
+    [0, len(elements) - 2] raises instead of passing with nothing checked.
+    Records the first violating pair on failure.
+    """
+    rho = to_rational(rho)
+    if rho <= 1:
+        raise ValueError("growth ratio must exceed 1")
+    els = tuple(elements)
+    if not 0 <= start < len(els) - 1:
+        raise ValueError(
+            f"growth check needs the pair (d[start], d[start+1]) inside the view: "
+            f"start is {start} and the view has {len(els)} elements"
+        )
+    params = {"rho": rational_str(rho), "start": start, "elements": len(els)}
+    scope = f"pairs (d[i], d[i+1]) for i in [{start}, {len(els) - 2}]"
+    miss = next((i for i in range(start, len(els) - 1) if els[i + 1] < rho * els[i]), None)
+    counterexample = None
+    if miss is not None:
+        counterexample = {"index": miss, "pair": [els[miss], els[miss + 1]]}
+    return Certificate("gap-growth-ratio", params, scope, miss is None, counterexample)
 
 
 def epsilon_of(r: int, delta) -> Fraction:
@@ -98,8 +124,8 @@ def build_alpha(
 ) -> AlphaCertificate:
     """Run the nested-interval recursion over the first ``steps`` entries of q.
 
-    Requires q strictly increasing with q[n+1] >= (2 + 1/(r-1) + delta) * q[n]
-    (checked exactly; violation raises GrowthConditionError naming the index).
+    Requires positive q with q[n+1] >= (2 + 1/(r-1) + delta) * q[n], decided by
+    ``growth_certificate`` (a miss raises GrowthConditionError naming the index).
     Each interval is [(z+eps)/q, (r*z + r-1)/(r*q)]; the next z is the smallest
     integer placing z/q_next in the left subinterval of width 1/q_next. Nesting
     is asserted at every step. The reported alpha is the midpoint of the final
@@ -117,11 +143,10 @@ def build_alpha(
     if any(v < 1 for v in q[:steps]):
         raise ValueError("q entries must be positive")
     factor = growth_factor(r, delta)
-    for n in range(steps - 1):
-        if q[n + 1] <= q[n]:
-            raise ValueError(f"q must be strictly increasing (index {n})")
-        if q[n + 1] < factor * q[n]:
-            raise GrowthConditionError(n, (q[n], q[n + 1]), factor)
+    growth = growth_certificate(q[:steps], factor) if steps > 1 else None
+    if growth and not growth.passed:
+        i, (a, b) = growth.counterexample["index"], growth.counterexample["pair"]
+        raise GrowthConditionError(i, (a, b), factor)
 
     eps = epsilon_of(r, delta)
     z = [0]
@@ -142,19 +167,11 @@ def build_alpha(
     alpha = enclosure.midpoint()
     window_hi = Fraction(r - 1, r)
     verdicts = []
-    for n in range(steps):
-        f = alpha * q[n] % 1
-        verdicts.append(
-            {
-                "n": n + 1,
-                "q": q[n],
-                "frac": rational_str(f),
-                "in_window": eps <= f <= window_hi,
-            }
-        )
-    if first_gap is None:
-        first_gap = q[0]
-    eps1 = eps * first_gap / q[0]
+    for n, v in enumerate(q[:steps], 1):
+        f = alpha * v % 1
+        verdict = {"n": n, "q": v, "frac": rational_str(f), "in_window": eps <= f <= window_hi}
+        verdicts.append(verdict)
+    eps1 = eps if first_gap is None else eps * first_gap / q[0]
     return AlphaCertificate(
         alpha=alpha,
         enclosure=enclosure,
@@ -191,7 +208,7 @@ def certify_fracs(alpha: NumberLike, view: GapSetView, eps, r: int) -> Certifica
         "window": [rational_str(eps), rational_str(window_hi)],
     }
     scope = f"all {len(view)} enumerated elements up to {view.bound}"
-    miss = _first_outside(alpha_q5, view, eps, window_hi, closed=True)
+    miss = first_outside(alpha_q5, view, eps, window_hi, closed=True)
     counterexample = None
     if miss is not None:
         counterexample = {"d": miss[0], "frac": miss[1].to_json()}
@@ -275,7 +292,8 @@ def pipeline(
     factor = growth_factor(r, delta)
     if steps < 2:
         raise ValueError("pipeline needs --steps >= 2 to check gap growth")
-    check_length(n, "-N")  # refused before the set is enumerated at n
+    check_length(n, "-N")  # both refused before the set is enumerated at n
+    check_colors(r)
     view = widened_view(spec, start, steps, n)
     q = view.elements[start : start + steps]
     growth = growth_certificate(view.restrict(q[-1]), factor, start=start)

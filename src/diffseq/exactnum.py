@@ -181,7 +181,7 @@ def integer_triples(*values: NumberLike) -> tuple[int, list[tuple[int, int]]]:
     ]
 
 
-def _first_outside(
+def first_outside(
     alpha: NumberLike, seq: Iterable[int], lo: NumberLike, hi: NumberLike, closed: bool
 ) -> Optional[tuple[int, Q5]]:
     """(s, {alpha*s}) for the first s in seq with {alpha*s} outside the window, or None.

@@ -1,4 +1,4 @@
-"""Gap sets D of positive integers: definition rules, enumeration, transforms.
+"""Gap sets D of positive integers: rules, enumeration, transforms, gap masks.
 
 A ``GapSetSpec`` is a rule denoting a set of positive integers; a
 ``GapSetView`` is its materialized, sorted prefix up to a bound. Views are
@@ -34,7 +34,6 @@ from fractions import Fraction
 from itertools import accumulate, chain, compress, cycle, islice, repeat
 from typing import Optional, Sequence
 
-from .certs import Certificate
 from .exactnum import rational_str, to_rational
 
 # the sieved kinds (primes, nonmultiples) hold one byte per integer up to the
@@ -138,8 +137,25 @@ class GapSetView:
         cut = bisect.bisect_right(self.elements, bound)
         return GapSetView(self.elements[:cut], bound, self.period)
 
+    def below(self, n: int) -> tuple[int, ...]:
+        """The elements below n, the gaps that can join two of the positions
+        1..n; a view that stops short of n is refused, since an element it
+        never listed could be one of them."""
+        if self.bound < n:
+            raise ValueError(f"gap set enumerated only to {self.bound} but positions run to {n}")
+        return self.elements[: bisect.bisect_left(self.elements, n)]
+
     def to_json(self) -> dict:
         return {"elements": list(self.elements), "bound": self.bound}
+
+
+def gap_mask(gaps: Sequence[int]) -> int:
+    """Bit d set for each gap d, built through one byte per bit: O(max gap)."""
+    bits = bytearray(b"0") * (max(gaps, default=0) + 1)
+    one = ord("1")
+    for d in gaps:
+        bits[d] = one
+    return int(bits[::-1], 2)
 
 
 @dataclass(frozen=True)
@@ -545,30 +561,3 @@ def _keep_multiples(items: list[int], d: int, scale: int) -> list[int]:
             kept += 1
     del items[kept:]
     return items
-
-
-def growth_certificate(view: GapSetView, rho, start: int = 0) -> Certificate:
-    """Check d[i+1] >= rho * d[i] for every consecutive pair from index ``start``.
-
-    ``start`` indexes the element list (0-based); the first checked pair is
-    (elements[start], elements[start+1]), so start must lie in
-    [0, len(elements) - 2]: a start with no pair after it raises instead of
-    passing with nothing checked. Records the first violating pair on
-    failure.
-    """
-    rho = to_rational(rho)
-    if rho <= 1:
-        raise ValueError("growth ratio must exceed 1")
-    els = view.elements
-    if not 0 <= start < len(els) - 1:
-        raise ValueError(
-            f"growth check needs the pair (d[start], d[start+1]) inside the view: "
-            f"start is {start} and the view has {len(els)} elements"
-        )
-    params = {"rho": rational_str(rho), "start": start, "elements": len(els)}
-    scope = f"pairs (d[i], d[i+1]) for i in [{start}, {len(els) - 2}]"
-    miss = next((i for i in range(start, len(els) - 1) if els[i + 1] < rho * els[i]), None)
-    counterexample = None
-    if miss is not None:
-        counterexample = {"index": miss, "pair": [els[miss], els[miss + 1]]}
-    return Certificate("gap-growth-ratio", params, scope, miss is None, counterexample)

@@ -58,9 +58,8 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
-from .colorings import Coloring, check_length
-from .gapsets import GapSetView
-from .verify import _gap_mask, _usable_gaps
+from .colorings import Coloring, check_colors, check_length
+from .gapsets import GapSetView, gap_mask
 
 DELTA = "delta"
 UNKNOWN = "unknown"
@@ -207,7 +206,7 @@ def _dfs_two_color(
 
     The state at depth p is one tuple (T1, T2, U1, U2, done_u, done_t).
     """
-    gapmask = _gap_mask(gaps)
+    gapmask = gap_mask(gaps)
     width = (1 << (budget + 2)) - 1
     color, chain, allowed, nxt = _position_arrays(budget, prefix, 2)
     # a canonical 2-coloring may use color 2 from the second position after
@@ -337,7 +336,7 @@ def _dfs_lists(
     """``_dfs_deepest`` with the masks of each depth in per-color lists; it
     runs at r >= 3, and the tests run it at r = 2 as the two-color kernel's
     reference."""
-    gapmask = _gap_mask(gaps)
+    gapmask = gap_mask(gaps)
     # no bit above budget + 1 (the top of the widest window) is ever read
     width = (1 << (budget + 2)) - 1
     color, chain, allowed, nxt = _position_arrays(budget, prefix, r)
@@ -456,8 +455,7 @@ def check_delta_args(k: int, r: int, budget: int, threads: int) -> None:
     check_length(budget, "budget")
     if k < 1 or r < 2:
         raise ValueError("need k >= 1 and r >= 2")
-    if r > 255:
-        raise ValueError(f"r must be in 2..255, the color bytes (got {r})")
+    check_colors(r)
     if threads < 1:
         raise ValueError(f"threads must be >= 1 (got {threads})")
 
@@ -476,7 +474,7 @@ def delta(view: GapSetView, k: int, r: int, budget: int, threads: int = 1) -> De
     most ``MAX_LENGTH``, the longest witness a coloring holds.
     """
     check_delta_args(k, r, budget, threads)
-    gaps = list(_usable_gaps(view, budget))
+    gaps = list(view.below(budget))
     threads = min(threads, os.cpu_count() or 1)
     started = time.perf_counter()
 
@@ -647,7 +645,7 @@ def _odd_cycle(neighbours: Callable[[int], int], n: int) -> Optional[list[int]]:
 def _prefix_bounds(gaps: list[int], n: int) -> tuple[list[int], int, dict]:
     """The greedy coloring of positions 1..n, and the clique or odd-cycle
     lower bound with its witness, all read from the gap mask G by shifts."""
-    gapmask = _gap_mask(gaps)
+    gapmask = gap_mask(gaps)
     greedy = _greedy_coloring(gapmask, n)
     neighbours = _neighbours(gapmask, n)
     clique = _greedy_clique(neighbours, n)
@@ -673,7 +671,7 @@ def chromatic_number_prefix(view: GapSetView, n: int) -> ChromaticResult:
     most ``MAX_LENGTH``, the longest coloring.
     """
     check_length(n, "n")
-    gaps = list(_usable_gaps(view, n))
+    gaps = list(view.below(n))
     coloring, lower, lower_witness = _prefix_bounds(gaps, n)
     upper = max(coloring, default=1)
     nodes_left = _CHROMATIC_NODES

@@ -1,7 +1,8 @@
 """Exhaustive verification over colored prefixes: longest monochromatic
 diffsequences (chains), fixed-gap progressions and the two-term (chromatic
 intersectivity) special case, Fibonacci facts proved for every index by
-one recurrence walk, and exact fractional-part bound scans.
+one recurrence walk, exact fractional-part bound scans, and ``Certificate``,
+the pass/fail record that every check of the package returns.
 
 A chain scan gives the chain DP's result by one of three exact methods,
 chosen from facts of its input; nothing else selects them:
@@ -28,11 +29,10 @@ Both fractional-part bound scans run on the window routine of ``exactnum``
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from typing import Any, Optional, Sequence
 
-from .certs import Certificate
 from .colorings import Coloring
 from .exactnum import (
     NumberLike,
@@ -40,11 +40,11 @@ from .exactnum import (
     PHI_CONJ,
     Q5,
     SQRT5,
-    _first_outside,
+    first_outside,
     rational_str,
     to_rational,
 )
-from .gapsets import GapSetView, fib_values
+from .gapsets import GapSetView, fib_values, gap_mask
 
 DIFFSEQUENCE = "diffsequence"
 AP = "ap"
@@ -60,7 +60,41 @@ _LEVEL_BUDGET = 32
 # costs at most 1/8 of the DP
 _PERIOD_REPEATS = 8
 
-_ONE = ord("1")
+
+@dataclass
+class Certificate:
+    """A machine-checkable pass/fail record.
+
+    A certificate never claims more than what was checked: ``verified_range``
+    states the finite scope (or names the periodicity or induction argument
+    that upgrades a finite check to a universal one).
+    """
+
+    claim: str
+    params: dict
+    verified_range: str
+    passed: bool
+    counterexample: Optional[dict] = None
+    witnesses: Optional[Any] = None
+    notes: str = ""
+    components: list[Certificate] = field(default_factory=list)
+
+    def to_json(self) -> dict:
+        out = {
+            "claim": self.claim,
+            "params": self.params,
+            "verified_range": self.verified_range,
+            "passed": self.passed,
+        }
+        if self.counterexample is not None:
+            out["counterexample"] = self.counterexample
+        if self.witnesses is not None:
+            out["witnesses"] = self.witnesses
+        if self.notes:
+            out["notes"] = self.notes
+        if self.components:
+            out["components"] = [c.to_json() for c in self.components]
+        return out
 
 
 @dataclass
@@ -82,16 +116,6 @@ class ScanResult:
         return dict(vars(self))
 
 
-def _usable_gaps(view: GapSetView, n: int) -> tuple[int, ...]:
-    """The gaps below n; a view that stops short of n is refused, since a gap
-    it never listed could join two of the positions 1..n."""
-    if view.bound < n:
-        raise ValueError(
-            f"gap set enumerated only to {view.bound} but positions run to {n}"
-        )
-    return view.elements[: bisect_left(view.elements, n)]
-
-
 def longest_mono_diffseq(coloring: Coloring, view: GapSetView) -> ScanResult:
     """Exact maximum length of a monochromatic chain with gaps in the view.
 
@@ -102,7 +126,7 @@ def longest_mono_diffseq(coloring: Coloring, view: GapSetView) -> ScanResult:
     while the chain stays within the level budget, else the DP.
     """
     n = coloring.n
-    gaps = _usable_gaps(view, n)
+    gaps = view.below(n)
     word = coloring.colors
     if n == 0:
         return ScanResult(DIFFSEQUENCE, 0, [], 0, None)
@@ -275,14 +299,6 @@ def _color_masks(word: bytes, r: int) -> list[int]:
     return masks
 
 
-def _gap_mask(gaps: Sequence[int]) -> int:
-    """Bit d set for each gap d, built through one byte per bit: O(max gap)."""
-    bits = bytearray(b"0") * (max(gaps, default=0) + 1)
-    for d in gaps:
-        bits[d] = _ONE
-    return int(bits[::-1], 2)
-
-
 def _pair_starts(masks: list[int], d: int) -> int:
     """Bit x-1 is set iff positions x and x+d have the same color."""
     out = 0
@@ -301,7 +317,7 @@ def longest_mono_ap(coloring: Coloring, view: GapSetView) -> ScanResult:
     start. The global maximum keeps the smallest gap, then the smallest end.
     """
     n = coloring.n
-    gaps = _usable_gaps(view, n)
+    gaps = view.below(n)
     word = coloring.colors
     if n == 0:
         return ScanResult(AP, 0, [], 0, None)
@@ -333,15 +349,15 @@ def chromatically_intersective_check(coloring: Coloring, view: GapSetView) -> Sc
     instead, and the lowest set bit is x.
     """
     n = coloring.n
-    gaps = _usable_gaps(view, n)
+    gaps = view.below(n)
     word = coloring.colors
     if n == 0:
         return ScanResult(DIFFSEQUENCE, 0, [], 0, None)
     masks = _color_masks(word, coloring.r)
-    gap_mask = _gap_mask(gaps)
+    gapmask = gap_mask(gaps)
 
     def partners(x: int) -> int:
-        return (masks[word[x - 1] - 1] >> (x - 1)) & gap_mask
+        return (masks[word[x - 1] - 1] >> (x - 1)) & gapmask
 
     head = len(gaps)
     x = next((x for x in range(1, head + 1) if partners(x)), 0)
@@ -510,7 +526,7 @@ def frac_bound_scan(
         params["window"] = [rational_str(lo), rational_str(hi)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    miss = _first_outside(alpha_q5, seq, lo, hi, closed=False)
+    miss = first_outside(alpha_q5, seq, lo, hi, closed=False)
     counterexample = None
     if miss is not None:
         s, f = miss

@@ -433,17 +433,61 @@ def test_length_refusals_share_one_message(monkeypatch, capsys):
         raise AssertionError(f"enumerated at {bound}")
 
     monkeypatch.setattr(gapsets.GapSetSpec, "enumerate", enumerate)
-    for argv, n in (
-        (["color", "--kind", "residue", "-m", "3", "-N", "0"], 0),
-        (["chromatic", "--set-json", '{"kind":"primes"}', "-N", "0"], 0),
+    for argv, what, n in (
+        (["color", "--kind", "residue", "-m", "3", "-N", "0"], "-N", 0),
+        (["scan", "--coloring", "preset:goldenrotation", "-N", "0",
+          "--set-json", '{"kind":"fibonacci"}'], "-N", 0),
+        (["complexity", "--coloring", "preset:goldenrotation", "-N", "0", "-n", "1"], "-N", 0),
+        (["chromatic", "--set-json", '{"kind":"primes"}', "-N", "0"], "-N", 0),
         (["pipeline", "--set-json", '{"kind":"fibonacci"}', "--delta", "1", "--steps", "3",
-          "-N", str(MAX_LENGTH + 1)], MAX_LENGTH + 1),
-        (["delta", "--set-json", '{"kind":"primes"}', "-k", "3", "-r", "2", "--budget", "0"], 0),
+          "-N", str(MAX_LENGTH + 1)], "-N", MAX_LENGTH + 1),
+        (["delta", "--set-json", '{"kind":"primes"}', "-k", "3", "-r", "2", "--budget", "0"],
+         "budget", 0),
     ):
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (2, ""), argv
-        assert err.endswith(f" must be in 1..{MAX_LENGTH} (got {n})\n"), err
-        assert err.count("\n") == 1
+        assert err == f"error: {what} must be in 1..{MAX_LENGTH} (got {n})\n"
+
+
+def test_pipeline_refuses_r_above_the_color_bytes_before_any_enumeration(monkeypatch, capsys):
+    def enumerate(self, bound):
+        raise AssertionError(f"enumerated at {bound}")
+
+    monkeypatch.setattr(gapsets.GapSetSpec, "enumerate", enumerate)
+    code, out, err = _run(
+        capsys, "pipeline", "--set-json", '{"kind":"geometric","base":4}', "--delta", "1",
+        "--steps", "20", "-N", str(MAX_LENGTH), "-r", "256",
+    )
+    assert (code, out, err) == (2, "", "error: r must be in 2..255, the color bytes (got 256)\n")
+
+
+# F stands for a coloring file whose r is 0
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["set", "--set", "F", "--set-json", '{"kind":"primes"}', "-N", "5"],
+         "give either --set or --set-json, not both"),
+        (["color", "-N", "5"], "choose --preset or --kind {frac,block,residue,rotation}"),
+        (["scan", "--coloring", "F", "--set-json", '{"kind":"primes"}'],
+         "color count must be in 1..255"),
+        (["color", "--kind", "residue", "-m", "10", "-N", "5", "--format", "text"],
+         "text export needs r <= 9"),
+        (["color", "--kind", "block", "-m", "0", "-N", "5"], "block width must be >= 1"),
+        (["color", "--kind", "rotation", "--alpha", "1/3", "--cut", "0", "-N", "5"],
+         "cut must satisfy 0 < cut < 1"),
+        (["color", "--kind", "rotation", "--alpha", "1/3", "--cut", "1", "-N", "5"],
+         "cut must satisfy 0 < cut < 1"),
+        (["alpha", "--set-json", '{"kind":"geometric","base":4}', "--delta", "0", "--steps", "5"],
+         "need delta > 0"),
+    ],
+    ids=["set-twice", "color-no-selector", "scan-r0-file", "text-r10", "block-m0",
+         "rotation-cut0", "rotation-cut1", "alpha-delta0"],
+)
+def test_refusals_are_one_line_with_exit_2(tmp_path, capsys, argv, message):
+    path = tmp_path / "r0.json"
+    path.write_text('{"r":0,"n":1,"rle":[[1,1]]}')
+    code, out, err = _run(capsys, *[str(path) if a == "F" else a for a in argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -785,6 +829,20 @@ def test_pipeline_command_and_claim_run_construct_pipeline(monkeypatch, capsys):
     claim = next(c for c in reproduce.CLAIMS if c.claim_id == "powers-of-4-pipeline")
     report = reproduce.run_reproduce("quick", claims=(claim,))
     assert not report.overall and "FAIL" in report.to_table()
+
+
+def test_reproduce_refuses_an_unknown_scale_and_fails_a_raising_claim():
+    with pytest.raises(ValueError, match="^scale must be 'quick' or 'full'$"):
+        reproduce.run_reproduce("medium")
+
+    def runner(params):
+        raise ArithmeticError("no walk")
+
+    claim = reproduce.Claim("raises", "a claim whose runner raises", lambda scale: {}, runner)
+    report = reproduce.run_reproduce("quick", claims=(claim,))
+    assert not report.overall
+    assert report.outcomes[0].detail == "raised ArithmeticError: no walk"
+    assert "raises  FAIL" in report.to_table()
 
 
 def test_reproduce_quick_and_negative_control(tmp_path, capsys):

@@ -11,6 +11,7 @@ from diffseq.construct import (
     diffseq_bound_from_eps,
     doa_evidence,
     epsilon_of,
+    growth_certificate,
     growth_factor,
 )
 from diffseq.exactnum import Q5
@@ -132,12 +133,41 @@ def test_failing_certify_fracs_keeps_its_json():
     }
 
 
+def test_build_alpha_refuses_a_non_positive_entry():
+    for q in ([0, 4], [-1, 4], [1, 4, -16]):
+        with pytest.raises(ValueError, match="^q entries must be positive$"):
+            build_alpha(q, 2, 1)
+
+
+def test_build_alpha_decides_growth_by_the_growth_certificate():
+    # a positive q that does not increase fails the ratio test, whose factor exceeds 2
+    for q, index in (([4, 4], 0), ([1, 4, 3], 1)):
+        with pytest.raises(GrowthConditionError) as err:
+            build_alpha(q, 2, 1)
+        assert err.value.index == index
+    # a sequence and a view of the same elements give the same certificate
+    q = [1, 4, 16, 64]
+    view = GapSetView(tuple(q), 64)
+    assert growth_certificate(q, 4).to_json() == growth_certificate(view, 4).to_json()
+    with pytest.raises(ValueError, match="^growth ratio must exceed 1$"):
+        growth_certificate(q, 1)
+
+
 def test_certify_fracs_validation():
     view = GapSetView((1,), 1)
     with pytest.raises(ValueError):
         certify_fracs(F(1, 3), view, F(0), 2)
     with pytest.raises(ValueError):
         certify_fracs(F(1, 3), view, F(3, 4), 2)  # above (r-1)/r
+
+
+def test_certify_fracs_and_the_bound_refuse_r_or_eps_out_of_range():
+    view = GapSetView((1,), 1)
+    with pytest.raises(ValueError, match="^need r >= 2$"):
+        certify_fracs(F(1, 3), view, F(1, 8), 1)
+    for r, eps in ((2, F(0)), (2, F(1, 2) + F(1, 100)), (3, F(3, 4))):
+        with pytest.raises(ValueError, match=r"^need 0 < eps <= \(r-1\)/r$"):
+            diffseq_bound_from_eps(r, eps)
 
 
 def test_empty_view_is_refused():

@@ -15,7 +15,7 @@ from diffseq.exactnum import (
     SQRT5,
     Q5,
     RatInterval,
-    _first_outside,
+    first_outside,
     floor5,
     integer_triples,
     rational_str,
@@ -48,7 +48,7 @@ def test_floor_examples():
 
 def _tested_frac(x):
     # the open window (0, 0) holds nothing, so the routine reports {x * 1}
-    return _first_outside(x, [1], 0, 0, closed=False)[1]
+    return first_outside(x, [1], 0, 0, closed=False)[1]
 
 
 def test_frac_examples():
@@ -282,11 +282,11 @@ def test_first_outside_matches_q5_loop_and_endpoints():
                 if outside:
                     expected = s, f
                     break
-            assert _first_outside(alpha, seq, lo, hi, closed) == expected
+            assert first_outside(alpha, seq, lo, hi, closed) == expected
     # exact hits on both endpoints: 1/8 * (1, 4) is 1/8 and 1/2
-    assert _first_outside(F(1, 8), [1, 4, 3], F(1, 8), F(1, 2), closed=True) is None
-    assert _first_outside(F(1, 8), [3, 1], F(1, 8), F(1, 2), closed=False) == (1, Q5(F(1, 8)))
-    assert _first_outside(F(1, 8), [3, 4], F(1, 8), F(1, 2), closed=False) == (4, Q5(F(1, 2)))
+    assert first_outside(F(1, 8), [1, 4, 3], F(1, 8), F(1, 2), closed=True) is None
+    assert first_outside(F(1, 8), [3, 1], F(1, 8), F(1, 2), closed=False) == (1, Q5(F(1, 8)))
+    assert first_outside(F(1, 8), [3, 4], F(1, 8), F(1, 2), closed=False) == (4, Q5(F(1, 2)))
 
 
 def test_counterexamples_carry_the_tested_frac():

@@ -21,8 +21,8 @@ from diffseq.gapsets import (
     GapSetView,
     SpecValidationError,
     fib_values,
-    growth_certificate,
 )
+from diffseq.construct import growth_certificate
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -612,6 +612,12 @@ def test_view_validation_and_restrict():
     assert list(view.restrict(15)) == [1, 2, 3, 5, 8, 13]
     with pytest.raises(ValueError):
         view.restrict(101)
+
+
+def test_view_refuses_an_element_above_its_bound():
+    with pytest.raises(ValueError, match="^element exceeds the view bound$"):
+        GapSetView((1, 2, 6), 5)
+    assert GapSetView((1, 2, 5), 5).below(5) == (1, 2)
 
 
 def _assert_period(spec: GapSetSpec, m: int, bound: int = 600) -> None:

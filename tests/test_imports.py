@@ -1,6 +1,7 @@
 """Every import in the package is used, and every top-level definition is
-named somewhere else: a name left behind by a deletion fails here. Importing
-the search loads no process pool."""
+named somewhere else: a name left behind by a deletion fails here. No module
+imports another's private names. Importing the search loads no process
+pool."""
 
 import ast
 import pathlib
@@ -40,6 +41,38 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _private_imports(source: str) -> list[str]:
+    """The names starting with ``_`` that ``source`` imports from a package
+    module, relatively or as ``diffseq.<module>``."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "diffseq")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_the_check_finds_a_private_import():
+    source = (
+        "from __future__ import annotations\n"
+        "from ._version import version\n"
+        "from .exactnum import Q5, _kernel\nfrom . import _tables, gapsets\n"
+        "from diffseq.verify import _walk\nfrom os import _exit\n"
+    )
+    assert _private_imports(source) == ["_kernel", "_tables", "_walk"]
+
+
+def test_no_module_imports_private_names():
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _private_imports(path.read_text())
+    ]
+    assert found == []
 
 
 def _dead_definitions(source: str, elsewhere: str) -> list[str]:

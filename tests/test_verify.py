@@ -672,6 +672,13 @@ def test_frac_bound_scan_examples():
     assert not tight.passed
 
 
+def test_frac_bound_scan_refuses_an_empty_sequence_or_an_unknown_mode():
+    with pytest.raises(ValueError, match="^empty sequence$"):
+        frac_bound_scan(F(1, 3), [], DIST_NEAREST, bound=F(1, 10))
+    with pytest.raises(ValueError, match="^unknown mode 'nearest'$"):
+        frac_bound_scan(F(1, 3), [1], "nearest", bound=F(1, 10))
+
+
 def test_failing_frac_bound_scans_keep_their_json():
     # counterexamples pinned from the Q5 loop these scans replaced
     alpha = {"a": "0/1", "b": "1/8"}
