@@ -144,11 +144,7 @@ def _cmd_alpha(args) -> int:
     spec = _load_spec(args)
     delta = to_rational(args.delta)
     elements = construct.widened_view(spec, args.start, args.steps, 16).elements
-    q = elements[args.start : args.start + args.steps]
-    try:
-        cert = construct.build_alpha(q, args.r, delta, first_gap=elements[0])
-    except construct.GrowthConditionError as exc:  # name the pair by its index in the set
-        raise construct.GrowthConditionError(args.start + exc.index, exc.pair, exc.threshold)
+    cert = construct.build_alpha(elements, args.r, delta, args.steps, args.start)
     _emit(args.out, cert.to_json())
     return 0
 

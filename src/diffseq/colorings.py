@@ -127,16 +127,16 @@ class Coloring:
 
 
 def check_length(n: int, what: str) -> None:
-    """Refuse a length n outside 1..MAX_LENGTH, naming it ``what``: no
-    coloring, and so no witness or scanned prefix, is longer."""
-    if not 1 <= n <= MAX_LENGTH:
-        raise ValueError(f"{what} must be in 1..{MAX_LENGTH} (got {n})")
+    """Refuse a length n that is not an int in 1..MAX_LENGTH, naming it
+    ``what``: no coloring, and so no witness or scanned prefix, is longer."""
+    if type(n) is not int or not 1 <= n <= MAX_LENGTH:
+        raise ValueError(f"{what} must be in 1..{MAX_LENGTH} (got {n!r})")
 
 
 def check_colors(r: int) -> None:
-    """Refuse a color count r outside 2..255, the colors a byte holds."""
-    if not 2 <= r <= 255:
-        raise ValueError(f"r must be in 2..255, the color bytes (got {r})")
+    """Refuse a color count r that is not an int in 2..255, the colors a byte holds."""
+    if type(r) is not int or not 2 <= r <= 255:
+        raise ValueError(f"r must be in 2..255, the color bytes (got {r!r})")
 
 
 def frac_coloring(alpha: NumberLike, r: int, n: int) -> Coloring:

@@ -120,33 +120,39 @@ def build_alpha(
     r: int,
     delta,
     steps: Optional[int] = None,
-    first_gap: Optional[int] = None,
+    start: int = 0,
 ) -> AlphaCertificate:
-    """Run the nested-interval recursion over the first ``steps`` entries of q.
+    """Run the nested-interval recursion over q[start : start + steps].
 
-    Requires positive q with q[n+1] >= (2 + 1/(r-1) + delta) * q[n], decided by
-    ``growth_certificate`` (a miss raises GrowthConditionError naming the index).
+    Requires positive int q with q[n+1] >= (2 + 1/(r-1) + delta) * q[n], decided
+    by ``growth_certificate`` (a miss raises GrowthConditionError naming the
+    index in q, which is the set index when q is the set).
     Each interval is [(z+eps)/q, (r*z + r-1)/(r*q)]; the next z is the smallest
     integer placing z/q_next in the left subinterval of width 1/q_next. Nesting
     is asserted at every step. The reported alpha is the midpoint of the final
     enclosure, which keeps every verdict strictly interior.
 
-    ``first_gap`` is the first element of the full gap set when q is a tail of
-    it; it only feeds the rescaled window floor eps1 = eps * first_gap / q[0].
+    ``steps`` defaults to the rest of q. The rescaled window floor
+    eps1 = eps * q[0] / q[start] also covers the elements before q[start].
     """
     delta = to_rational(delta)
-    q = [int(v) for v in q]
     if steps is None:
-        steps = len(q)
-    if not 1 <= steps <= len(q):
+        steps = len(q) - start
+    if start < 0:
+        raise ValueError(f"start must be >= 0 (got {start})")
+    if not 1 <= steps <= len(q) - start:
         raise ValueError("steps must be between 1 and len(q)")
-    if any(v < 1 for v in q[:steps]):
+    head = q[: start + steps]
+    if any(type(v) is not int for v in head):
+        raise ValueError("q entries must be integers")
+    if any(v < 1 for v in head):
         raise ValueError("q entries must be positive")
     factor = growth_factor(r, delta)
-    growth = growth_certificate(q[:steps], factor) if steps > 1 else None
+    growth = growth_certificate(head, factor, start) if steps > 1 else None
     if growth and not growth.passed:
         i, (a, b) = growth.counterexample["index"], growth.counterexample["pair"]
         raise GrowthConditionError(i, (a, b), factor)
+    q = head[start:]
 
     eps = epsilon_of(r, delta)
     z = [0]
@@ -167,19 +173,18 @@ def build_alpha(
     alpha = enclosure.midpoint()
     window_hi = Fraction(r - 1, r)
     verdicts = []
-    for n, v in enumerate(q[:steps], 1):
+    for n, v in enumerate(q, 1):
         f = alpha * v % 1
         verdict = {"n": n, "q": v, "frac": rational_str(f), "in_window": eps <= f <= window_hi}
         verdicts.append(verdict)
-    eps1 = eps if first_gap is None else eps * first_gap / q[0]
     return AlphaCertificate(
         alpha=alpha,
         enclosure=enclosure,
         eps=eps,
-        eps1=eps1,
+        eps1=eps * head[0] / q[0],
         r=r,
         steps=steps,
-        q=list(q[:steps]),
+        q=list(q),
         z=z,
         intervals=intervals,
         verdicts=verdicts,
@@ -219,6 +224,8 @@ def diffseq_bound_from_eps(r: int, eps) -> int:
     """Length ceil(1/(r*eps)) + 1: no monochromatic diffsequence this long can
     exist under an r-class fractional-part coloring whose window floor is eps."""
     eps = to_rational(eps)
+    if r < 2:
+        raise ValueError("need r >= 2")
     if not 0 < eps <= Fraction(r - 1, r):
         raise ValueError("need 0 < eps <= (r-1)/r")
     return math.ceil(1 / (r * eps)) + 1
@@ -295,13 +302,10 @@ def pipeline(
     check_length(n, "-N")  # both refused before the set is enumerated at n
     check_colors(r)
     view = widened_view(spec, start, steps, n)
-    q = view.elements[start : start + steps]
-    growth = growth_certificate(view.restrict(q[-1]), factor, start=start)
-    if not growth.passed:
-        i, (a, b) = growth.counterexample["index"], growth.counterexample["pair"]
-        raise GrowthConditionError(i, (a, b), factor)
-    cert = build_alpha(q, r, delta, first_gap=view.elements[0])
+    cert = build_alpha(view.elements, r, delta, steps, start)
+    # it passes, since build_alpha returned
+    growth = growth_certificate(view.restrict(cert.q[-1]), factor, start=start)
     # the window covers the constructed elements and the gaps the scan can use,
     # not whatever lies beyond them in the widened view
-    evidence = doa_evidence(view.restrict(max(n, q[-1])), cert.alpha, cert.eps1, r, n)
+    evidence = doa_evidence(view.restrict(max(n, cert.q[-1])), cert.alpha, cert.eps1, r, n)
     return growth, cert, evidence

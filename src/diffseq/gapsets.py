@@ -56,7 +56,7 @@ _WHEEL_STEPS = (6, 4, 2, 4, 2, 4, 6, 2)
 _RECURRENCES = {"fibonacci": (1, 2, 1, 1), "even_fibonacci": (2, 8, 4, 1), "pell": (1, 2, 2, 1)}
 
 # the fields each kind declares and requires besides "kind", as
-# gapset-spec.schema.json does
+# gapset-spec.schema.json does; GapSetSpec holds each under its own name
 _FIELDS = {
     **dict.fromkeys(("fibonacci", "even_fibonacci", "pell", "primes"), ()),
     "geometric": ("base",),
@@ -139,9 +139,9 @@ class GapSetView:
 
     def below(self, n: int) -> tuple[int, ...]:
         """The elements below n, the gaps that can join two of the positions
-        1..n; a view that stops short of n is refused, since an element it
-        never listed could be one of them."""
-        if self.bound < n:
+        1..n; a view that stops short of n - 1 is refused, since an element
+        it never listed could be one of them."""
+        if self.bound < n - 1:
             raise ValueError(f"gap set enumerated only to {self.bound} but positions run to {n}")
         return self.elements[: bisect.bisect_left(self.elements, n)]
 
@@ -172,10 +172,10 @@ class GapSetSpec:
     m: Optional[int] = None
     coeffs: Optional[tuple[Fraction, ...]] = None
     elements: Optional[tuple[int, ...]] = None
-    parts: Optional[tuple["GapSetSpec", ...]] = None
-    inner: Optional["GapSetSpec"] = None
+    # a transform's inner rule, or a union's tuple of parts
+    of: "GapSetSpec | tuple[GapSetSpec, ...] | None" = None
     d: Optional[int] = None
-    shift: Optional[int] = None
+    c: Optional[int] = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -236,23 +236,23 @@ class GapSetSpec:
 
     @classmethod
     def union(cls, parts: Sequence["GapSetSpec"]) -> "GapSetSpec":
-        return cls("union", parts=tuple(parts))
+        return cls("union", of=tuple(parts))
 
     # -- transforms ------------------------------------------------------------
 
     def divide(self, d: int) -> "GapSetSpec":
         """The set {a/d : a in A, d | a}."""
         d = _divisor(d)
-        return self if d == 1 else GapSetSpec("divided", inner=self, d=d)
+        return self if d == 1 else GapSetSpec("divided", of=self, d=d)
 
     def filter_multiples(self, d: int) -> "GapSetSpec":
         """The subset {a in A : d | a}."""
         d = _divisor(d)
-        return self if d == 1 else GapSetSpec("multiples_filtered", inner=self, d=d)
+        return self if d == 1 else GapSetSpec("multiples_filtered", of=self, d=d)
 
     def shifted(self, c: int) -> "GapSetSpec":
         c = _int(c, "shift")
-        return self if c == 0 else GapSetSpec("shifted", inner=self, shift=c)
+        return self if c == 0 else GapSetSpec("shifted", of=self, c=c)
 
     # -- enumeration -----------------------------------------------------------
 
@@ -331,7 +331,7 @@ class GapSetSpec:
         if kind == "primes":
             return 0, _primes_upto(bound), [], None
         if kind == "union":
-            members = [p._members(bound) for p in self.parts]
+            members = [p._members(bound) for p in self.of]
             periods = [m[3] for m in members]
             # a window that holds no position (a listed part, or a shift past
             # the bound) sets no lo
@@ -356,21 +356,21 @@ class GapSetSpec:
             return lo, out, loose, None if None in periods else math.lcm(*periods)
         if kind == "divided":
             # x is an element when x*d is one; the first x with x*d >= lo
-            lo, flags, below, m = self.inner._members(bound * self.d)
+            lo, flags, below, m = self.of._members(bound * self.d)
             d = self.d
             first = -(-lo // d)
             period = None if m is None else m // math.gcd(m, d)
             return first, flags[first * d - lo :: d], _keep_multiples(below, d, d), period
         if kind == "multiples_filtered":
-            lo, flags, below, m = self.inner._members(bound)
+            lo, flags, below, m = self.of._members(bound)
             d = self.d
             out = bytearray(len(flags))
             at = -lo % d  # the index of the first multiple of d
             out[at::d] = flags[at::d]
             return lo, out, _keep_multiples(below, d, 1), None if m is None else math.lcm(m, d)
         if kind == "shifted":
-            c = self.shift
-            lo, flags, below, m = self.inner._members(max(bound - c, 1))
+            c = self.c
+            lo, flags, below, m = self.of._members(max(bound - c, 1))
             lo += c
             if lo < 1:
                 # positions below 1 hold no element
@@ -472,22 +472,15 @@ class GapSetSpec:
     # -- serialization -----------------------------------------------------------
 
     def to_json(self) -> dict:
-        kind = self.kind
-        if kind == "geometric":
-            return {"kind": kind, "base": self.base}
-        if kind == "polynomial":
-            return {"kind": kind, "coeffs": [rational_str(c) for c in self.coeffs]}
-        if kind == "nonmultiples":
-            return {"kind": kind, "m": self.m}
-        if kind == "explicit":
-            return {"kind": kind, "elements": list(self.elements)}
-        if kind == "union":
-            return {"kind": kind, "of": [p.to_json() for p in self.parts]}
-        if kind in ("divided", "multiples_filtered"):
-            return {"kind": kind, "of": self.inner.to_json(), "d": self.d}
-        if kind == "shifted":
-            return {"kind": kind, "of": self.inner.to_json(), "c": self.shift}
-        return {"kind": kind}
+        out = {"kind": self.kind}
+        for name in _FIELDS[self.kind]:
+            value = getattr(self, name)
+            if name == "coeffs":
+                value = [rational_str(c) for c in value]
+            elif name == "of":
+                value = [p.to_json() for p in value] if self.kind == "union" else value.to_json()
+            out[name] = list(value) if name == "elements" else value
+        return out
 
     @staticmethod
     def from_json(obj: dict) -> "GapSetSpec":
@@ -515,10 +508,10 @@ class GapSetSpec:
         if kind == "union":
             return GapSetSpec.union([GapSetSpec.from_json(p) for p in _array(obj, "of")])
         # the nodes are built as given, so a d of 1 or a c of 0 round-trips
-        inner = GapSetSpec.from_json(obj["of"])
+        of = GapSetSpec.from_json(obj["of"])
         if kind == "shifted":
-            return GapSetSpec(kind, inner=inner, shift=_int(obj["c"], "shift"))
-        return GapSetSpec(kind, inner=inner, d=_divisor(obj["d"]))
+            return GapSetSpec(kind, of=of, c=_int(obj["c"], "shift"))
+        return GapSetSpec(kind, of=of, d=_divisor(obj["d"]))
 
 
 def _check_sieve(bound: int) -> None:

@@ -3,6 +3,7 @@
 import decimal
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +19,8 @@ from diffseq.colorings import (
     rotation_word,
 )
 from diffseq.exactnum import PHI, Q5, floor5
+from diffseq.gapsets import GapSetSpec
+from diffseq.search import chromatic_number_prefix, delta
 
 
 def test_frac_coloring_examples():
@@ -381,3 +384,18 @@ def test_frac_coloring_at_the_length_cap():
         for x in list(range(1, 201)) + fib[:-1] + [n]:
             y = alpha * x
             assert word[x - 1] == _ref_floor(y * r) - r * _ref_floor(y) + 1, (alpha, r, x)
+
+
+def test_lengths_and_color_counts_must_be_ints():
+    # no bool, float or string passes the shared bounds, where True would
+    # read as a length of 1 and 2.0 fail later with a TypeError
+    view = GapSetSpec.fibonacci().enumerate(10)
+    for bad in (True, 2.0, "3"):
+        for call in (
+            lambda: frac_coloring(F(1, 3), 2, bad),
+            lambda: frac_coloring(F(1, 3), bad, 5),
+            lambda: delta(view, 3, 2, bad),
+            lambda: chromatic_number_prefix(view, bad),
+        ):
+            with pytest.raises(ValueError, match=rf"\(got {re.escape(repr(bad))}\)$"):
+                call()

@@ -80,6 +80,11 @@ def test_growth_violation_names_index():
     with pytest.raises(GrowthConditionError) as err:
         build_alpha([1, 4, 17, 60], 2, 1)  # 60 < 4*17
     assert err.value.index == 2
+    # a run from start names the pair by its index in q, not in the run
+    for q, start, index in (([1, 2, 3, 5, 8], 2, 2), ([1, 4, 16, 60, 240], 1, 2)):
+        with pytest.raises(GrowthConditionError) as err:
+            build_alpha(q, 2, 1, start=start)
+        assert (err.value.index, err.value.pair) == (index, tuple(q[index : index + 2]))
 
 
 def test_interval_width_and_nesting_invariants():
@@ -139,6 +144,25 @@ def test_build_alpha_refuses_a_non_positive_entry():
             build_alpha(q, 2, 1)
 
 
+def test_build_alpha_refuses_an_entry_that_is_not_an_int():
+    # no truncation of 1.7 to 1, no parsing of "4", and a bool is not a gap
+    for q in ([1.7, 4.9], [1, "4"], [True, 4], [1, 4, 16.0]):
+        with pytest.raises(ValueError, match="^q entries must be integers$"):
+            build_alpha(q, 2, 1)
+
+
+def test_build_alpha_runs_over_q_from_start():
+    # the entries before start are neither constructed from nor growth-checked
+    cert = build_alpha([1, 2, 8, 32], 2, 1, start=1)
+    assert cert.q == [2, 8, 32] and cert.steps == 3 and cert.eps1 == cert.eps / 2
+    assert build_alpha([1, 4, 16], 2, 1, steps=1, start=2).q == [16]
+    for steps, start in ((0, 0), (3, 1), (1, 3)):
+        with pytest.raises(ValueError, match=r"^steps must be between 1 and len\(q\)$"):
+            build_alpha([1, 4, 16], 2, 1, steps, start)
+    with pytest.raises(ValueError, match=r"^start must be >= 0 \(got -1\)$"):
+        build_alpha([1, 4, 16], 2, 1, start=-1)
+
+
 def test_build_alpha_decides_growth_by_the_growth_certificate():
     # a positive q that does not increase fails the ratio test, whose factor exceeds 2
     for q, index in (([4, 4], 0), ([1, 4, 3], 1)):
@@ -165,6 +189,9 @@ def test_certify_fracs_and_the_bound_refuse_r_or_eps_out_of_range():
     view = GapSetView((1,), 1)
     with pytest.raises(ValueError, match="^need r >= 2$"):
         certify_fracs(F(1, 3), view, F(1, 8), 1)
+    for r in (1, 0, -1):
+        with pytest.raises(ValueError, match="^need r >= 2$"):
+            diffseq_bound_from_eps(r, F(1, 8))
     for r, eps in ((2, F(0)), (2, F(1, 2) + F(1, 100)), (3, F(3, 4))):
         with pytest.raises(ValueError, match=r"^need 0 < eps <= \(r-1\)/r$"):
             diffseq_bound_from_eps(r, eps)
@@ -192,8 +219,7 @@ def test_tail_rescaling_certifies_full_prefix():
     spec = GapSetSpec.geometric(4)
     elements = spec.enumerate(4**9).elements
     start = 3
-    q = elements[start:]
-    cert = build_alpha(q, 2, 1, first_gap=elements[0])
+    cert = build_alpha(elements, 2, 1, start=start)
     assert cert.eps1 == cert.eps * elements[0] / elements[start]
     full_view = GapSetView(elements, 4**9)
     assert certify_fracs(cert.alpha, full_view, cert.eps1, 2).passed

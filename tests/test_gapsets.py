@@ -305,17 +305,17 @@ def _reference_elements(spec, bound):
     if kind == "primes":
         return compress(range(bound + 1), _plain_sieve(bound))
     if kind == "union":
-        merged = sorted(chain.from_iterable(_reference_elements(p, bound) for p in spec.parts))
+        merged = sorted(chain.from_iterable(_reference_elements(p, bound) for p in spec.of))
         return map(operator.itemgetter(0), groupby(merged))
     if kind == "divided":
         d = spec.d
-        return (a // d for a in _reference_elements(spec.inner, bound * d) if a % d == 0)
+        return (a // d for a in _reference_elements(spec.of, bound * d) if a % d == 0)
     if kind == "multiples_filtered":
         d = spec.d
-        return (a for a in _reference_elements(spec.inner, bound) if a % d == 0)
+        return (a for a in _reference_elements(spec.of, bound) if a % d == 0)
     if kind == "shifted":
-        c = spec.shift
-        inner = _reference_elements(spec.inner, max(bound - c, 1) if c >= 0 else bound - c)
+        c = spec.c
+        inner = _reference_elements(spec.of, max(bound - c, 1) if c >= 0 else bound - c)
         return (a + c for a in inner if 1 <= a + c <= bound)
     if kind in ("fibonacci", "even_fibonacci"):
         # f_{2k+2} >= 2^k, so the values run past the bound

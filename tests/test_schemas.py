@@ -10,7 +10,7 @@ from referencing import Registry, Resource
 
 from diffseq.colorings import MAX_LENGTH, Coloring, preset_coloring
 from diffseq.construct import build_alpha, doa_evidence
-from diffseq.gapsets import GapSetSpec
+from diffseq.gapsets import _FIELDS, GapSetSpec
 from diffseq.reproduce import run_reproduce
 from diffseq.search import check_delta_args, chromatic_number_prefix, delta
 from diffseq.verify import longest_mono_ap
@@ -50,6 +50,17 @@ def test_gapset_spec_schema():
     ]
     for spec in specs:
         _validate("diffseq/gapset-spec", spec.to_json())
+
+
+def test_gapset_schema_declares_the_fields_of_each_kind():
+    # _FIELDS drives the parser and the printer, so each schema branch must
+    # declare and require exactly its fields, in its order
+    branches = SCHEMAS["diffseq/gapset-spec"]["oneOf"]
+    kinds = [branch["properties"]["kind"]["const"] for branch in branches]
+    assert sorted(kinds) == sorted(_FIELDS)
+    for kind, branch in zip(kinds, branches):
+        assert tuple(branch["properties"])[1:] == _FIELDS[kind], kind
+        assert tuple(branch.get("required", ["kind"]))[1:] == _FIELDS[kind], kind
 
 
 def test_coloring_schema():

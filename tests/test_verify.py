@@ -556,9 +556,16 @@ def test_scan_monotone_in_gap_set():
 
 
 def test_scan_requires_enumeration_to_length():
+    # positions 1..4 are joined by gaps up to 3, which a view to 2 may miss
     coloring = Coloring(2, bytes([1, 2, 1, 2]))
     with pytest.raises(ValueError):
-        longest_mono_diffseq(coloring, GapSetSpec.explicit([1]).enumerate(3))
+        longest_mono_diffseq(coloring, GapSetSpec.explicit([1]).enumerate(2))
+    # a view to n - 1 is complete for n positions
+    coloring = residue_coloring(2, 5)
+    to_4 = longest_mono_diffseq(coloring, GapSetView((1, 2, 3), 4))
+    assert to_4.to_json() == longest_mono_diffseq(coloring, GapSetView((1, 2, 3), 5)).to_json()
+    with pytest.raises(ValueError, match="^gap set enumerated only to 3 but positions run to 5$"):
+        longest_mono_diffseq(coloring, GapSetView((1, 2, 3), 3))
 
 
 def test_pisano_periods():
