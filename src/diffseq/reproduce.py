@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 from . import colorings, construct, gapsets, verify
 from .exactnum import Q5
+from .gapsets import GapSetSpec
 
 SQRT5_OVER_8 = Q5(0, Fraction(1, 8))
 ONE_PLUS_PHI_OVER_4 = Q5(Fraction(3, 8), Fraction(1, 8))
@@ -22,12 +23,23 @@ ONE_PLUS_PHI_OVER_4 = Q5(Fraction(3, 8), Fraction(1, 8))
 
 @dataclass
 class ClaimOutcome:
+    """A claim's verdict and scope, read from its certificates: a claim with
+    none checked nothing and fails, and one finite certificate makes it finite."""
+
     claim_id: str
     description: str
     params: dict
-    passed: bool
     elapsed: float
-    detail: str = ""
+    certificates: list[verify.Certificate]
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.certificates) and all(c.passed for c in self.certificates)
+
+    @property
+    def scope(self) -> str:
+        every_n = self.certificates and all(c.every_n for c in self.certificates)
+        return "every_n" if every_n else "finite"
 
     def to_json(self) -> dict:
         return {
@@ -36,7 +48,8 @@ class ClaimOutcome:
             "params": self.params,
             "passed": self.passed,
             "elapsed": round(self.elapsed, 3),
-            "detail": self.detail,
+            "scope": self.scope,
+            "certificates": [c.to_json() for c in self.certificates],
         }
 
 
@@ -58,10 +71,12 @@ class ReproReport:
 
     def to_table(self) -> str:
         width = max(len(o.claim_id) for o in self.outcomes) if self.outcomes else 8
-        lines = [f"{'claim':<{width}}  verdict  seconds  detail"]
+        lines = [f"{'claim':<{width}}  verdict  seconds  scope"]
         for o in self.outcomes:
             verdict = "pass" if o.passed else "FAIL"
-            lines.append(f"{o.claim_id:<{width}}  {verdict:<7}  {o.elapsed:7.2f}  {o.detail}")
+            failed = ", ".join(c.claim for c in o.certificates if not c.passed)
+            line = f"{o.claim_id:<{width}}  {verdict:<7}  {o.elapsed:7.2f}  {o.scope}"
+            lines.append(f"{line}  failed: {failed}" if failed else line)
         lines.append(f"overall: {'pass' if self.overall else 'FAIL'}")
         return "\n".join(lines)
 
@@ -71,93 +86,71 @@ class Claim:
     claim_id: str
     description: str
     params_for: Callable[[str], dict]
-    runner: Callable[[dict], tuple[bool, str]]
+    runner: Callable[[dict], list[verify.Certificate]]
 
 
-def _fib_seq(count: int) -> list[int]:
-    return gapsets.fib_values(count)[1:]
+def _match(claim: str, verified_range: str, expected, found, every_n=False) -> verify.Certificate:
+    """A value computed against the one expected; a miss records what was found."""
+    miss = None if found == expected else {"found": found}
+    params = {"expected": expected}
+    return verify.Certificate(claim, params, verified_range, miss is None, miss, every_n=every_n)
 
 
-def _claim_fib_dist(params: dict) -> tuple[bool, str]:
-    seq = _fib_seq(params["terms"])
-    cert = verify.frac_bound_scan(SQRT5_OVER_8, seq, verify.DIST_NEAREST, bound=Fraction(1, 10))
-    cert4 = verify.frac_bound_scan(
-        SQRT5_OVER_8, seq[:4], verify.DIST_NEAREST, bound=Fraction(16, 100)
-    )
-    ok = cert.passed and cert4.passed
-    return ok, f"dist > 1/10 on {len(seq)} terms; > 16/100 on the first 4"
+def _claim_fib_dist(params: dict) -> list[verify.Certificate]:
+    seq = gapsets.fib_values(params["terms"])[1:]
+    return [
+        verify.frac_bound_scan(SQRT5_OVER_8, seq, verify.DIST_NEAREST, bound=Fraction(1, 10)),
+        verify.frac_bound_scan(SQRT5_OVER_8, seq[:4], verify.DIST_NEAREST, bound=Fraction(16, 100)),
+    ]
 
 
-def _claim_fib_ap(params: dict) -> tuple[bool, str]:
-    n = params["n"]
-    alpha = params.get("alpha", SQRT5_OVER_8)
-    coloring = colorings.frac_coloring(alpha, 2, n)
-    view = gapsets.GapSetSpec.fibonacci().enumerate(n)
-    scan = verify.longest_mono_ap(coloring, view)
-    return scan.length <= 5, f"longest fixed-gap run {scan.length} (must be <= 5)"
+def _scan_runner(scan, spec: GapSetSpec, limit: int, alpha: Q5):
+    """The runner of a claim that ``scan`` finds no run of more than ``limit`` terms."""
+
+    def runner(params: dict) -> list[verify.Certificate]:
+        n, a = params["n"], params.get("alpha", alpha)
+        result = scan(colorings.frac_coloring(a, 2, n), spec.enumerate(n))
+        return [verify.Certificate(
+            f"longest-mono-{result.structure}-at-most",
+            {"alpha": Q5.coerce(a).to_json(), "set": spec.to_json(), "limit": limit},
+            f"positions 1..{n}", result.length <= limit, witnesses={"scan": result.to_json()},
+        )]
+
+    return runner
 
 
-def _claim_evenfib_window(params: dict) -> tuple[bool, str]:
+def _claim_evenfib_window(params: dict) -> list[verify.Certificate]:
     f = gapsets.fib_values(3 * params["terms"] + 1)
     seq = [f[3 * n] for n in range(1, params["terms"] + 1)]
-    cert = verify.frac_bound_scan(
-        ONE_PLUS_PHI_OVER_4,
-        seq,
-        verify.FRAC_WINDOW,
-        window=(Fraction(21, 100), Fraction(31, 100)),
-    )
-    return cert.passed, f"fracs strictly inside (21/100, 31/100) on {len(seq)} terms"
+    window = (Fraction(21, 100), Fraction(31, 100))
+    return [verify.frac_bound_scan(ONE_PLUS_PHI_OVER_4, seq, verify.FRAC_WINDOW, window=window)]
 
 
-def _claim_evenfib_diffseq(params: dict) -> tuple[bool, str]:
-    n = params["n"]
-    alpha = params.get("alpha", ONE_PLUS_PHI_OVER_4)
-    coloring = colorings.frac_coloring(alpha, 2, n)
-    view = gapsets.GapSetSpec.even_fibonacci().enumerate(n)
-    scan = verify.longest_mono_diffseq(coloring, view)
-    return scan.length <= 3, f"longest chain {scan.length} (must be <= 3)"
+def _claim_residue_periods(params: dict) -> list[verify.Certificate]:
+    walk = "every n >= 0 by periodicity mod 8: the walk of (f_n, f_(n+1)) mod 8 from (0, 1)"
+    pisano = _match("fib-pisano-period-mod8", walk, 12, verify.pisano_period(8), every_n=True)
+    return [pisano, verify.check_fib_fact("mod8_nonzero"), verify.check_fib_fact("mod4_one")]
 
 
-def _claim_residue_periods(params: dict) -> tuple[bool, str]:
-    period = verify.pisano_period(8)
-    c1 = verify.check_fib_fact("mod8_nonzero")
-    c2 = verify.check_fib_fact("mod4_one")
-    ok = period == 12 and c1.passed and c2.passed
-    return ok, f"period mod 8 = {period}; both residue facts hold for every n by periodicity"
+def _claim_quadratic_identities(params: dict) -> list[verify.Certificate]:
+    return [verify.check_fib_fact("binet_sqrt5"), verify.check_fib_fact("binet_oneplusphi")]
 
 
-def _claim_quadratic_identities(params: dict) -> tuple[bool, str]:
-    c1 = verify.check_fib_fact("binet_sqrt5")
-    c2 = verify.check_fib_fact("binet_oneplusphi")
-    return c1.passed and c2.passed, "both identities exact for every n by induction"
-
-
-def _claim_evenfib_recurrence(params: dict) -> tuple[bool, str]:
-    cert = verify.check_fib_fact("even_fib_recurrence")
+def _claim_evenfib_recurrence(params: dict) -> list[verify.Certificate]:
     bound = params["filter_bound"]
-    filtered = gapsets.GapSetSpec.fibonacci().filter_multiples(2).enumerate(bound)
-    direct = gapsets.GapSetSpec.even_fibonacci().enumerate(bound)
-    same = filtered.elements == direct.elements
-    return cert.passed and same, (
-        f"recurrence for every n by induction; filtered view matches to {bound}"
-    )
+    direct = GapSetSpec.even_fibonacci().enumerate(bound).elements
+    filtered = GapSetSpec.fibonacci().filter_multiples(2).enumerate(bound).elements
+    same = _match("even-fib-equals-filtered-fib", f"elements 1..{bound}", direct, filtered)
+    return [verify.check_fib_fact("even_fib_recurrence"), same]
 
 
-def _claim_pipeline(params: dict) -> tuple[bool, str]:
+def _claim_pipeline(params: dict) -> list[verify.Certificate]:
     n, steps = params["n"], params["steps"]
-    _, cert, evidence = construct.pipeline(gapsets.GapSetSpec.geometric(4), 2, 1, 0, steps, n)
-    trace_ok = (
-        cert.z[:4] == [0, 1, 5, 21]
-        and cert.intervals[3].lo == Fraction(169, 512)
-        and cert.intervals[3].hi == Fraction(43, 128)
-        and cert.eps == Fraction(1, 8)
-    )
-    ok = trace_ok and evidence.passed
-    scan_len = evidence.params["scan_length"]
-    return ok, (
-        f"trace prefix reproduced; window certified; longest chain {scan_len} "
-        f"on [1..{n}] (bound {evidence.params['chain_length_bound']})"
-    )
+    growth, cert, evidence = construct.pipeline(GapSetSpec.geometric(4), 2, 1, 0, steps, n)
+    i4 = cert.intervals[3]
+    trace = {"z": cert.z[:4], "i4": [str(i4.lo), str(i4.hi)], "eps": str(cert.eps)}
+    expected = {"z": [0, 1, 5, 21], "i4": ["169/512", "43/128"], "eps": "1/8"}
+    return [growth, _match("powers-of-4-trace-prefix", "steps 1..4", expected, trace), evidence]
 
 
 CLAIMS: tuple[Claim, ...] = (
@@ -171,7 +164,7 @@ CLAIMS: tuple[Claim, ...] = (
         "fib-ap-avoidance",
         "the two-class sqrt5/8 coloring admits no 6-term fixed-gap Fibonacci progression",
         lambda scale: {"n": 10_000 if scale == "quick" else 50_000},
-        _claim_fib_ap,
+        _scan_runner(verify.longest_mono_ap, GapSetSpec.fibonacci(), 5, SQRT5_OVER_8),
     ),
     Claim(
         "evenfib-frac-window",
@@ -183,7 +176,9 @@ CLAIMS: tuple[Claim, ...] = (
         "evenfib-diffseq-avoidance",
         "the two-class (3+sqrt5)/8 coloring admits no 4-term even-Fibonacci chain",
         lambda scale: {"n": 10_000 if scale == "quick" else 50_000},
-        _claim_evenfib_diffseq,
+        _scan_runner(
+            verify.longest_mono_diffseq, GapSetSpec.even_fibonacci(), 3, ONE_PLUS_PHI_OVER_4
+        ),
     ),
     Claim(
         "fib-residue-periods",
@@ -221,11 +216,12 @@ def run_reproduce(scale: str, claims: Optional[tuple[Claim, ...]] = None) -> Rep
         params = claim.params_for(scale)
         started = time.perf_counter()
         try:
-            passed, detail = claim.runner(params)
+            certificates = claim.runner(params)
         except Exception as exc:  # a crash is a failed claim, not a crashed report
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+            raised = {"raised": f"{type(exc).__name__}: {exc}"}
+            certificates = [verify.Certificate(claim.claim_id, params, "nothing", False, raised)]
         elapsed = time.perf_counter() - started
         report.outcomes.append(
-            ClaimOutcome(claim.claim_id, claim.description, params, passed, elapsed, detail)
+            ClaimOutcome(claim.claim_id, claim.description, params, elapsed, certificates)
         )
     return report

@@ -452,12 +452,11 @@ def _dfs_lists(
 def check_delta_args(k: int, r: int, budget: int, threads: int) -> None:
     """Refuse the arguments of ``delta`` that no set makes valid, so that a
     caller can check them before it enumerates the set at the budget."""
-    check_length(budget, "budget")
-    if k < 1 or r < 2:
-        raise ValueError("need k >= 1 and r >= 2")
     check_colors(r)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1 (got {threads})")
+    check_length(budget, "budget")
+    for name, x in (("k", k), ("threads", threads)):
+        if type(x) is not int or x < 1:
+            raise ValueError(f"{name} must be an int >= 1 (got {x!r})")
 
 
 def delta(view: GapSetView, k: int, r: int, budget: int, threads: int = 1) -> DeltaResult:

@@ -66,8 +66,8 @@ class Certificate:
     """A machine-checkable pass/fail record.
 
     A certificate never claims more than what was checked: ``verified_range``
-    states the finite scope (or names the periodicity or induction argument
-    that upgrades a finite check to a universal one).
+    states the finite scope, or names the periodicity or induction argument
+    that covers every index, and only such an argument sets ``every_n``.
     """
 
     claim: str
@@ -78,6 +78,7 @@ class Certificate:
     witnesses: Optional[Any] = None
     notes: str = ""
     components: list[Certificate] = field(default_factory=list)
+    every_n: bool = False
 
     def to_json(self) -> dict:
         out = {
@@ -86,6 +87,8 @@ class Certificate:
             "verified_range": self.verified_range,
             "passed": self.passed,
         }
+        if self.every_n:
+            out["every_n"] = True
         if self.counterexample is not None:
             out["counterexample"] = self.counterexample
         if self.witnesses is not None:
@@ -488,7 +491,7 @@ def check_fib_fact(fact: str, bound: int = 200) -> Certificate:
         counterexample = {"n": first + miss}
     else:
         counterexample = None
-    return Certificate(claim, params, scope, counterexample is None, counterexample)
+    return Certificate(claim, params, scope, counterexample is None, counterexample, every_n=True)
 
 
 # -- fractional-part bound scans -----------------------------------------------------

@@ -1,37 +1,21 @@
 """Acceptance suite: every headline criterion at its stated scale.
 
 Each test prints one pass/fail line (run pytest with -s to watch them).
-All comparisons are exact; there are no numeric tolerances to tune.
+The registered claims run as shipped, through ``run_reproduce("full")``,
+and print their claim id; the other criteria print Cnn. All comparisons are
+exact; there are no numeric tolerances to tune.
 """
 
 import itertools
 import random
 import time
-from fractions import Fraction as F
 
-from diffseq.colorings import (
-    block_coloring,
-    complexity,
-    frac_coloring,
-    residue_coloring,
-    rotation_word,
-)
-from diffseq.construct import build_alpha, certify_fracs, diffseq_bound_from_eps
-from diffseq.exactnum import PHI, Q5
-from diffseq.gapsets import GapSetSpec, fib_values
+from diffseq.colorings import block_coloring, complexity, residue_coloring, rotation_word
+from diffseq.exactnum import PHI
+from diffseq.gapsets import GapSetSpec
+from diffseq.reproduce import CLAIMS, run_reproduce
 from diffseq.search import DELTA, UNKNOWN, chromatic_number_prefix, delta
-from diffseq.verify import (
-    DIST_NEAREST,
-    FRAC_WINDOW,
-    check_fib_fact,
-    frac_bound_scan,
-    longest_mono_ap,
-    longest_mono_diffseq,
-    pisano_period,
-)
-
-SQRT5_OVER_8 = Q5(0, F(1, 8))
-ONE_PLUS_PHI_OVER_4 = Q5(F(3, 8), F(1, 8))
+from diffseq.verify import longest_mono_ap, longest_mono_diffseq
 
 
 def _report(cid: str, ok: bool, detail: str):
@@ -39,126 +23,70 @@ def _report(cid: str, ok: bool, detail: str):
     assert ok, f"{cid}: {detail}"
 
 
-def test_c01_fib_dist_nearest_bounds():
-    started = time.perf_counter()
-    fib = fib_values(200)[1:]
-    main = frac_bound_scan(SQRT5_OVER_8, fib, DIST_NEAREST, bound=F(1, 10))
-    first4 = frac_bound_scan(SQRT5_OVER_8, fib[:4], DIST_NEAREST, bound=F(16, 100))
-    ok = main.passed and first4.passed
-    _report(
-        "C01",
-        ok,
-        f"dist(sqrt5*f_n/8) > 1/10 for n=1..200 and > 16/100 for n=1..4 "
-        f"({time.perf_counter() - started:.2f}s)",
+# each registered claim's parameters at full scale and the scope its
+# certificates must give, pinned so that no scale or scope moves unseen
+FULL_SCALE = {
+    "fib-dist-nearest-bound": ({"terms": 200}, "finite"),
+    "fib-ap-avoidance": ({"n": 50_000}, "finite"),
+    "evenfib-frac-window": ({"terms": 200}, "finite"),
+    "evenfib-diffseq-avoidance": ({"n": 50_000}, "finite"),
+    "fib-residue-periods": ({}, "every_n"),
+    "quadratic-identities": ({}, "every_n"),
+    "evenfib-recurrence-and-filter": ({"filter_bound": 1_000_000}, "finite"),
+    "powers-of-4-pipeline": ({"n": 20_000, "steps": 20}, "finite"),
+}
+
+
+def _accept(claim_id: str):
+    claim = next(c for c in CLAIMS if c.claim_id == claim_id)
+    params, scope = FULL_SCALE[claim_id]
+    assert claim.params_for("full") == params
+    (outcome,) = run_reproduce("full", claims=(claim,)).outcomes
+    checked = "; ".join(
+        f"{c.claim} {'held' if c.passed else 'FAILED'} on {c.verified_range}"
+        for c in outcome.certificates
     )
+    _report(
+        claim_id,
+        outcome.passed and outcome.scope == scope,
+        f"{outcome.scope}: {checked} ({outcome.elapsed:.2f}s)",
+    )
+
+
+def test_acceptance_runs_every_registered_claim():
+    assert [c.claim_id for c in CLAIMS] == list(FULL_SCALE)
+
+
+def test_c01_fib_dist_nearest_bounds():
+    _accept("fib-dist-nearest-bound")
 
 
 def test_c02_fib_ap_avoidance_at_scale():
-    started = time.perf_counter()
-    n = 50_000
-    coloring = frac_coloring(SQRT5_OVER_8, 2, n)
-    scan = longest_mono_ap(coloring, GapSetSpec.fibonacci().enumerate(n))
-    _report(
-        "C02",
-        scan.length <= 5,
-        f"longest monochromatic Fibonacci-gap progression on [1..{n}] is "
-        f"{scan.length} <= 5 ({time.perf_counter() - started:.2f}s)",
-    )
+    _accept("fib-ap-avoidance")
 
 
 def test_c03_evenfib_window():
-    started = time.perf_counter()
-    f = fib_values(601)
-    evens = [f[3 * k] for k in range(1, 201)]
-    cert = frac_bound_scan(
-        ONE_PLUS_PHI_OVER_4, evens, FRAC_WINDOW, window=(F(21, 100), F(31, 100))
-    )
-    _report(
-        "C03",
-        cert.passed,
-        f"frac((1+phi)/4 * f_3n) inside (21/100, 31/100) for n=1..200 "
-        f"({time.perf_counter() - started:.2f}s)",
-    )
+    _accept("evenfib-frac-window")
 
 
 def test_c04_evenfib_diffseq_avoidance_at_scale():
-    started = time.perf_counter()
-    n = 50_000
-    coloring = frac_coloring(ONE_PLUS_PHI_OVER_4, 2, n)
-    scan = longest_mono_diffseq(coloring, GapSetSpec.even_fibonacci().enumerate(n))
-    _report(
-        "C04",
-        scan.length <= 3,
-        f"longest monochromatic even-Fibonacci chain on [1..{n}] is "
-        f"{scan.length} <= 3 ({time.perf_counter() - started:.2f}s)",
-    )
+    _accept("evenfib-diffseq-avoidance")
 
 
 def test_c05_modular_facts_periodicity_complete():
-    started = time.perf_counter()
-    period = pisano_period(8)
-    mod8 = check_fib_fact("mod8_nonzero")
-    mod4 = check_fib_fact("mod4_one")
-    ok = period == 12 and mod8.passed and mod4.passed
-    ok = ok and "periodicity" in mod8.verified_range and pisano_period(4) == 6
-    _report(
-        "C05",
-        ok,
-        f"pisano(8)={period}; neighbor sums never 0 mod 8 and triple sums 1 mod 4 "
-        f"for every n, by periodicity ({time.perf_counter() - started:.2f}s)",
-    )
+    _accept("fib-residue-periods")
 
 
 def test_c06_quadratic_field_identities():
-    started = time.perf_counter()
-    a = check_fib_fact("binet_sqrt5")
-    b = check_fib_fact("binet_oneplusphi")
-    _report(
-        "C06",
-        a.passed and b.passed,
-        f"sqrt5*f_n and (1+phi)*f_n identities exact for every n >= 1, by induction "
-        f"({time.perf_counter() - started:.2f}s)",
-    )
+    _accept("quadratic-identities")
 
 
 def test_c07_even_fib_recurrence_and_filter():
-    started = time.perf_counter()
-    rec = check_fib_fact("even_fib_recurrence")
-    filtered = GapSetSpec.fibonacci().filter_multiples(2).enumerate(1_000_000)
-    direct = GapSetSpec.even_fibonacci().enumerate(1_000_000)
-    ok = rec.passed and filtered.elements == direct.elements
-    _report(
-        "C07",
-        ok,
-        f"e_n = 4e_(n-1) + e_(n-2) for every n, by induction; filtered Fibonacci matches to 1e6 "
-        f"({time.perf_counter() - started:.2f}s)",
-    )
+    _accept("evenfib-recurrence-and-filter")
 
 
 def test_c08_pipeline_powers_of_four():
-    started = time.perf_counter()
-    n = 20_000
-    q = [4**i for i in range(20)]
-    cert = build_alpha(q, 2, 1)
-    trace_ok = (
-        cert.eps == F(1, 8)
-        and cert.z[:4] == [0, 1, 5, 21]
-        and cert.intervals[3].lo == F(169, 512)
-        and cert.intervals[3].hi == F(43, 128)
-    )
-    view = GapSetSpec.geometric(4).enumerate(q[-1])
-    window = certify_fracs(cert.alpha, view, cert.eps, 2)
-    coloring = frac_coloring(cert.alpha, 2, n)
-    scan = longest_mono_diffseq(coloring, view.restrict(n))
-    bound = diffseq_bound_from_eps(2, cert.eps)
-    ok = trace_ok and window.passed and scan.length < 6 and scan.length < bound
-    _report(
-        "C08",
-        ok,
-        f"trace prefix z={cert.z[:4]}, I4=[169/512, 43/128]; window certified over "
-        f"20 gaps; longest chain {scan.length} < 6 on [1..{n}] "
-        f"({time.perf_counter() - started:.2f}s)",
-    )
+    _accept("powers-of-4-pipeline")
 
 
 def _max_avoidable_bitmask_enum(gaps, k, budget):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffseq import cli, construct, gapsets, reproduce, search
+from diffseq import cli, construct, gapsets, reproduce, search, verify
 from diffseq.colorings import MAX_LENGTH, Coloring, preset_coloring
 from test_json_properties import specs
 from test_schemas import _validate
@@ -184,7 +184,7 @@ def test_delta_one_term_chains_are_validated(capsys):
         "-k", "1", "-r", "1", "--budget", "5",
     )
     assert code == 2
-    assert "r >= 2" in err
+    assert "r must be in 2..255" in err
 
 
 def test_delta_with_too_many_colors_exits_2_before_searching(monkeypatch, capsys):
@@ -206,16 +206,16 @@ def test_delta_refuses_threads_below_one(capsys):
         "-k", "3", "-r", "2", "--budget", "20", "--threads", "-3",
     )
     assert (code, out) == (2, "")
-    assert err == "error: threads must be >= 1 (got -3)\n"
+    assert err == "error: threads must be an int >= 1 (got -3)\n"
 
 
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--threads", "0"], "threads must be >= 1 (got 0)"),
-        (["-r", "1"], "need k >= 1 and r >= 2"),
+        (["--threads", "0"], "threads must be an int >= 1 (got 0)"),
+        (["-r", "1"], "r must be in 2..255, the color bytes (got 1)"),
         (["-r", "256"], "r must be in 2..255, the color bytes (got 256)"),
-        (["-k", "0"], "need k >= 1 and r >= 2"),
+        (["-k", "0"], "k must be an int >= 1 (got 0)"),
     ],
 )
 def test_delta_arguments_are_refused_before_the_set_is_enumerated(monkeypatch, capsys, flags, message):
@@ -841,8 +841,23 @@ def test_reproduce_refuses_an_unknown_scale_and_fails_a_raising_claim():
     claim = reproduce.Claim("raises", "a claim whose runner raises", lambda scale: {}, runner)
     report = reproduce.run_reproduce("quick", claims=(claim,))
     assert not report.overall
-    assert report.outcomes[0].detail == "raised ArithmeticError: no walk"
+    (cert,) = report.outcomes[0].certificates
+    assert not cert.passed
+    assert cert.counterexample == {"raised": "ArithmeticError: no walk"}
     assert "raises  FAIL" in report.to_table()
+    assert report.to_table().splitlines()[1].endswith("finite  failed: raises")
+
+
+def test_reproduce_scope_is_read_from_the_certificates():
+    # one finite certificate makes a claim finite, and a claim with no
+    # certificate checked nothing: it fails and covers no n
+    finite = verify.Certificate("finite", {}, "positions 1..3", True)
+    every_n = verify.check_fib_fact("mod8_nonzero")
+    cases = [([every_n], True, "every_n"), ([finite, every_n], True, "finite"), ([], False, "finite")]
+    for certificates, passed, scope in cases:
+        claim = reproduce.Claim("c", "a claim", lambda scale: {}, lambda params: certificates)
+        (outcome,) = reproduce.run_reproduce("quick", claims=(claim,)).outcomes
+        assert (outcome.passed, outcome.scope) == (passed, scope)
 
 
 def test_reproduce_quick_and_negative_control(tmp_path, capsys):
@@ -888,8 +903,9 @@ WRITERS = [
 )
 def test_file_outputs_hold_what_stdout_would_print(tmp_path, capsys, monkeypatch, argv, flag):
     # one fixed report: the JSON of a fresh run would differ in its elapsed times
+    cert = verify.Certificate("checked", {"n": 3}, "positions 1..3", True)
     report = reproduce.ReproReport(
-        "quick", [reproduce.ClaimOutcome("claim", "a claim", {"n": 3}, True, 0.25, "ok")]
+        "quick", [reproduce.ClaimOutcome("claim", "a claim", {"n": 3}, 0.25, [cert])]
     )
     monkeypatch.setattr(reproduce, "run_reproduce", lambda scale: report)
     code, printed, _ = _run(capsys, *argv)

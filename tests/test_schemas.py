@@ -47,6 +47,8 @@ def test_gapset_spec_schema():
         GapSetSpec.union([GapSetSpec.primes(), GapSetSpec.explicit([9])]),
         GapSetSpec.even_fibonacci().divide(2),
         GapSetSpec.explicit([5]).shifted(-2),
+        # a rule two levels down: each $ref resolves against the schema's own $id
+        GapSetSpec.union([GapSetSpec.primes().divide(2), GapSetSpec.explicit([9]).shifted(2)]),
     ]
     for spec in specs:
         _validate("diffseq/gapset-spec", spec.to_json())
@@ -126,5 +128,11 @@ def test_certificate_schema():
 
 
 def test_repro_report_schema():
-    report = run_reproduce("quick")
-    _validate("diffseq/repro-report", report.to_json())
+    for scale in ("quick", "full"):
+        payload = run_reproduce(scale).to_json()
+        _validate("diffseq/repro-report", payload)
+    # a claim item must say its scope, and the old prose detail is refused
+    claim = payload["claims"][0]
+    for bad in ({k: v for k, v in claim.items() if k != "scope"}, dict(claim, detail="ok")):
+        with pytest.raises(jsonschema.ValidationError):
+            _validate("diffseq/repro-report", dict(payload, claims=[bad]))

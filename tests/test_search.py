@@ -558,8 +558,26 @@ def test_parallel_unknown_on_real_workers():
 @pytest.mark.parametrize("threads", [0, -3])
 def test_threads_below_one_are_refused(threads):
     view = GapSetSpec.primes().enumerate(20)
-    with pytest.raises(ValueError, match=f"threads must be >= 1 \\(got {threads}\\)"):
+    with pytest.raises(ValueError, match=f"threads must be an int >= 1 \\(got {threads}\\)"):
         delta(view, 3, 2, 20, threads=threads)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((2.5, 2, 10, 1), "k must be an int >= 1 (got 2.5)"),
+        ((True, 2, 10, 1), "k must be an int >= 1 (got True)"),
+        ((3, "3", 10, 1), "r must be in 2..255, the color bytes (got '3')"),
+        ((3, 2, 10, 1.5), "threads must be an int >= 1 (got 1.5)"),
+        ((3, 2, 10, True), "threads must be an int >= 1 (got True)"),
+    ],
+)
+def test_delta_refuses_arguments_that_are_not_ints(args, message):
+    # a float or a bool chain length used to run, and a string r raised TypeError
+    view = GapSetSpec.fibonacci().enumerate(10)
+    with pytest.raises(ValueError) as refused:
+        delta(view, *args)
+    assert str(refused.value) == message
 
 
 def test_threads_clamped_to_cpu_count(lazy_pool):
