@@ -1,5 +1,6 @@
 """A time limit on every test, so a search that stops terminating fails its
-test instead of hanging the suite.
+test instead of hanging the suite. It sits at the root so that it covers
+both test trees, ``tests/`` and ``perfbench/``.
 
 ``pytest-timeout`` is not a test dependency, so the limit is a real-time
 interval timer: SIGALRM fires in the main thread and fails the test that is

@@ -278,9 +278,10 @@ def rotation_word(alpha: NumberLike, x0: NumberLike, cut: NumberLike, n: int) ->
 
 
 def complexity(coloring: Coloring, n: int) -> int:
-    """Number of distinct contiguous length-n factors of the word."""
-    if not 1 <= n <= coloring.n:
-        raise ValueError("factor length must be in 1..N")
+    """Number of distinct contiguous length-n factors of the word, for an
+    int n in 1..N (a bool, float or string is refused, not coerced)."""
+    if type(n) is not int or not 1 <= n <= coloring.n:
+        raise ValueError(f"factor length must be in 1..N (got {n!r})")
     size = n * (coloring.n - n + 1)
     if size > MAX_FACTOR_BYTES:
         raise ValueError(f"factor length {n} slices {size} bytes, above the cap {MAX_FACTOR_BYTES}")

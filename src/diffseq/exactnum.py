@@ -1,11 +1,15 @@
 """Exact arithmetic over the rationals and the real quadratic field Q(sqrt5).
 
 Every order, floor and fractional-part decision is made by one integer
-kernel: ``sign5(A, B)`` is the sign of A + B*sqrt5 and ``floor5(P, U, L)``
-is floor((P + U*sqrt5)/L), both for integers; ``Q5.sign()`` is the only
-order on a value. Loops put their values over one common denominator
-(``integer_triples``) and call the kernel on integers, building no ``Q5``
-object per step; the window routine returns the fractional part it tested.
+kernel. ``floor_sqrt5(U)`` is floor(U*sqrt5), one ``isqrt``, and is the one
+bracket of an irrational value between consecutive integers:
+``floor5(P, U, L)``, floor((P + U*sqrt5)/L), and the window routine
+``first_outside`` both read it. ``sign5(A, B)`` is the sign of A + B*sqrt5
+and ``Q5.sign()`` is the only order on a value. Loops put their values over
+one common denominator (``integer_triples``) and call the kernel on
+integers, building no ``Q5`` object per step; the window routine decides
+each element from one ``floor_sqrt5`` and returns the fractional part it
+tested.
 
 Rationals are stdlib ``fractions.Fraction`` values, which stay in reduced
 canonical form (positive denominator, gcd 1) after every operation.
@@ -68,17 +72,25 @@ def sign5(A: int, B: int) -> int:
     return 1 if (A * A > 5 * B * B) == (A > 0) else -1
 
 
+def floor_sqrt5(U: int) -> int:
+    """floor(U*sqrt5) for an integer U.
+
+    With s = isqrt(5*U^2), |U|*sqrt5 lies strictly between s and s + 1 when
+    U != 0, since sqrt5 is irrational. So U*sqrt5 lies strictly between
+    v = floor_sqrt5(U) and v + 1 when U != 0, and equals v = 0 when U = 0.
+    """
+    s = math.isqrt(5 * U * U)
+    return s if U >= 0 else -s - 1
+
+
 def floor5(P: int, U: int, L: int) -> int:
     """floor((P + U*sqrt5)/L) for integers P, U and L > 0.
 
-    With s = isqrt(5*U^2), |U|*sqrt5 lies strictly between s and s + 1 when
-    U != 0. So P + U*sqrt5 lies strictly between the consecutive integers
-    P + s and P + s + 1 (U > 0) or P - s - 1 and P - s (U < 0), and no
-    multiple of L lies strictly between two consecutive integers: the floor
-    of the quotient is the floor of the lower integer divided by L.
+    P + U*sqrt5 is P + floor_sqrt5(U) or lies strictly between it and the
+    next integer, and no multiple of L lies strictly between two consecutive
+    integers: the floor of the quotient is that integer's floor over L.
     """
-    s = math.isqrt(5 * U * U)
-    return (P + s) // L if U >= 0 else (P - s - 1) // L
+    return (P + floor_sqrt5(U)) // L
 
 
 class Q5:
@@ -182,21 +194,31 @@ def integer_triples(*values: NumberLike) -> tuple[int, list[tuple[int, int]]]:
 
 
 def first_outside(
-    alpha: NumberLike, seq: Iterable[int], lo: NumberLike, hi: NumberLike, closed: bool
+    alpha: NumberLike, seq: Iterable[int], lo: RationalLike, hi: RationalLike, closed: bool
 ) -> Optional[tuple[int, Q5]]:
     """(s, {alpha*s}) for the first s in seq with {alpha*s} outside the window, or None.
 
-    The window is [lo, hi] when ``closed`` and (lo, hi) otherwise. Each
-    element costs one floor and two sign calls of the integer kernel, and
-    the fractional part returned is the one they tested.
+    The window is [lo, hi] when ``closed`` and (lo, hi) otherwise; its ends
+    are rationals. Over the common denominator L, L*{alpha*s} = A + B*sqrt5
+    and v = A + floor_sqrt5(B) is an integer, as are the ends lp = L*lo and
+    hp = L*hi. When B != 0 the value lies strictly between v and v + 1, so it
+    is inside exactly when lp <= v and v + 1 <= hp, open window or closed;
+    when B = 0 it is v itself. So each element costs one ``isqrt``, and the
+    fractional part returned is the one it tested.
     """
-    L, ((P, U), (lp, lu), (hp, hu)) = integer_triples(alpha, lo, hi)
-    # inside iff sign({alpha*s} - lo) >= least and sign({alpha*s} - hi) <= most
-    least, most = (0, 0) if closed else (1, -1)
+    L, ((P, U), (lp, _), (hp, _)) = integer_triples(alpha, to_rational(lo), to_rational(hi))
     for s in seq:
         A, B = P * s, U * s
-        A -= floor5(A, B, L) * L  # {alpha*s} = (A + B*sqrt5)/L
-        if sign5(A - lp, B - lu) < least or sign5(A - hp, B - hu) > most:
+        v = floor_sqrt5(B)
+        A -= (A + v) // L * L  # {alpha*s} = (A + B*sqrt5)/L
+        v += A
+        if B:
+            inside = lp <= v < hp
+        elif closed:
+            inside = lp <= v <= hp
+        else:
+            inside = lp < v < hp
+        if not inside:
             return s, Q5(Fraction(A, L), Fraction(B, L))
     return None
 

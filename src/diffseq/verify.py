@@ -14,23 +14,28 @@ chosen from facts of its input; nothing else selects them:
   position 1 that is already longer skips them). Level l+1 of a color is
   its mask AND the OR over the gaps of level l shifted, one Python-int
   shift per gap, color and level;
-* the DP otherwise. Its gap loop stops at the first same-colored
-  predecessor whose color's longest chain up to it is below the best length
-  found so far, one running maximum per color; that is exact and, on long
-  chains, tries a few gaps per position in place of all |D|.
+* the DP otherwise, one color class at a time. A position whose previous
+  same-colored position lies a gap back and ends a chain as long as the
+  class's running maximum takes that maximum plus one in O(1). Otherwise
+  its gap loop stops at the first same-colored predecessor whose class
+  maximum up to it is below the best length found so far; both are exact
+  and, on long chains, decide a position in a few steps in place of |D|.
 
 Progressions and the pair check run on one Python-int mask per color. The
 pair check tests the first |D| positions one at a time against a gap mask,
 so an early pair costs one shift per position tested after an O(N + |D|)
 set-up, and sweeps the gaps only when no pair starts that early.
 Both fractional-part bound scans run on the window routine of ``exactnum``
-(integer kernel, no ``Q5`` per element), which also gives the counterexample.
+(one ``isqrt`` per element, no ``Q5`` per element), which also gives the
+counterexample; a bound or window that would decide a scan without its
+elements is refused.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any, Optional, Sequence
 
 from .colorings import Coloring
@@ -254,41 +259,54 @@ def _walk_back(word: bytes, gaps: tuple[int, ...], length: list[int], end: int) 
 
 
 def _chain_by_dp(word: bytes, gaps: tuple[int, ...], n: int) -> list[int]:
-    """The DP L(x) = 1 + max L(x-d) over same-colored predecessors, with an
-    exact cut-off on the gap loop.
+    """The DP L(x) = 1 + max L(x-d) over same-colored predecessors, one color
+    class at a time, with an O(1) step and an exact cut-off on the gap loop.
 
-    top[y] is the longest chain ending at a position <= y of y's color, one
-    running maximum per color. The gaps run in increasing order, so y = x - d
-    decreases and the loop stops at the first same-colored y with
-    top[y] < best: no later y of that color reaches best, so only
+    run is the longest chain of x's color ending before x, so top[y] <= run
+    for every same-colored y < x. When x - prev is a gap for the previous
+    position prev of x's color and L(prev) = run, that bound is met and
+    L(x) = run + 1 with no gap loop. Otherwise the gaps run in increasing
+    order, so y = x - d decreases, and the loop stops at the first
+    same-colored y with top[y] < best, where top[y] is the class's running
+    maximum at y: no later y of that color reaches best, so only
     predecessors that could never become the parent are skipped. On long
-    chains top stays close to the length reached, and few gaps are tried per
-    position; on short ones it never drops below best and the loop runs all
-    of its O(N |D|).
+    chains the step or a few gaps decide a position; on short ones top never
+    drops below best and the loop runs all of its O(N |D|). Each class keeps
+    its maximum and the first position that reached it, and classes tie on
+    the smaller position: the first position with the longest chain.
     """
     colors = b"\0" + word  # position x's color at index x
+    is_gap = bytearray(n + 1)
+    for d in gaps:
+        is_gap[d] = 1
     length = [0] * (n + 1)
     top = [0] * (n + 1)
-    running = [0] * 256
     best_len, best_end = 0, 0
-    for x in range(1, n + 1):
-        cx = colors[x]
-        best = 1
-        for d in gaps:
-            if d >= x:
-                break
-            y = x - d
-            if colors[y] == cx:
-                if length[y] >= best:
-                    best = length[y] + 1
-                elif top[y] < best:
-                    break
-        length[x] = best
-        if best > running[cx]:
-            running[cx] = best
-        top[x] = running[cx]
-        if best > best_len:
-            best_len, best_end = best, x
+    for c in set(word):
+        table = bytearray(256)
+        table[c] = 1
+        prev = run = first = 0  # length[0] = 0 = run: a gap from 0 starts a chain
+        for x in compress(range(1, n + 1), word.translate(table)):
+            if is_gap[x - prev] and length[prev] == run:
+                best = run + 1
+            else:
+                best = 1
+                for d in gaps:
+                    if d >= x:
+                        break
+                    y = x - d
+                    if colors[y] == c:
+                        if length[y] >= best:
+                            best = length[y] + 1
+                        elif top[y] < best:
+                            break
+            length[x] = best
+            if best > run:
+                run, first = best, x
+            top[x] = run
+            prev = x
+        if run > best_len or run == best_len and first < best_end:
+            best_len, best_end = run, first
     return _walk_back(word, gaps, length, best_end)
 
 
@@ -511,20 +529,33 @@ def frac_bound_scan(
 
     mode "dist_nearest": distance of alpha*s to the nearest integer exceeds
     ``bound`` strictly, that is {alpha*s} lies in the open window
-    (bound, 1 - bound). mode "frac_window": {alpha*s} lies strictly inside
-    (window[0], window[1]). The first violation is reported.
+    (bound, 1 - bound), with 0 <= bound <= 1/2. mode "frac_window":
+    {alpha*s} lies strictly inside (window[0], window[1]), with
+    0 <= window[0] <= window[1] <= 1. A bound or window outside those ranges
+    would hold for every element, or for none, without testing one, so it is
+    refused. The first violation is reported.
     """
     if not seq:
         raise ValueError("empty sequence")
     alpha_q5 = Q5.coerce(alpha)
     params = {"alpha": alpha_q5.to_json()}
     if mode == DIST_NEAREST:
+        if bound is None:
+            raise ValueError("mode dist_nearest needs a bound")
         lo = to_rational(bound)
         hi = 1 - lo
+        if not 0 <= lo <= hi:
+            raise ValueError(f"bound must be in [0, 1/2] (got {rational_str(lo)})")
         claim, key = "dist-to-nearest-exceeds", "dist"
         params["bound"] = rational_str(lo)
     elif mode == FRAC_WINDOW:
+        if window is None:
+            raise ValueError("mode frac_window needs a window")
         lo, hi = to_rational(window[0]), to_rational(window[1])
+        if not 0 <= lo <= hi <= 1:
+            raise ValueError(
+                f"window must satisfy 0 <= lo <= hi <= 1 (got {rational_str(lo)}, {rational_str(hi)})"
+            )
         claim, key = "frac-in-open-window", "frac"
         params["window"] = [rational_str(lo), rational_str(hi)]
     else:

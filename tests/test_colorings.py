@@ -104,6 +104,13 @@ def test_complexity_examples():
         complexity(alternating, 0)
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0, "2", None, 0, 21])
+def test_complexity_refuses_a_length_that_is_no_int_in_range(n):
+    # True once counted the factors of length 1; 2.0 and "2" raised TypeError
+    with pytest.raises(ValueError, match=r"^factor length must be in 1\.\.N \(got "):
+        complexity(Coloring(2, bytes([1, 2] * 10)), n)
+
+
 def test_complexity_refuses_factor_bytes_above_the_cap(monkeypatch):
     # n * (N - n + 1) bytes of factors are sliced; the cap is reached, not passed
     monkeypatch.setattr(colorings, "MAX_FACTOR_BYTES", 12)

@@ -17,6 +17,7 @@ from diffseq.exactnum import (
     RatInterval,
     first_outside,
     floor5,
+    floor_sqrt5,
     integer_triples,
     rational_str,
     sign5,
@@ -209,9 +210,11 @@ def _ref_sign(a: F, b: F) -> int:
 
 def _ref_floor(P: int, U: int, L: int) -> int:
     # a decimal estimate with enough digits, confirmed by two reference sign
-    # tests of x - m = (P - m*L)/L + (U/L)*sqrt5
+    # tests of x - m = (P - m*L)/L + (U/L)*sqrt5. x may lie as close to an
+    # integer as 1/|U| (U = F_n near the multiple L_n of sqrt5), so the digits
+    # cover the integer part and as many again
     with decimal.localcontext() as ctx:
-        ctx.prec = max(abs(P), abs(U), L).bit_length() // 3 + 40
+        ctx.prec = 2 * max(abs(P), abs(U), L).bit_length() // 3 + 40
         m = int(((P + U * decimal.Decimal(5).sqrt()) / L).to_integral_value(decimal.ROUND_FLOOR))
     assert _ref_sign(F(P - m * L, L), F(U, L)) >= 0 > _ref_sign(F(P - (m + 1) * L, L), F(U, L))
     return m
@@ -257,6 +260,7 @@ def test_kernel_edge_cases():
     assert floor5(0, 1, 1) == 2 and floor5(0, -1, 1) == -3
     assert floor5(-1, 1, 2) == 0  # (sqrt5 - 1)/2 = 0.618...
     assert floor5(0, 8, 1) == 17 and floor5(0, -8, 1) == -18  # 8*sqrt5 = 17.88...
+    assert (floor_sqrt5(0), floor_sqrt5(1), floor_sqrt5(-1), floor_sqrt5(-8)) == (0, 2, -3, -18)
 
 
 def test_integer_triples_share_one_denominator():
@@ -266,6 +270,21 @@ def test_integer_triples_share_one_denominator():
     assert Q5(F(1, 6), F(-3, 4)).as_integer_triple() == (2, -9, 12)
 
 
+def _ref_outside(f: Q5, lo: F, hi: F) -> tuple[bool, bool]:
+    """Whether f lies outside [lo, hi], and whether it lies outside (lo, hi)."""
+    below, above = _ref_sign(f.a - lo, f.b), _ref_sign(f.a - hi, f.b)
+    return below < 0 or above > 0, below <= 0 or above >= 0
+
+
+def _ref_first_outside(alpha, seq, lo: F, hi: F, closed: bool):
+    # the Q5 loop the window routine replaced, on the reference floor and sign
+    for s in seq:
+        f = _ref_frac(Q5.coerce(alpha) * s)
+        if _ref_outside(f, lo, hi)[not closed]:
+            return s, f
+    return None
+
+
 def test_first_outside_matches_q5_loop_and_endpoints():
     rng = random.Random(37)
     for _ in range(150):
@@ -273,20 +292,50 @@ def test_first_outside_matches_q5_loop_and_endpoints():
         lo = F(rng.randint(0, 12), 12)
         hi = lo + F(rng.randint(0, 12), 12)
         seq = [rng.randint(1, 10**6) for _ in range(30)]
-        fracs = [_ref_frac(alpha * s) for s in seq]
         for closed in (True, False):
-            expected = None
-            for s, f in zip(seq, fracs):
-                below, above = _ref_sign(f.a - lo, f.b), _ref_sign(f.a - hi, f.b)
-                outside = below < 0 or above > 0 if closed else below <= 0 or above >= 0
-                if outside:
-                    expected = s, f
-                    break
+            expected = _ref_first_outside(alpha, seq, lo, hi, closed)
             assert first_outside(alpha, seq, lo, hi, closed) == expected
     # exact hits on both endpoints: 1/8 * (1, 4) is 1/8 and 1/2
     assert first_outside(F(1, 8), [1, 4, 3], F(1, 8), F(1, 2), closed=True) is None
     assert first_outside(F(1, 8), [3, 1], F(1, 8), F(1, 2), closed=False) == (1, Q5(F(1, 8)))
     assert first_outside(F(1, 8), [3, 4], F(1, 8), F(1, 2), closed=False) == (4, Q5(F(1, 2)))
+
+
+def test_first_outside_matches_q5_loop_on_fibonacci_terms():
+    # F_1..F_2000 reach some 1,400 bits, and {alpha F_n} nears its limits
+    # within about 1/F_n; one call per term decides each of them
+    fib = fib_values(2000)[1:]
+    windows = [(F(1, 10), F(9, 10)), (F(1, 4), F(1, 2)), (F(1, 6), F(5, 6))]
+    for alpha in (Q5(0, F(1, 8)), Q5(F(3, 8), F(1, 8)), Q5(F(-1, 3), F(-2, 7))):
+        inside = 0
+        for s in fib:
+            f = _ref_frac(alpha * s)
+            for lo, hi in windows:
+                for closed, outside in zip((True, False), _ref_outside(f, lo, hi)):
+                    expected = (s, f) if outside else None
+                    assert first_outside(alpha, [s], lo, hi, closed) == expected, (alpha, s, lo, hi)
+                    inside += expected is None
+        assert 0 < inside < 2 * len(windows) * len(fib)
+
+
+def test_first_outside_on_rational_alpha_hits_both_ends():
+    # {3s/10} is 3/10 at s = 1 and 11 and 9/10 at s = 3 and 13: exact hits on
+    # each end, inside the closed window and outside the open one
+    for alpha, lo, hi in ((F(3, 10), F(3, 10), F(9, 10)), (F(-7, 10), F(3, 10), F(9, 10))):
+        for s in range(1, 41):
+            for closed in (True, False):
+                got = first_outside(alpha, [s], lo, hi, closed)
+                assert got == _ref_first_outside(alpha, [s], lo, hi, closed), (alpha, s, closed)
+        assert first_outside(alpha, [1, 3, 11, 13], lo, hi, closed=True) is None
+        assert first_outside(alpha, [3, 1], lo, hi, closed=False) == (3, Q5(F(9, 10)))
+        assert first_outside(alpha, [2, 11], lo, hi, closed=False) == (11, Q5(F(3, 10)))
+
+
+def test_first_outside_refuses_an_irrational_window_end():
+    with pytest.raises(TypeError, match="not an exact rational"):
+        first_outside(F(1, 8), [1], Q5(0, F(1, 8)), F(1, 2), closed=True)
+    with pytest.raises(TypeError, match="not an exact rational"):
+        first_outside(F(1, 8), [1], 0, PHI - 1, closed=False)
 
 
 def test_counterexamples_carry_the_tested_frac():

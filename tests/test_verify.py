@@ -228,14 +228,12 @@ def _word(digits: str) -> bytes:
     return bytes(int(c) for c in digits)
 
 
-def _reference_chain(coloring: Coloring, view: GapSetView) -> ScanResult:
-    """The chain DP that the residue rule and mask levels now stand in for."""
-    n = coloring.n
-    gaps = [d for d in view.elements if d < n]
-    word = coloring.colors
+def _reference_lengths(word: bytes, gaps) -> tuple[list[int], list[int]]:
+    """The plain chain DP over all gaps: each position's longest chain
+    ending there and its parent, the predecessor by the smallest gap."""
+    n = len(word)
     length = [0] * (n + 1)
     parent = [0] * (n + 1)
-    best_len, best_end = 0, 0
     for x in range(1, n + 1):
         cx = word[x - 1]
         best, back = 1, 0
@@ -247,15 +245,23 @@ def _reference_chain(coloring: Coloring, view: GapSetView) -> ScanResult:
                 best, back = length[y] + 1, y
         length[x] = best
         parent[x] = back
-        if best > best_len:
-            best_len, best_end = best, x
+    return length, parent
+
+
+def _reference_chain(coloring: Coloring, view: GapSetView) -> ScanResult:
+    """The chain DP that the residue rule, mask levels and the DP's step and
+    cut-off now stand in for."""
+    n = coloring.n
+    length, parent = _reference_lengths(coloring.colors, [d for d in view.elements if d < n])
+    best_len = max(length)
+    best_end = length.index(best_len)  # 0 when n = 0
     witness = []
     pos = best_end
     while pos:
         witness.append(pos)
         pos = parent[pos]
     witness.reverse()
-    color = word[best_end - 1] if best_end else None
+    color = coloring.colors[best_end - 1] if best_end else None
     return ScanResult(DIFFSEQUENCE, best_len, witness, n, color)
 
 
@@ -451,6 +457,48 @@ def test_chain_dp_cut_off_matches_reference_dp(chain_methods):
         elif what == "plateau":
             budget = verify_module._LEVEL_BUDGET // coloring.r
             assert budget < result.length <= budget + 3
+
+
+def _step_share(word: bytes, gaps) -> float:
+    """Share of positions x whose chain the DP's O(1) step decides: x - prev
+    is a gap for the previous position prev of x's color, and prev ends a
+    chain as long as the longest of its color before x."""
+    length, _ = _reference_lengths(word, gaps)
+    is_gap = set(gaps)
+    prev, run = Counter(), Counter()
+    steps = 0
+    for x, c in enumerate(word, 1):
+        steps += x - prev[c] in is_gap and length[prev[c]] == run[c]
+        prev[c], run[c] = x, max(run[c], length[x])
+    return steps / len(word)
+
+
+def test_chain_dp_step_matches_reference_dp_on_fibonacci_fracs():
+    # frac colorings under the Fibonacci gaps chain through an eighth to a
+    # half of the positions, and 40-100% of the positions take the step
+    n = 20_000
+    gaps = GapSetSpec.fibonacci().enumerate(n).below(n)
+    cases = [
+        ("frac", frac_coloring(alpha, r, n)) for r in (2, 3) for alpha in _seeded_alphas(7, 3)
+    ]
+    # (1 + 4 sqrt5)/5 at r = 3 restarts below the class maximum: its chain
+    # is 629 long and 9% of its positions take the step
+    cases.append(("restart", frac_coloring(Q5(F(1, 5), F(4, 5)), 3, n)))
+    # r colors in blocks of 11 tie on every class maximum, and color 1, or
+    # color r under the reversed palette, reaches it first
+    for r in (2, 3, 4):
+        word = bytes((x // 11) % r + 1 for x in range(11 * r * 60))
+        for w in (word, bytes(r + 1 - c for c in word)):
+            cases.append(("tie", Coloring(r, w)))
+    for what, coloring in cases:
+        word, m = coloring.colors, coloring.n
+        usable = tuple(d for d in gaps if d < m)
+        reference = _reference_chain(coloring, _view(usable, m))
+        assert verify_module._chain_by_dp(word, usable, m) == reference.witness, what
+        if what == "tie":
+            assert reference.color == word[0]
+        share = _step_share(word, usable)
+        assert (share < 0.1) == (what == "restart"), (what, share)
 
 
 def test_periodic_and_short_chain_scans_skip_the_dp(monkeypatch):
@@ -686,6 +734,32 @@ def test_frac_bound_scan_refuses_an_empty_sequence_or_an_unknown_mode():
         frac_bound_scan(F(1, 3), [1], "nearest", bound=F(1, 10))
 
 
+def test_frac_bound_scan_refuses_a_bound_or_window_out_of_range():
+    # each would pass, or fail, without the elements deciding it
+    sqrt5_over_8 = Q5(0, F(1, 8))
+    for bound, message in (
+        (F(-1, 8), "bound must be in [0, 1/2] (got -1/8)"),
+        (-1, "bound must be in [0, 1/2] (got -1/1)"),
+        (F(5, 8), "bound must be in [0, 1/2] (got 5/8)"),
+        (None, "mode dist_nearest needs a bound"),
+    ):
+        with pytest.raises(ValueError) as info:
+            frac_bound_scan(sqrt5_over_8, [1, 2, 3], DIST_NEAREST, bound=bound)
+        assert str(info.value) == message
+    for window in ((-5, 7), (F(-1, 8), F(1, 2)), (F(1, 8), F(9, 8)), (F(1, 2), F(1, 8))):
+        with pytest.raises(ValueError, match="^window must satisfy 0 <= lo <= hi <= 1"):
+            frac_bound_scan(sqrt5_over_8, [1, 2, 3], FRAC_WINDOW, window=window)
+    with pytest.raises(ValueError, match="^mode frac_window needs a window$"):
+        frac_bound_scan(sqrt5_over_8, [1, 2, 3], FRAC_WINDOW)
+    # the ends of the ranges are accepted: the bound 1/2 and the window
+    # (1/2, 1/2) admit nothing, the bound 0 and the window (0, 1) admit every
+    # non-integer
+    assert not frac_bound_scan(sqrt5_over_8, [1], DIST_NEAREST, bound=F(1, 2)).passed
+    assert not frac_bound_scan(sqrt5_over_8, [1], FRAC_WINDOW, window=(F(1, 2), F(1, 2))).passed
+    assert frac_bound_scan(sqrt5_over_8, [1, 2, 3], DIST_NEAREST, bound=0).passed
+    assert frac_bound_scan(sqrt5_over_8, [1, 2, 3], FRAC_WINDOW, window=(0, 1)).passed
+
+
 def test_failing_frac_bound_scans_keep_their_json():
     # counterexamples pinned from the Q5 loop these scans replaced
     alpha = {"a": "0/1", "b": "1/8"}
@@ -717,7 +791,9 @@ def test_failing_frac_bound_scans_keep_their_json():
     # and its upper end: {1/8 * 4} = 1/2; a bound of 1/2 or more admits nothing
     assert frac_bound_scan(F(1, 8), [3, 4], FRAC_WINDOW, window=(F(1, 8), F(1, 2))).counterexample["element"] == 4
     assert frac_bound_scan(Q5(0, F(1, 8)), [1], DIST_NEAREST, bound=F(1, 2)).counterexample["element"] == 1
-    assert frac_bound_scan(Q5(0, F(1, 8)), [1, 2, 3], DIST_NEAREST, bound=F(-1, 3)).passed
+    # a bound below 0 would leave no element to miss the window
+    with pytest.raises(ValueError):
+        frac_bound_scan(Q5(0, F(1, 8)), [1, 2, 3], DIST_NEAREST, bound=F(-1, 3))
 
 
 def test_fibonacci_prefix_is_single_chain():
